@@ -8,6 +8,7 @@ identical inputs and seeds give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import warnings
@@ -145,9 +146,12 @@ def perturbation_study(ms: MeasurementSet, relative_error: float | None = None,
     measurement error into the quoted value; re-optimizing gains per trial
     would instead fit the noise and bias the product downward.  At those
     fixed gains the product factors are linear in the inputs, making the
-    spread an unbiased first-order error band.
+    spread an unbiased first-order error band.  An explicit relative_error
+    is checked as MeasurementSet checks its own: it must lie in [0, 1).
     """
-    rel = ms.relative_error if relative_error is None else relative_error
+    if relative_error is not None:
+        ms = dataclasses.replace(ms, relative_error=relative_error)
+    rel = ms.relative_error
     base = reconstruct(ms)
     gx = optimal_gain(base, "x", "b|a")
     gp = optimal_gain(base, "p", "b|a")

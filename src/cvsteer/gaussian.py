@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 SYMMETRY_RTOL = 1e-12
 SYMPLECTIC_ATOL = 1e-12
 PHYSICALITY_ATOL = 1e-9
+_R_MAX = 0.5 * math.log(np.finfo(float).max)  # largest r with exp(2 r) finite
 
 
 @functools.lru_cache(maxsize=None)
@@ -84,15 +85,18 @@ class CovarianceMatrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CovarianceMatrix":
-        try:
-            n_modes = int(d["n_modes"])
-            entries = d["entries"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"CovarianceMatrix JSON: missing field {exc}") from exc
+        if not isinstance(d, dict):
+            raise ValueError(f"CovarianceMatrix JSON: expected an object, got {type(d).__name__}")
         ordering = d.get("ordering", "x1p1x2p2")
         if ordering != "x1p1x2p2":
             raise ValueError(f"CovarianceMatrix JSON: unsupported ordering {ordering!r}")
-        return cls(n_modes=n_modes, entries=np.array(entries, dtype=float))
+        try:
+            n_modes, entries = int(d["n_modes"]), np.array(d["entries"], dtype=float)
+        except KeyError as exc:
+            raise ValueError(f"CovarianceMatrix JSON: missing field {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"CovarianceMatrix JSON: non-numeric field ({exc})") from None
+        return cls(n_modes=n_modes, entries=entries)
 
 
 @dataclass(frozen=True)
@@ -301,8 +305,10 @@ class SourceParams:
     dark_noise: float = 0.0
 
     def __post_init__(self):
-        if self.r1 < 0 or self.r2 < 0:
-            raise ValueError(f"SourceParams: r1, r2 must be >= 0, got {self.r1}, {self.r2}")
+        for name in ("r1", "r2"):
+            val = getattr(self, name)
+            if not 0.0 <= val <= _R_MAX:
+                raise ValueError(f"SourceParams: {name} must be in [0, {_R_MAX:.6g}], got {val}")
         for name in ("eta_prep", "eta_det_a", "eta_det_b"):
             val = getattr(self, name)
             if not 0.0 < val <= 1.0:
@@ -311,22 +317,13 @@ class SourceParams:
             raise ValueError(
                 f"SourceParams: transmittance must be in [0, 1], got {self.transmittance}"
             )
-        if self.dark_noise < 0.0:
-            raise ValueError(f"SourceParams: dark_noise must be >= 0, got {self.dark_noise}")
+        if not 0.0 <= self.dark_noise < math.inf:
+            raise ValueError(f"SourceParams: dark_noise must be finite, >= 0, got {self.dark_noise}")
         if not math.isfinite(self.relative_phase):
             raise ValueError("SourceParams: relative_phase must be finite")
 
     def to_dict(self) -> dict:
-        return {
-            "r1": self.r1,
-            "r2": self.r2,
-            "relative_phase": self.relative_phase,
-            "transmittance": self.transmittance,
-            "eta_prep": self.eta_prep,
-            "eta_det_a": self.eta_det_a,
-            "eta_det_b": self.eta_det_b,
-            "dark_noise": self.dark_noise,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SourceParams":
@@ -334,11 +331,15 @@ class SourceParams:
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"SourceParams JSON: unknown field(s) {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in d.items()})
+        try:
+            values = {k: float(v) for k, v in d.items()}
+        except TypeError as exc:
+            raise ValueError(f"SourceParams JSON: non-numeric field ({exc})") from None
+        return cls(**values)
 
 
 def build_epr_source(params: SourceParams) -> CovarianceMatrix:
-    """Forward model of the entangled source chain.
+    """Forward model of the entangled source chain, in closed form.
 
     Two amplitude-squeezed modes -> preparation loss on each -> rotation of
     mode 1 by relative_phase -> combining beamsplitter -> per-arm detection
@@ -346,15 +347,15 @@ def build_epr_source(params: SourceParams) -> CovarianceMatrix:
     beamsplitter is wired (mode_a=1, mode_b=0) so that, at the defaults,
     X_A - X_B = -sqrt(2) X_source1 and P_A + P_B = sqrt(2) P_source2 are the
     squeezed combinations: lossless and symmetric, both have variance
-    2 exp(-2r).
+    2 exp(-2r).  Lossy sources stay diagonal (v-/+ = eta e^(-/+2r) + 1 - eta),
+    so the chain is S diag(v) S^T then one diagonal detection scaling; only
+    the result is checked.
     """
-    state = vacuum_state(2)
-    state = apply_symplectic(state, squeezer(params.r1, 0, 2))
-    state = apply_symplectic(state, squeezer(params.r2, 1, 2))
-    state = apply_loss(state, LossChannel(0, params.eta_prep))
-    state = apply_loss(state, LossChannel(1, params.eta_prep))
-    state = apply_symplectic(state, phase_shift(params.relative_phase, 1, 2))
-    state = apply_symplectic(state, beamsplitter(params.transmittance, 1, 0, 2))
-    state = apply_loss(state, LossChannel(0, params.eta_det_a, params.dark_noise))
-    state = apply_loss(state, LossChannel(1, params.eta_det_b, params.dark_noise))
-    return state
+    p = params
+    v = np.exp([-2.0 * p.r1, 2.0 * p.r1, -2.0 * p.r2, 2.0 * p.r2])
+    v = p.eta_prep * v + (1.0 - p.eta_prep)
+    s = beamsplitter(p.transmittance, 1, 0, 2).matrix @ phase_shift(p.relative_phase, 1, 2).matrix
+    eta = np.repeat([p.eta_det_a, p.eta_det_b], 2)
+    gamma = np.einsum("ik,k,jk->ij", s, v, s) * np.sqrt(np.outer(eta, eta))
+    gamma += np.diag(1.0 - eta + p.dark_noise)
+    return CovarianceMatrix(n_modes=2, entries=gamma)

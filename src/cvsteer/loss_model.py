@@ -1,4 +1,4 @@
-"""Forward source model and inverse fitting of the overall efficiency.
+"""Inverse fitting of the overall efficiency through the source model.
 
 A uniform efficiency xi commutes through the symmetric optical chain, so a
 detected squeezed input obeys v -/+ = xi exp(-/+ 2r) + (1 - xi).  The fit
@@ -22,8 +22,6 @@ from .gaussian import (
 )
 
 __all__ = [
-    "SourceParams",
-    "build_epr_source",
     "forward_covariance",
     "LossFit",
     "fit_efficiency",
@@ -59,9 +57,8 @@ def detected_variance(r: float, xi: float, antisqueezed: bool = False) -> float:
     return xi * math.exp(sign * r) + (1.0 - xi)
 
 
-def forward_covariance(params: SourceParams) -> CovarianceMatrix:
-    """The fit's model function; delegates to the source chain model."""
-    return build_epr_source(params)
+# The fit's model function is the source model itself.
+forward_covariance = build_epr_source
 
 
 @dataclass(frozen=True)
@@ -99,17 +96,11 @@ class LossFit:
         }
 
 
-def _model_params(r1: float, r2: float, xi: float) -> SourceParams:
-    # Uniform xi commutes through the chain; fold it all into eta_prep.
-    return SourceParams(
-        r1=max(r1, 0.0),
-        r2=max(r2, 0.0),
-        eta_prep=float(np.clip(xi, 1e-9, 1.0)),
-    )
-
-
 def _objective(p, measured: np.ndarray) -> float:
-    model = forward_covariance(_model_params(*p)).entries
+    # Uniform xi commutes through the chain; fold it all into eta_prep.  Grid
+    # points and bounded Nelder-Mead vertices all lie in SourceParams' domain.
+    r1, r2, xi = p
+    model = build_epr_source(SourceParams(r1=r1, r2=r2, eta_prep=xi)).entries
     return sum((model[i] - measured[i]) ** 2 for i in _FIT_ENTRIES)
 
 
@@ -158,7 +149,7 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
             best = (f, r1, r2, xi)
     res = minimize(
         _objective,
-        x0=[max(best[1], 0.0), max(best[2], 0.0), float(np.clip(best[3], 1e-6, 1.0))],
+        x0=best[1:],
         args=(g,),
         method="Nelder-Mead",
         bounds=[(0.0, 10.0), (0.0, 10.0), (1e-6, 1.0)],
@@ -166,9 +157,9 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     )
     r1, r2, xi = res.x
     return LossFit(
-        xi=float(np.clip(xi, 1e-9, 1.0)),
-        r1=float(max(r1, 0.0)),
-        r2=float(max(r2, 0.0)),
+        xi=float(xi),
+        r1=float(r1),
+        r2=float(r2),
         residual=math.sqrt(res.fun / len(_FIT_ENTRIES)),
         iterations=int(res.nit),
         converged=bool(res.success),

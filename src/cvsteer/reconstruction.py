@@ -85,14 +85,21 @@ class MeasurementSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MeasurementSet":
+        if not isinstance(d, dict):
+            raise ValueError(f"MeasurementSet JSON: expected an object, got {type(d).__name__}")
         missing = [name for name in CSV_FIELDS if name not in d]
         if missing:
             raise ValueError(f"MeasurementSet JSON: missing field(s) {missing}")
-        return cls(
-            **{name: float(d[name]) for name in CSV_FIELDS},
-            relative_error=float(d.get("relative_error", 0.05)),
-            metadata=dict(d.get("metadata", {})),
-        )
+        metadata = d.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise ValueError("MeasurementSet JSON: metadata must be an object, "
+                             f"got {type(metadata).__name__}")
+        try:
+            values = {name: float(d[name]) for name in CSV_FIELDS}
+            relative_error = float(d.get("relative_error", 0.05))
+        except TypeError as exc:
+            raise ValueError(f"MeasurementSet JSON: non-numeric field ({exc})") from None
+        return cls(**values, relative_error=relative_error, metadata=dict(metadata))
 
     def to_csv(self) -> str:
         buf = io.StringIO()

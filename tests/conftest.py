@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -90,3 +92,35 @@ def random_source_state(rng):
         dark_noise=rng.uniform(0.0, 0.01),
     )
     return build_epr_source(params)
+
+
+def random_source_params(rng):
+    """SourceParams with all eight fields drawn at random, up to ~22 dB of squeezing."""
+    return SourceParams(
+        r1=rng.uniform(0.0, 2.5),
+        r2=rng.uniform(0.0, 2.5),
+        relative_phase=rng.uniform(-math.pi, math.pi),
+        transmittance=rng.uniform(0.0, 1.0),
+        eta_prep=rng.uniform(0.05, 1.0),
+        eta_det_a=rng.uniform(0.05, 1.0),
+        eta_det_b=rng.uniform(0.05, 1.0),
+        dark_noise=rng.uniform(0.0, 0.1),
+    )
+
+
+def reference_epr_chain(params):
+    """The source chain applied element by element, each step a checked state.
+
+    Reference for :func:`cvsteer.build_epr_source`, which evaluates the same
+    chain in closed form.
+    """
+    state = vacuum_state(2)
+    state = apply_symplectic(state, squeezer(params.r1, 0, 2))
+    state = apply_symplectic(state, squeezer(params.r2, 1, 2))
+    state = apply_loss(state, LossChannel(0, params.eta_prep))
+    state = apply_loss(state, LossChannel(1, params.eta_prep))
+    state = apply_symplectic(state, phase_shift(params.relative_phase, 1, 2))
+    state = apply_symplectic(state, beamsplitter(params.transmittance, 1, 0, 2))
+    state = apply_loss(state, LossChannel(0, params.eta_det_a, params.dark_noise))
+    state = apply_loss(state, LossChannel(1, params.eta_det_b, params.dark_noise))
+    return state

@@ -17,6 +17,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_input_error(code, err, *needles):
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
 def write_reference_cov(tmp_path):
     from cvsteer import reconstruct
     path = tmp_path / "cov.json"
@@ -45,6 +52,21 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--eta-prep", "1.2")
         assert code == 2
         assert "eta_prep" in err
+
+    def test_overflowing_squeezing_exits_2(self, capsys):
+        code, _, err = run(capsys, "simulate", "--r1", "800")
+        assert_input_error(code, err, "r1")
+
+    @pytest.mark.parametrize("field", ["r1", "r2", "dark_noise"])
+    def test_non_finite_params_exit_2(self, capsys, tmp_path, field):
+        p = tmp_path / "params.json"
+        p.write_text(json.dumps({field: math.nan}))
+        code, _, err = run(capsys, "simulate", "--in", str(p))
+        assert_input_error(code, err, field)
+
+    def test_infinite_dark_noise_exits_2(self, capsys):
+        code, _, err = run(capsys, "simulate", "--dark-noise-db=-inf")
+        assert_input_error(code, err, "dark_noise")
 
     def test_steering_visible_for_fitted_like_params(self, capsys, tmp_path):
         out_path = tmp_path / "cov.json"
@@ -89,6 +111,12 @@ class TestAnalyze:
                                  "entries": m.tolist()}))
         code, _, err = run(capsys, "analyze", "--in", str(p))
         assert code == 2 and "symmetric" in err
+
+    def test_json_array_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "list.json"
+        p.write_text(json.dumps(np.eye(4).tolist()))
+        code, _, err = run(capsys, "analyze", "--in", str(p))
+        assert_input_error(code, err, "expected an object")
 
     def test_gains_note_on_stderr(self, capsys, tmp_path):
         code, out, err = run(capsys, "analyze", "--in", write_reference_cov(tmp_path),
@@ -163,6 +191,14 @@ class TestReconstruct:
         assert code == 1
         assert "Cov_x" in err
 
+    def test_non_object_metadata_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "ms.json"
+        d = REFERENCE_MEASUREMENTS.to_dict()
+        d["metadata"] = 5
+        p.write_text(json.dumps(d))
+        code, _, err = run(capsys, "reconstruct", "--in", str(p))
+        assert_input_error(code, err, "metadata")
+
     def test_near_boundary_warning_is_reported(self, capsys, tmp_path):
         p = tmp_path / "ms.json"
         p.write_text(json.dumps({"var_xa": 1, "var_pa": 1, "var_xb": 1, "var_pb": 1,
@@ -188,6 +224,13 @@ class TestFit:
         code, out, _ = run(capsys, "fit", "--in", str(cov))
         assert code == 0
         assert json.loads(out)["xi"] == pytest.approx(0.9, abs=1e-4)
+
+    def test_json_array_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "list.json"
+        with open(write_reference_cov(tmp_path)) as fh:
+            p.write_text(f"[{fh.read()}]")
+        code, _, err = run(capsys, "fit", "--in", str(p))
+        assert_input_error(code, err, "expected an object")
 
     def test_pure_state_fits_unit_efficiency(self, capsys, tmp_path):
         cov = tmp_path / "cov.json"
@@ -229,6 +272,12 @@ class TestRepro:
         assert code == 0
         assert "perturbation spread" in out
 
+    @pytest.mark.parametrize("rel", ["-1", "1", "nan"])
+    def test_perturb_outside_unit_interval_exits_2(self, capsys, rel):
+        code, out, err = run(capsys, "repro", f"--perturb={rel}")
+        assert_input_error(code, err, "relative_error")
+        assert out == ""
+
     def test_sampled_rerun_with_dark_noise(self, capsys):
         code, out, _ = run(capsys, "repro", "--n", "200000", "--seed", "3",
                            "--dark-noise-db", "22")
@@ -242,6 +291,12 @@ class TestInstalledEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "checks passed" in proc.stdout
+
+    @pytest.mark.parametrize("argv", [["simulate", "--r1", "800"], ["repro", "--perturb=-1"]])
+    def test_input_errors_exit_2_without_traceback(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "cvsteer.cli", *argv],
+                              capture_output=True, text=True)
+        assert_input_error(proc.returncode, proc.stderr)
 
 
 class TestPerturbationStudy:
@@ -257,6 +312,11 @@ class TestPerturbationStudy:
         s1 = perturbation_study(REFERENCE_MEASUREMENTS, 0.05, n_trials=100, seed=9)
         s2 = perturbation_study(REFERENCE_MEASUREMENTS, 0.05, n_trials=100, seed=9)
         assert s1 == s2
+
+    @pytest.mark.parametrize("rel", [-1.0, 1.0, math.nan])
+    def test_rejects_relative_error_outside_unit_interval(self, rel):
+        with pytest.raises(ValueError, match="relative_error"):
+            perturbation_study(REFERENCE_MEASUREMENTS, rel)
 
     def test_scales_linearly_with_relative_error(self):
         lo = perturbation_study(REFERENCE_MEASUREMENTS, 0.01, n_trials=400, seed=2)

@@ -22,7 +22,12 @@ from cvsteer import (
     symplectic_form,
     vacuum_state,
 )
-from conftest import random_physical_state, random_transform
+from conftest import (
+    random_physical_state,
+    random_source_params,
+    random_transform,
+    reference_epr_chain,
+)
 
 
 class TestVacuum:
@@ -226,6 +231,16 @@ class TestCovarianceMatrixType:
         again = CovarianceMatrix.from_dict(ref_state.to_dict())
         np.testing.assert_array_equal(again.entries, ref_state.entries)
 
+    @pytest.mark.parametrize("payload, match", [
+        ([[1.0, 0.0], [0.0, 1.0]], "expected an object"),
+        ({"n_modes": None, "entries": np.eye(4).tolist()}, "non-numeric"),
+        ({"n_modes": 2, "entries": {"x1": 1.0}}, "non-numeric"),
+        ({"entries": np.eye(4).tolist()}, "missing field 'n_modes'"),
+    ])
+    def test_badly_shaped_json_rejected(self, payload, match):
+        with pytest.raises(ValueError, match=match):
+            CovarianceMatrix.from_dict(payload)
+
     def test_unknown_ordering_rejected(self, ref_state):
         d = ref_state.to_dict()
         d["ordering"] = "x1x2p1p2"
@@ -255,6 +270,40 @@ class TestBuildEprSource:
         state = build_epr_source(SourceParams(r1=1.1, r2=0.7))
         np.testing.assert_allclose(symplectic_eigenvalues(state), [1.0, 1.0], atol=1e-9)
 
+    def test_matches_element_by_element_chain(self):
+        # Tolerance fixed before measuring: 1e-13 of the largest entry.  The
+        # closed form and the chain agree to ~1e-15 over these draws.
+        rng = np.random.default_rng(37)
+        for _ in range(1000):
+            params = random_source_params(rng)
+            expected = reference_epr_chain(params).entries
+            got = build_epr_source(params).entries
+            tol = 1e-13 * max(1.0, np.max(np.abs(expected)))
+            assert np.max(np.abs(got - expected)) <= tol, params
+
+    @pytest.mark.parametrize("transmittance", [0.0, 1.0])
+    def test_unmixed_sources_at_extreme_transmittance(self, transmittance):
+        # T = 1 sends source 1 to Alice and the rotated source 2 to Bob; T = 0
+        # swaps them.  At relative_phase pi/2 the rotation swaps X and P.
+        r1, r2, eta, eta_a, eta_b, dark = 1.3, 0.6, 0.9, 0.8, 0.7, 0.01
+        params = SourceParams(r1=r1, r2=r2, transmittance=transmittance, eta_prep=eta,
+                              eta_det_a=eta_a, eta_det_b=eta_b, dark_noise=dark)
+        src1 = [eta * math.exp(-2 * r1) + 1 - eta, eta * math.exp(2 * r1) + 1 - eta]
+        src2 = [eta * math.exp(2 * r2) + 1 - eta, eta * math.exp(-2 * r2) + 1 - eta]
+        alice, bob = (src1, src2) if transmittance == 1.0 else (src2, src1)
+        expected = np.diag([eta_a * v + 1 - eta_a + dark for v in alice]
+                           + [eta_b * v + 1 - eta_b + dark for v in bob])
+        np.testing.assert_allclose(build_epr_source(params).entries, expected,
+                                   rtol=1e-13, atol=1e-15)
+
+    def test_builds_one_checked_matrix(self, monkeypatch):
+        calls = []
+        check = CovarianceMatrix.__post_init__
+        monkeypatch.setattr(CovarianceMatrix, "__post_init__",
+                            lambda self: calls.append(self) or check(self))
+        build_epr_source(SourceParams(r1=1.0, r2=0.8, eta_prep=0.9, dark_noise=0.01))
+        assert len(calls) == 1
+
     def test_params_validation(self):
         with pytest.raises(ValueError, match="eta_prep"):
             SourceParams(eta_prep=1.2)
@@ -263,11 +312,23 @@ class TestBuildEprSource:
         with pytest.raises(ValueError, match="dark_noise"):
             SourceParams(dark_noise=-1e-3)
 
+    @pytest.mark.parametrize("field, value", [
+        ("r1", math.nan), ("r2", math.nan), ("r1", math.inf), ("r2", 800.0),
+        ("dark_noise", math.nan), ("dark_noise", math.inf),
+    ])
+    def test_params_reject_non_finite_and_overflowing(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SourceParams(**{field: value})
+
     def test_params_json_roundtrip(self):
         p = SourceParams(r1=1.0, r2=0.8, eta_prep=0.95, dark_noise=0.006)
         assert SourceParams.from_dict(p.to_dict()) == p
         with pytest.raises(ValueError, match="unknown field"):
             SourceParams.from_dict({"r1": 1.0, "bogus": 2.0})
+
+    def test_params_json_rejects_non_numeric(self):
+        with pytest.raises(ValueError, match="non-numeric"):
+            SourceParams.from_dict({"r1": [1.0]})
 
 
 class TestInvariantProperties:

@@ -115,6 +115,21 @@ class TestMeasurementSetIO:
             MeasurementSet.from_dict({"var_xa": 1, "var_pa": 1, "var_xb": 1,
                                       "var_pb": 1, "var_x_diff": 2})
 
+    def test_json_must_be_an_object(self, ref_ms):
+        with pytest.raises(ValueError, match="expected an object"):
+            MeasurementSet.from_dict([ref_ms.to_dict()])
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("metadata", 5, "metadata must be an object"),
+        ("var_xa", [18.41], "non-numeric"),
+        ("relative_error", None, "non-numeric"),
+    ])
+    def test_json_badly_typed_fields(self, ref_ms, field, value, match):
+        d = ref_ms.to_dict()
+        d[field] = value
+        with pytest.raises(ValueError, match=match):
+            MeasurementSet.from_dict(d)
+
     def test_csv_roundtrip(self, ref_ms):
         again = MeasurementSet.from_csv(ref_ms.to_csv())
         assert again.values() == ref_ms.values()
