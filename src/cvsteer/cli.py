@@ -321,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="run a seeded sampling campaign on a state")
     add_io(p, need_in=True)
-    p.add_argument("--n", type=int, required=True, help="samples per setting")
+    p.add_argument("--n", type=int, required=True,
+                   help="samples per setting (at least 3; at least 2 with --format csv)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dark-noise-db", type=float, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json",
@@ -340,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--n", type=int, default=None,
-                   help="also run a sampled rerun with this many samples per setting")
+                   help="also run a sampled rerun with this many samples per setting "
+                        "(at least 3)")
     p.add_argument("--dark-noise-db", type=float, default=None,
                    help="add detector dark noise to the sampled rerun")
     p.add_argument("--perturb", type=float, default=None, metavar="REL",

@@ -91,7 +91,10 @@ class CovarianceMatrix:
         if ordering != "x1p1x2p2":
             raise ValueError(f"CovarianceMatrix JSON: unsupported ordering {ordering!r}")
         try:
-            n_modes, entries = int(d["n_modes"]), np.array(d["entries"], dtype=float)
+            n_modes, entries = d["n_modes"], np.array(d["entries"], dtype=float)
+            if isinstance(n_modes, (bool, str)) or isinstance(n_modes, float) and not n_modes.is_integer():
+                raise ValueError(f"CovarianceMatrix JSON: n_modes must be an integer, got {n_modes!r}")
+            n_modes = int(n_modes)
         except KeyError as exc:
             raise ValueError(f"CovarianceMatrix JSON: missing field {exc}") from None
         except TypeError as exc:

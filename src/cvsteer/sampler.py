@@ -1,9 +1,13 @@
 """Seeded Monte Carlo homodyne sampling from a covariance matrix.
 
-Serves as the statistical oracle for the analytic pipeline: draws finite
-Gaussian sample sets for single quadratures or two-detector combinations,
-estimates variances, and simulates the full six-measurement reconstruction
-campaign including detector dark noise.
+Serves as the statistical oracle for the analytic pipeline: single-quadrature
+and two-detector samples, variance estimates, and the six-measurement
+reconstruction campaign with detector dark noise.  The campaign projects its
+settings from one shared latent stream z, as in simultaneous acquisition of
+the commuting combinations (the reconstruction identity then cancels common
+fluctuations), plus independent per-setting dark noise d.  Each sample is
+linear in (z, d), so :func:`measure_campaign` accumulates only their
+sufficient statistics, chunk by chunk, and projects once at the end.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ import numpy as np
 from .gaussian import CovarianceMatrix, is_physical, symplectic_eigenvalues
 from .reconstruction import MeasurementSet
 
-# Fixed internal chunk so campaign results never depend on n-dependent batching.
-_CHUNK = 1 << 19
+# Rows drawn per campaign chunk: small enough that the draw buffers stay in
+# cache, and fixed so results never depend on n-dependent batching.
+_CHUNK = 1 << 14
 
 SINGLE = "single_quadrature"
 JOINT = "joint_combination"
@@ -176,63 +181,66 @@ def sample_variance(batch: SampleBatch) -> float:
     return float(np.var(batch.values, ddof=1))
 
 
-def _campaign_chunks(state: CovarianceMatrix, n_per_setting: int, seed: int,
-                     dark_noise: float):
-    """Yield (chunk_size, values) arrays of shape (chunk, 6), one column per
-    canonical setting, all six projected from one shared quadrature stream.
-
-    The shared stream models simultaneous acquisition of the commuting
-    combinations: the reconstruction identity then cancels the common
-    fluctuations, and downstream criterion values converge at the chi-squared
-    rate of the variance estimator itself.  Dark noise stays independent per
-    setting (fresh detector noise per acquisition), seeded as (seed, index+1).
-    """
+def _campaign_projection(state: CovarianceMatrix, dark_noise: float):
+    """Weights W (4 x 6) and dark scales a (6,): setting i samples z @ W[:, i] + a[i] * d[i]."""
+    _check_sampleable(state)
+    if not dark_noise >= 0.0:
+        raise ValueError(f"campaign: dark_noise must be >= 0, got {dark_noise}")
     settings = canonical_settings()
     sq = _sqrt_factor(state)
     weights = np.stack([sq @ s.projection_vector(state.n_modes) for s in settings], axis=1)
-    dark_scale = np.array([math.sqrt(dark_noise * s.dark_factor()) for s in settings])
+    return weights, np.array([math.sqrt(dark_noise * s.dark_factor()) for s in settings])
+
+
+def _campaign_draws(n_per_setting: int, seed: int, dark_noise: float):
+    """Yield the campaign's draws chunk by chunk as (z, d), in reused buffers.
+
+    z (c x 4) is the shared latent stream, seeded as (seed,).  d (6 x c) is
+    the detector noise, one row per setting seeded as (seed, i + 1), or None
+    without dark noise.  Consume each chunk before drawing the next.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     dark_rngs = [np.random.default_rng(np.random.SeedSequence([seed, i + 1]))
-                 for i in range(len(settings))]
-    remaining = n_per_setting
-    while remaining > 0:
-        c = min(remaining, _CHUNK)
-        x = rng.standard_normal((c, 2 * state.n_modes)) @ weights
-        if dark_noise > 0.0:
-            for i, dr in enumerate(dark_rngs):
-                x[:, i] += dark_scale[i] * dr.standard_normal(c)
-        yield c, x
-        remaining -= c
+                 for i in range(6)] if dark_noise > 0.0 else []
+    z_buf = np.empty((min(n_per_setting, _CHUNK), 4))
+    d_buf = np.empty((len(dark_rngs), len(z_buf)))
+    for start in range(0, n_per_setting, len(z_buf)):
+        c = min(len(z_buf), n_per_setting - start)
+        for row, dark_rng in zip(d_buf, dark_rngs):
+            dark_rng.standard_normal(out=row[:c])
+        yield rng.standard_normal(out=z_buf[:c]), (d_buf[:, :c] if dark_rngs else None)
 
 
 def measure_campaign(state: CovarianceMatrix, n_per_setting: int, seed: int,
                      dark_noise: float = 0.0) -> MeasurementSet:
     """Simulate the six-measurement campaign and return its variance estimates.
 
-    The returned relative_error is sqrt(2 / n_per_setting), the relative
-    one-sigma of a Gaussian variance estimate; seed and counts are recorded
-    in the metadata.  Deterministic for fixed inputs, and independent of the
-    internal chunking (fixed chunk size, fixed accumulation order).
+    n_per_setting must be at least 3, so that the returned relative_error,
+    sqrt(2 / n_per_setting), the relative one-sigma of a Gaussian variance
+    estimate, is below 1.  Seed and counts are recorded in the metadata.
+    Deterministic for fixed inputs; the estimates equal the sample variances
+    of :func:`campaign_batches` up to float rounding.
     """
-    _check_sampleable(state)
-    if n_per_setting < 2:
-        raise ValueError(f"measure_campaign: n_per_setting must be >= 2, got {n_per_setting}")
-    if dark_noise < 0.0:
-        raise ValueError(f"measure_campaign: dark_noise must be >= 0, got {dark_noise}")
-    s1 = np.zeros(6)
-    s2 = np.zeros(6)
-    for c, x in _campaign_chunks(state, n_per_setting, seed, dark_noise):
-        s1 += x.sum(axis=0)
-        s2 += np.einsum("ij,ij->j", x, x)
+    if n_per_setting < 3:
+        raise ValueError(f"measure_campaign: n_per_setting must be >= 3, got n={n_per_setting}")
+    weights, dark_scale = _campaign_projection(state, dark_noise)
+    gram, z_sum = np.zeros((4, 4)), np.zeros(4)
+    dz, d_sum, dd = np.zeros((6, 4)), np.zeros(6), np.zeros(6)
+    ones = np.ones(min(n_per_setting, _CHUNK))
+    for z, d in _campaign_draws(n_per_setting, seed, dark_noise):
+        gram += z.T @ z
+        z_sum += ones[:len(z)] @ z
+        if d is not None:
+            dz += d @ z
+            d_sum += d @ ones[:len(z)]
+            dd += np.einsum("ij,ij->i", d, d)
+    s1 = z_sum @ weights + dark_scale * d_sum
+    s2 = (np.einsum("ki,kl,li->i", weights, gram, weights)
+          + dark_scale * (2.0 * np.einsum("ik,ki->i", dz, weights) + dark_scale * dd))
     n = n_per_setting
     variances = (s2 - s1 * s1 / n) / (n - 1)
     return MeasurementSet(
-        var_xa=float(variances[0]),
-        var_pa=float(variances[1]),
-        var_xb=float(variances[2]),
-        var_pb=float(variances[3]),
-        var_x_diff=float(variances[4]),
-        var_p_sum=float(variances[5]),
+        *variances.tolist(),
         relative_error=math.sqrt(2.0 / n_per_setting),
         metadata={"seed": seed, "n_per_setting": n_per_setting, "dark_noise": dark_noise},
     )
@@ -242,16 +250,16 @@ def campaign_batches(state: CovarianceMatrix, n_per_setting: int, seed: int,
                      dark_noise: float = 0.0) -> list[SampleBatch]:
     """The raw per-setting samples behind :func:`measure_campaign`.
 
-    Materializes the same shared-stream data the campaign accumulates, so
-    exported samples reproduce the campaign's variance estimates exactly.
+    Materializes the samples from the same draws the campaign reduces, so
+    exported samples reproduce its variance estimates up to float rounding.
     """
-    _check_sampleable(state)
     if n_per_setting < 2:
         raise ValueError(f"campaign_batches: n_per_setting must be >= 2, got {n_per_setting}")
-    parts = [x for _, x in _campaign_chunks(state, n_per_setting, seed, dark_noise)]
-    data = np.concatenate(parts, axis=0)
+    weights, dark_scale = _campaign_projection(state, dark_noise)
+    data = np.concatenate([(z @ weights).T if d is None else (z @ weights).T + dark_scale[:, None] * d
+                           for z, d in _campaign_draws(n_per_setting, seed, dark_noise)], axis=1)
     return [
-        SampleBatch(setting=s, values=data[:, i], seed=seed, n=n_per_setting)
+        SampleBatch(setting=s, values=data[i], seed=seed, n=n_per_setting)
         for i, s in enumerate(canonical_settings())
     ]
 

@@ -17,6 +17,7 @@ from cvsteer import (
     vacuum_state,
 )
 from cvsteer.reference import REFERENCE_MEASUREMENTS, reference_state
+from cvsteer.sampler import _sqrt_factor, canonical_settings
 
 
 @pytest.fixture
@@ -124,3 +125,34 @@ def reference_epr_chain(params):
     state = apply_loss(state, LossChannel(0, params.eta_det_a, params.dark_noise))
     state = apply_loss(state, LossChannel(1, params.eta_det_b, params.dark_noise))
     return state
+
+
+def reference_projection_campaign(state, n_per_setting, seed, dark_noise=0.0):
+    """The six campaign variances from the projected samples, chunk by chunk.
+
+    Reference for :func:`cvsteer.measure_campaign`, which forms the same sums
+    from the sufficient statistics of the draws.  Each chunk of the shared
+    latent stream is projected onto the six settings, each setting's dark
+    noise is added column by column, and the sums of the values and of their
+    squares are accumulated.
+    """
+    settings = canonical_settings()
+    sq = _sqrt_factor(state)
+    weights = np.stack([sq @ s.projection_vector() for s in settings], axis=1)
+    dark_scale = [math.sqrt(dark_noise * s.dark_factor()) for s in settings]
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    dark_rngs = [np.random.default_rng(np.random.SeedSequence([seed, i + 1]))
+                 for i in range(len(settings))]
+    s1 = np.zeros(6)
+    s2 = np.zeros(6)
+    chunk = 1 << 19
+    for start in range(0, n_per_setting, chunk):
+        c = min(chunk, n_per_setting - start)
+        x = rng.standard_normal((c, 4)) @ weights
+        if dark_noise > 0.0:
+            for i, dark_rng in enumerate(dark_rngs):
+                x[:, i] += dark_scale[i] * dark_rng.standard_normal(c)
+        s1 += x.sum(axis=0)
+        s2 += np.einsum("ij,ij->j", x, x)
+    n = n_per_setting
+    return (s2 - s1 * s1 / n) / (n - 1)

@@ -118,6 +118,13 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--in", str(p))
         assert_input_error(code, err, "expected an object")
 
+    @pytest.mark.parametrize("n_modes", [2.7, True, "2"])
+    def test_non_integer_n_modes_exits_2(self, capsys, tmp_path, n_modes):
+        p = tmp_path / "cov.json"
+        p.write_text(json.dumps({"n_modes": n_modes, "entries": np.eye(4).tolist()}))
+        code, _, err = run(capsys, "analyze", "--in", str(p))
+        assert_input_error(code, err, "n_modes must be an integer")
+
     def test_gains_note_on_stderr(self, capsys, tmp_path):
         code, out, err = run(capsys, "analyze", "--in", write_reference_cov(tmp_path),
                              "--gains", "1,-1")
@@ -155,12 +162,19 @@ class TestSample:
 
     def test_csv_raw_samples(self, capsys, tmp_path):
         cov = write_reference_cov(tmp_path)
-        code, out, _ = run(capsys, "sample", "--in", cov, "--n", "5", "--seed", "1",
-                           "--format", "csv")
-        assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0] == "setting,value"
-        assert len(lines) == 31
+        for n in (5, 2):
+            code, out, _ = run(capsys, "sample", "--in", cov, "--n", str(n), "--seed", "1",
+                               "--format", "csv")
+            assert code == 0
+            lines = out.strip().split("\n")
+            assert lines[0] == "setting,value"
+            assert len(lines) == 1 + 6 * n
+
+    def test_json_campaign_needs_three_samples(self, capsys, tmp_path):
+        code, out, err = run(capsys, "sample", "--in", write_reference_cov(tmp_path),
+                             "--n", "2")
+        assert_input_error(code, err, "n_per_setting must be >= 3", "n=2")
+        assert out == ""
 
 
 class TestReconstruct:
@@ -283,6 +297,11 @@ class TestRepro:
                            "--dark-noise-db", "22")
         assert code == 0
         assert "dark-noise shift" in out
+
+    def test_sampled_rerun_needs_three_samples(self, capsys):
+        code, out, err = run(capsys, "repro", "--n", "2")
+        assert_input_error(code, err, "n_per_setting must be >= 3", "n=2")
+        assert out == ""
 
 
 class TestInstalledEntryPoint:

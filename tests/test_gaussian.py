@@ -230,12 +230,16 @@ class TestCovarianceMatrixType:
     def test_json_roundtrip(self, ref_state):
         again = CovarianceMatrix.from_dict(ref_state.to_dict())
         np.testing.assert_array_equal(again.entries, ref_state.entries)
+        assert CovarianceMatrix.from_dict({**ref_state.to_dict(), "n_modes": 2.0}).n_modes == 2
 
     @pytest.mark.parametrize("payload, match", [
         ([[1.0, 0.0], [0.0, 1.0]], "expected an object"),
         ({"n_modes": None, "entries": np.eye(4).tolist()}, "non-numeric"),
         ({"n_modes": 2, "entries": {"x1": 1.0}}, "non-numeric"),
         ({"entries": np.eye(4).tolist()}, "missing field 'n_modes'"),
+        ({"n_modes": 2.7, "entries": np.eye(4).tolist()}, "n_modes must be an integer"),
+        ({"n_modes": True, "entries": np.eye(4).tolist()}, "n_modes must be an integer"),
+        ({"n_modes": "2", "entries": np.eye(4).tolist()}, "n_modes must be an integer"),
     ])
     def test_badly_shaped_json_rejected(self, payload, match):
         with pytest.raises(ValueError, match=match):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from cvsteer import (
     MeasurementSet,
     MeasurementSetting,
     SampleBatch,
+    build_epr_source,
     campaign_batches,
     canonical_settings,
     criteria_report,
@@ -18,6 +20,7 @@ from cvsteer import (
     samples_to_csv,
     vacuum_state,
 )
+from conftest import random_source_params, reference_projection_campaign
 
 X_DIFF = MeasurementSetting.joint(1.0, -1.0)
 P_SUM = MeasurementSetting.joint(1.0, 1.0, math.pi / 2, math.pi / 2)
@@ -127,10 +130,43 @@ class TestMeasureCampaign:
         assert m1.values() == m2.values()
 
     def test_chunking_does_not_change_results(self, ref_state, monkeypatch):
-        before = measure_campaign(ref_state, 50000, seed=13)
-        monkeypatch.setattr(sampler_mod, "_CHUNK", 999)
-        after = measure_campaign(ref_state, 50000, seed=13)
-        np.testing.assert_allclose(after.values(), before.values(), rtol=1e-10)
+        for dark in (0.0, 0.006):
+            before = measure_campaign(ref_state, 50000, seed=13, dark_noise=dark)
+            with monkeypatch.context() as m:
+                m.setattr(sampler_mod, "_CHUNK", 999)
+                after = measure_campaign(ref_state, 50000, seed=13, dark_noise=dark)
+            np.testing.assert_allclose(after.values(), before.values(), rtol=1e-10)
+
+    def test_matches_projection_reference(self):
+        # the Gram route reorders the float sums of the projection route;
+        # tolerance fixed from the double rounding scale before comparing
+        rtol = 1e-12
+        rng = np.random.default_rng(31)
+        chunk = sampler_mod._CHUNK
+        for n in (3, chunk - 1, chunk + 1, 70_000):
+            for seed in range(3):
+                state = build_epr_source(random_source_params(rng))
+                for dark in (0.0, 10 ** -2.2):
+                    got = measure_campaign(state, n, seed, dark_noise=dark).values()
+                    want = reference_projection_campaign(state, n, seed, dark)
+                    np.testing.assert_allclose(got, want, rtol=rtol)
+
+    def test_needs_three_samples(self, ref_state):
+        # at n = 2 the relative error sqrt(2/n) would be 1
+        with pytest.raises(ValueError, match=r"n_per_setting must be >= 3.*n=2"):
+            measure_campaign(ref_state, 2, seed=0)
+        assert len(campaign_batches(ref_state, 2, seed=0)[0].values) == 2
+
+    def test_dark_campaign_memory_stays_chunk_sized(self, ref_state):
+        dark = 10 ** -2.2
+        measure_campaign(ref_state, 10 ** 6, seed=0, dark_noise=dark)
+        tracemalloc.start()
+        try:
+            measure_campaign(ref_state, 10 ** 6, seed=0, dark_noise=dark)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_large_campaign_reconstructs_entries(self, ref_state):
         ms = measure_campaign(ref_state, 10 ** 7, seed=3)
