@@ -81,6 +81,17 @@ def optimal_gain(state: CovarianceMatrix, quad: str, direction: str) -> float:
     return float(state.entries[t, s] / var_s)
 
 
+def _conditional_variances(state: CovarianceMatrix, direction: str,
+                           gains: GainPair | str) -> tuple[GainPair, float, float]:
+    """The gains used and the X and P conditional variances at them."""
+    if gains == "optimal":
+        gains = GainPair(optimal_gain(state, "x", direction), optimal_gain(state, "p", direction))
+    elif not isinstance(gains, GainPair):
+        raise ValueError(f"gains must be a GainPair or 'optimal', got {gains!r}")
+    return (gains, conditional_variance(state, "x", direction, gains.g_x),
+            conditional_variance(state, "p", direction, gains.g_p))
+
+
 def reid_product(state: CovarianceMatrix, direction: str,
                  gains: GainPair | str = "optimal") -> float:
     """Product of the X and P conditional variances for the given direction.
@@ -88,15 +99,7 @@ def reid_product(state: CovarianceMatrix, direction: str,
     With gains="optimal" each factor is minimized over its gain, which equals
     the closed form Var(O_B) - Cov(O_A, O_B)^2 / Var(O_A) entrywise.
     """
-    if gains == "optimal":
-        gx = optimal_gain(state, "x", direction)
-        gp = optimal_gain(state, "p", direction)
-    elif isinstance(gains, GainPair):
-        gx, gp = gains.g_x, gains.g_p
-    else:
-        raise ValueError(f"gains must be a GainPair or 'optimal', got {gains!r}")
-    vx = conditional_variance(state, "x", direction, gx)
-    vp = conditional_variance(state, "p", direction, gp)
+    _, vx, vp = _conditional_variances(state, direction, gains)
     return vx * vp
 
 
@@ -148,17 +151,10 @@ def criteria_report(state: CovarianceMatrix) -> CriteriaReport:
     sum < 4).  The conditional uncertainty ratio is the geometric mean of the
     two B|A conditional variances, i.e. sqrt(reid_b_given_a).
     """
-    _require_two_mode(state)
-    gains_ba = GainPair(optimal_gain(state, "x", "b|a"), optimal_gain(state, "p", "b|a"))
-    gains_ab = GainPair(optimal_gain(state, "x", "a|b"), optimal_gain(state, "p", "a|b"))
-    cond = {
-        "x_b_given_a": conditional_variance(state, "x", "b|a", gains_ba.g_x),
-        "p_b_given_a": conditional_variance(state, "p", "b|a", gains_ba.g_p),
-        "x_a_given_b": conditional_variance(state, "x", "a|b", gains_ab.g_x),
-        "p_a_given_b": conditional_variance(state, "p", "a|b", gains_ab.g_p),
-    }
-    reid_ba = cond["x_b_given_a"] * cond["p_b_given_a"]
-    reid_ab = cond["x_a_given_b"] * cond["p_a_given_b"]
+    gains_ba, x_ba, p_ba = _conditional_variances(state, "b|a", "optimal")
+    gains_ab, x_ab, p_ab = _conditional_variances(state, "a|b", "optimal")
+    cond = {"x_b_given_a": x_ba, "p_b_given_a": p_ba, "x_a_given_b": x_ab, "p_a_given_b": p_ab}
+    reid_ba, reid_ab = x_ba * p_ba, x_ab * p_ab
     duan = duan_sum(state)
     return CriteriaReport(
         reid_b_given_a=reid_ba,

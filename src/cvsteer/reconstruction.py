@@ -17,11 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import (
-    PHYSICALITY_ATOL,
-    CovarianceMatrix,
-    symplectic_eigenvalues,
-)
+from .gaussian import CovarianceMatrix, is_physical, symplectic_eigenvalues
 
 CSV_FIELDS = ("var_xa", "var_pa", "var_xb", "var_pb", "var_x_diff", "var_p_sum")
 
@@ -168,12 +164,11 @@ def reconstruct(ms: MeasurementSet) -> CovarianceMatrix:
         [0.0, cov_p, 0.0, ms.var_pb],
     ])
     state = CovarianceMatrix(n_modes=2, entries=m)
-    nus = symplectic_eigenvalues(state)
-    if np.min(nus) < 1.0 - PHYSICALITY_ATOL:
+    if not is_physical(state):
         warnings.warn(
             PhysicalityWarning(
                 f"reconstructed matrix is slightly unphysical: symplectic "
-                f"eigenvalues {nus.tolist()}"
+                f"eigenvalues {symplectic_eigenvalues(state).tolist()}"
             ),
             stacklevel=2,
         )

@@ -5,9 +5,11 @@ and two-detector samples, variance estimates, and the six-measurement
 reconstruction campaign with detector dark noise.  The campaign projects its
 settings from one shared latent stream z, as in simultaneous acquisition of
 the commuting combinations (the reconstruction identity then cancels common
-fluctuations), plus independent per-setting dark noise d.  Each sample is
-linear in (z, d), so :func:`measure_campaign` accumulates only their
-sufficient statistics, chunk by chunk, and projects once at the end.
+fluctuations), plus independent per-setting dark noise d, row i seeded as
+(seed, i + 1).  Each sample is linear in (z, d), so :func:`measure_campaign`
+accumulates only their sufficient statistics, chunk by chunk, and projects
+once at the end; :func:`campaign_batches` and :func:`sample_quadratures`
+project the same draws onto their settings, chunk by chunk.
 """
 
 from __future__ import annotations
@@ -159,56 +161,57 @@ def sample_quadratures(state: CovarianceMatrix, setting: MeasurementSetting,
     vectors across settings; with dark_noise = 0 a joint combination agrees
     sample-by-sample with the same combination of the single-quadrature
     batches at that seed (up to float rounding).  Dark noise adds variance
-    dark_noise per involved detector, drawn after the quadrature stream.
+    dark_noise per involved detector, drawn from the stream seeded
+    (seed, 1), the campaign's X_A dark stream.
     """
-    _check_sampleable(state)
     if n < 2:
         raise ValueError(f"sample_quadratures: n must be >= 2, got {n}")
-    if dark_noise < 0.0:
-        raise ValueError(f"sample_quadratures: dark_noise must be >= 0, got {dark_noise}")
-    w = _sqrt_factor(state) @ setting.projection_vector(state.n_modes)
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    vals = rng.standard_normal((n, 2 * state.n_modes)) @ w
-    if dark_noise > 0.0:
-        vals = vals + math.sqrt(dark_noise * setting.dark_factor()) * rng.standard_normal(n)
-    return SampleBatch(setting=setting, values=vals, seed=seed, n=n)
+    values = _samples(state, [setting], n, seed, dark_noise)[0]
+    return SampleBatch(setting=setting, values=values, seed=seed, n=n)
 
 
 def sample_variance(batch: SampleBatch) -> float:
     """Unbiased estimator sum((x - mean)^2) / (n - 1)."""
-    if batch.n < 2:
-        raise ValueError("sample_variance: need at least 2 samples")
     return float(np.var(batch.values, ddof=1))
 
 
-def _campaign_projection(state: CovarianceMatrix, dark_noise: float):
-    """Weights W (4 x 6) and dark scales a (6,): setting i samples z @ W[:, i] + a[i] * d[i]."""
+def _campaign_projection(state: CovarianceMatrix, settings: list[MeasurementSetting],
+                         dark_noise: float):
+    """Weights W (4 x k) and dark scales a (k,): setting i samples z @ W[:, i] + a[i] * d[i]."""
     _check_sampleable(state)
     if not dark_noise >= 0.0:
-        raise ValueError(f"campaign: dark_noise must be >= 0, got {dark_noise}")
-    settings = canonical_settings()
+        raise ValueError(f"sampler: dark_noise must be >= 0, got {dark_noise}")
     sq = _sqrt_factor(state)
     weights = np.stack([sq @ s.projection_vector(state.n_modes) for s in settings], axis=1)
     return weights, np.array([math.sqrt(dark_noise * s.dark_factor()) for s in settings])
 
 
-def _campaign_draws(n_per_setting: int, seed: int, dark_noise: float):
-    """Yield the campaign's draws chunk by chunk as (z, d), in reused buffers.
+def _campaign_draws(n: int, seed: int, dark_scale: np.ndarray):
+    """Yield the draws chunk by chunk as (z, d), in reused buffers.
 
-    z (c x 4) is the shared latent stream, seeded as (seed,).  d (6 x c) is
-    the detector noise, one row per setting seeded as (seed, i + 1), or None
-    without dark noise.  Consume each chunk before drawing the next.
+    z (c x 4) is the shared latent stream, seeded as (seed,).  d (k x c) is
+    the detector noise, one row per setting with row i seeded as (seed, i + 1),
+    or None when no setting has dark noise.  Consume each chunk before
+    drawing the next.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     dark_rngs = [np.random.default_rng(np.random.SeedSequence([seed, i + 1]))
-                 for i in range(6)] if dark_noise > 0.0 else []
-    z_buf = np.empty((min(n_per_setting, _CHUNK), 4))
+                 for i in range(len(dark_scale))] if dark_scale.any() else []
+    z_buf = np.empty((min(n, _CHUNK), 4))
     d_buf = np.empty((len(dark_rngs), len(z_buf)))
-    for start in range(0, n_per_setting, len(z_buf)):
-        c = min(len(z_buf), n_per_setting - start)
+    for start in range(0, n, len(z_buf)):
+        c = min(len(z_buf), n - start)
         for row, dark_rng in zip(d_buf, dark_rngs):
             dark_rng.standard_normal(out=row[:c])
         yield rng.standard_normal(out=z_buf[:c]), (d_buf[:, :c] if dark_rngs else None)
+
+
+def _samples(state: CovarianceMatrix, settings: list[MeasurementSetting], n: int, seed: int,
+             dark_noise: float) -> np.ndarray:
+    """The k x n samples of the settings, built chunk by chunk from the campaign draws."""
+    weights, dark_scale = _campaign_projection(state, settings, dark_noise)
+    return np.concatenate([(z @ weights).T if d is None else (z @ weights).T + dark_scale[:, None] * d
+                           for z, d in _campaign_draws(n, seed, dark_scale)], axis=1)
 
 
 def measure_campaign(state: CovarianceMatrix, n_per_setting: int, seed: int,
@@ -223,11 +226,11 @@ def measure_campaign(state: CovarianceMatrix, n_per_setting: int, seed: int,
     """
     if n_per_setting < 3:
         raise ValueError(f"measure_campaign: n_per_setting must be >= 3, got n={n_per_setting}")
-    weights, dark_scale = _campaign_projection(state, dark_noise)
+    weights, dark_scale = _campaign_projection(state, canonical_settings(), dark_noise)
     gram, z_sum = np.zeros((4, 4)), np.zeros(4)
     dz, d_sum, dd = np.zeros((6, 4)), np.zeros(6), np.zeros(6)
     ones = np.ones(min(n_per_setting, _CHUNK))
-    for z, d in _campaign_draws(n_per_setting, seed, dark_noise):
+    for z, d in _campaign_draws(n_per_setting, seed, dark_scale):
         gram += z.T @ z
         z_sum += ones[:len(z)] @ z
         if d is not None:
@@ -255,13 +258,9 @@ def campaign_batches(state: CovarianceMatrix, n_per_setting: int, seed: int,
     """
     if n_per_setting < 2:
         raise ValueError(f"campaign_batches: n_per_setting must be >= 2, got {n_per_setting}")
-    weights, dark_scale = _campaign_projection(state, dark_noise)
-    data = np.concatenate([(z @ weights).T if d is None else (z @ weights).T + dark_scale[:, None] * d
-                           for z, d in _campaign_draws(n_per_setting, seed, dark_noise)], axis=1)
-    return [
-        SampleBatch(setting=s, values=data[i], seed=seed, n=n_per_setting)
-        for i, s in enumerate(canonical_settings())
-    ]
+    data = _samples(state, canonical_settings(), n_per_setting, seed, dark_noise)
+    return [SampleBatch(setting=s, values=v, seed=seed, n=n_per_setting)
+            for s, v in zip(canonical_settings(), data)]
 
 
 def samples_to_csv(batches: list[SampleBatch]) -> str:

@@ -156,3 +156,13 @@ def reference_projection_campaign(state, n_per_setting, seed, dark_noise=0.0):
         s2 += np.einsum("ij,ij->j", x, x)
     n = n_per_setting
     return (s2 - s1 * s1 / n) / (n - 1)
+
+
+def reference_sample_quadratures(state, setting, n, seed):
+    """One setting's samples, dark noise off, from one (n, 4) draw.
+
+    Reference for :func:`cvsteer.sample_quadratures`, which projects the same
+    latent stream chunk by chunk through the campaign's draw generator.
+    """
+    w = _sqrt_factor(state) @ setting.projection_vector()
+    return np.random.default_rng(np.random.SeedSequence([seed])).standard_normal((n, 4)) @ w

@@ -119,6 +119,14 @@ class TestCriteriaReport:
         assert rep.optimal_gains_b_given_a.g_p < 0
         assert conditional_variance(ref_state, "p", "b|a", -1.0) == pytest.approx(0.20, abs=1e-12)
 
+    def test_products_equal_reid_product(self):
+        rng = np.random.default_rng(53)
+        for _ in range(50):
+            state = random_physical_state(rng)
+            rep = criteria_report(state)
+            assert rep.reid_b_given_a == reid_product(state, "b|a")
+            assert rep.reid_a_given_b == reid_product(state, "a|b")
+
     def test_report_is_json_ready(self, ref_state):
         d = criteria_report(ref_state).to_dict()
         parsed = json.loads(json.dumps(d))

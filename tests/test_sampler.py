@@ -20,7 +20,11 @@ from cvsteer import (
     samples_to_csv,
     vacuum_state,
 )
-from conftest import random_source_params, reference_projection_campaign
+from conftest import (
+    random_source_params,
+    reference_projection_campaign,
+    reference_sample_quadratures,
+)
 
 X_DIFF = MeasurementSetting.joint(1.0, -1.0)
 P_SUM = MeasurementSetting.joint(1.0, 1.0, math.pi / 2, math.pi / 2)
@@ -89,6 +93,43 @@ class TestSampleQuadratures:
                                    rtol=0, atol=1e-9)
         composed_var = np.var(xa.values - xb.values, ddof=1)
         assert sample_variance(joint) == pytest.approx(composed_var, rel=1e-9)
+
+    def test_matches_one_shot_reference(self, ref_state):
+        # chunked projection of the same latent stream; tolerance fixed from
+        # the double rounding scale before comparing
+        settings = canonical_settings() + [MeasurementSetting.single(1, 0.3),
+                                           MeasurementSetting.joint(0.5, -2.0, 0.1, 1.2)]
+        chunk = sampler_mod._CHUNK
+        for n in (2, 3, chunk - 1, chunk + 1, 70_000):
+            for seed in range(3):
+                for setting in settings:
+                    want = reference_sample_quadratures(ref_state, setting, n, seed)
+                    got = sample_quadratures(ref_state, setting, n, seed).values
+                    np.testing.assert_allclose(got, want, rtol=0,
+                                               atol=1e-13 * np.max(np.abs(want)))
+
+    def test_shares_the_campaign_draws(self, ref_state):
+        # with dark noise on, X_A is the campaign's X_A: same latent and dark streams
+        n = sampler_mod._CHUNK + 1
+        single = sample_quadratures(ref_state, canonical_settings()[0], n, 6, 0.006).values
+        campaign = campaign_batches(ref_state, n, 6, 0.006)[0].values
+        np.testing.assert_allclose(single, campaign, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(campaign)))
+
+
+_SAMPLERS = {
+    "sample_quadratures": lambda state, dark: sample_quadratures(
+        state, X_DIFF, 100, seed=0, dark_noise=dark),
+    "measure_campaign": lambda state, dark: measure_campaign(state, 100, seed=0, dark_noise=dark),
+    "campaign_batches": lambda state, dark: campaign_batches(state, 100, seed=0, dark_noise=dark),
+}
+
+
+@pytest.mark.parametrize("dark", [math.nan, -1.0])
+@pytest.mark.parametrize("sampler", sorted(_SAMPLERS))
+def test_bad_dark_noise_rejected(ref_state, sampler, dark):
+    with pytest.raises(ValueError, match=f"dark_noise must be >= 0, got {dark}"):
+        _SAMPLERS[sampler](ref_state, dark)
 
 
 class TestSampleVariance:
