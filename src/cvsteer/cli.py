@@ -8,21 +8,13 @@ identical inputs and seeds give byte-identical files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import warnings
 
-import numpy as np
-
-from .criteria import GainPair, criteria_report, optimal_gain, reid_product
+from .criteria import GainPair, criteria_report, reid_product
 from .gaussian import CovarianceMatrix, SourceParams, build_epr_source
-from .loss_model import (
-    budget_prep_efficiency,
-    db_to_variance,
-    efficiency_decomposition,
-    fit_efficiency,
-)
+from .loss_model import db_to_variance, fit_efficiency
 from .reconstruction import (
     InconsistentDataError,
     MeasurementSet,
@@ -32,6 +24,7 @@ from .reconstruction import (
 )
 from .sampler import campaign_batches, measure_campaign, samples_to_csv
 from . import reference
+from .reference import perturbation_study  # re-exported: callers import it from cvsteer.cli
 
 
 def _write_text(text: str, out_path: str | None):
@@ -42,8 +35,12 @@ def _write_text(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _write_json(obj, out_path: str | None):
-    _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", out_path)
+    _write_text(_json_text(obj), out_path)
 
 
 def _load_json(path: str) -> dict:
@@ -74,20 +71,13 @@ def _parse_gains(text: str) -> GainPair | str:
 
 
 def cmd_simulate(args) -> int:
-    params_dict = {}
-    if args.in_path:
-        params_dict = _load_json(args.in_path)
-        if not isinstance(params_dict, dict):
-            raise ValueError("simulate: params file must hold a JSON object")
-    for name in ("r1", "r2", "relative_phase", "transmittance",
-                 "eta_prep", "eta_det_a", "eta_det_b"):
-        val = getattr(args, name)
-        if val is not None:
-            params_dict[name] = val
+    params = SourceParams.from_dict(_load_json(args.in_path)) if args.in_path else SourceParams()
+    flags = {name: getattr(args, name) for name in ("r1", "r2", "relative_phase", "transmittance",
+                                                   "eta_prep", "eta_det_a", "eta_det_b")
+             if getattr(args, name) is not None}
     if args.dark_noise_db is not None:
-        params_dict["dark_noise"] = db_to_variance(args.dark_noise_db)
-    params = SourceParams.from_dict(params_dict)
-    state = build_epr_source(params)
+        flags["dark_noise"] = db_to_variance(args.dark_noise_db)
+    state = build_epr_source(SourceParams.from_dict({**params.to_dict(), **flags}))
     _write_json(state.to_dict(), args.out_path)
     return 0
 
@@ -136,136 +126,8 @@ def cmd_fit(args) -> int:
     return 0 if fit.converged else 1
 
 
-def perturbation_study(ms: MeasurementSet, relative_error: float | None = None,
-                       n_trials: int = 200, seed: int = 0) -> dict:
-    """Monte Carlo error band of the steering product under input jitter.
-
-    Each trial multiplies the six measured variances by independent Gaussian
-    factors (1 + rel * z) and re-evaluates the B|A product with the gains
-    held at the unperturbed optimum, so the band measures the propagation of
-    measurement error into the quoted value; re-optimizing gains per trial
-    would instead fit the noise and bias the product downward.  At those
-    fixed gains the product factors are linear in the inputs, making the
-    spread an unbiased first-order error band.  An explicit relative_error
-    is checked as MeasurementSet checks its own: it must lie in [0, 1).
-    """
-    if relative_error is not None:
-        ms = dataclasses.replace(ms, relative_error=relative_error)
-    rel = ms.relative_error
-    base = reconstruct(ms)
-    gx = optimal_gain(base, "x", "b|a")
-    gp = optimal_gain(base, "p", "b|a")
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    jitter = 1.0 + rel * rng.standard_normal((n_trials, 6))
-    xa, pa, xb, pb, xd, ps = np.asarray(ms.values())[:, None] * jitter.T
-    cov_x = 0.5 * (xa + xb - xd)
-    cov_p = 0.5 * (ps - pa - pb)
-    vx = xb + gx * gx * xa - 2.0 * gx * cov_x
-    vp = pb + gp * gp * pa - 2.0 * gp * cov_p
-    products = vx * vp
-    return {
-        "relative_error": rel,
-        "n_trials": n_trials,
-        "seed": seed,
-        "mean": float(products.mean()),
-        "std": float(products.std(ddof=1)),
-        "q05": float(np.quantile(products, 0.05)),
-        "q95": float(np.quantile(products, 0.95)),
-        "fraction_within_0.005": float(np.mean(np.abs(products - reference.REID_B_GIVEN_A) <= 0.005)),
-    }
-
-
-def _repro_rows() -> tuple[list[dict], dict]:
-    ms = reference.REFERENCE_MEASUREMENTS
-    state = reconstruct(ms)
-    report = criteria_report(state)
-    fit = fit_efficiency(state)
-    eta_budget = budget_prep_efficiency(
-        reference.INTERNAL_LOSS, reference.PROPAGATION_LOSS, reference.FRINGE_VISIBILITY
-    )
-
-    def row(quantity, ref_value, computed, tol):
-        delta = abs(computed - ref_value)
-        return {
-            "quantity": quantity,
-            "reference": ref_value,
-            "computed": computed,
-            "delta": delta,
-            "tolerance": tol,
-            "passed": delta <= tol,
-        }
-
-    rows = [
-        row("reid product B|A (optimal gains)", reference.REID_B_GIVEN_A,
-            report.reid_b_given_a, reference.REID_TOL),
-        row("reid product A|B (optimal gains)", reference.REID_A_GIVEN_B,
-            report.reid_a_given_b, reference.REID_TOL),
-        row("product at gains (1, -1)", reference.UNIT_GAIN_PRODUCT,
-            report.unit_gain_product, reference.UNIT_GAIN_TOL),
-        row("duan sum", reference.DUAN_SUM, report.duan_sum, reference.DUAN_TOL),
-        row("optimal gain g_x (B|A)", reference.OPTIMAL_GAIN_X_B_GIVEN_A,
-            report.optimal_gains_b_given_a.g_x, reference.OPTIMAL_GAIN_TOL),
-        row("optimal gain g_p (B|A)", reference.OPTIMAL_GAIN_P_B_GIVEN_A,
-            report.optimal_gains_b_given_a.g_p, reference.OPTIMAL_GAIN_TOL),
-        row("conditional uncertainty ratio", reference.CONDITIONAL_UNCERTAINTY_RATIO,
-            report.conditional_uncertainty_ratio, reference.CONDITIONAL_UNCERTAINTY_TOL),
-        row("overall efficiency (loss fit)", reference.OVERALL_EFFICIENCY,
-            fit.xi, reference.OVERALL_EFFICIENCY_TOL),
-        row("preparation efficiency (loss budget)", reference.PREP_EFFICIENCY,
-            eta_budget, reference.PREP_EFFICIENCY_TOL),
-        row("detection efficiency (0.92 / 0.95)", reference.DETECTION_EFFICIENCY,
-            efficiency_decomposition(reference.OVERALL_EFFICIENCY, reference.PREP_EFFICIENCY),
-            reference.DETECTION_EFFICIENCY_TOL),
-        row("detection efficiency (fit / budget)", reference.DETECTION_EFFICIENCY,
-            efficiency_decomposition(fit.xi, eta_budget),
-            reference.OVERALL_EFFICIENCY_TOL + reference.PREP_EFFICIENCY_TOL),
-    ]
-    context = {"state": state, "measurements": ms, "report": report, "fit": fit}
-    return rows, context
-
-
-def _info(quantity: str, computed: float) -> dict:
-    return {"quantity": quantity, "reference": None, "computed": computed,
-            "delta": None, "tolerance": None, "passed": None}
-
-
 def cmd_repro(args) -> int:
-    rows, context = _repro_rows()
-    extras = []
-
-    if args.n is not None or args.dark_noise_db is not None:
-        n = args.n if args.n is not None else 1_000_000
-        seed = args.seed if args.seed is not None else 0
-        state = context["state"]
-        base = criteria_report(reconstruct(measure_campaign(state, n, seed)))
-        extras.append(_info(f"sampled reid B|A (n={n}, no dark noise)", base.reid_b_given_a))
-        if args.dark_noise_db is not None:
-            dark = db_to_variance(args.dark_noise_db)
-            noisy = criteria_report(reconstruct(measure_campaign(state, n, seed, dark)))
-            extras.append(_info(
-                f"sampled reid B|A (n={n}, dark {args.dark_noise_db:g} dB)",
-                noisy.reid_b_given_a))
-            extras.append(_info("dark-noise shift of reid B|A",
-                                noisy.reid_b_given_a - base.reid_b_given_a))
-
-    if args.perturb is not None:
-        seed = args.seed if args.seed is not None else 0
-        study = perturbation_study(context["measurements"], args.perturb, seed=seed)
-        half_width = study["std"]
-        rows.append({
-            "quantity": f"perturbation spread at {args.perturb:g} (1-sigma half-width)",
-            "reference": 0.0,
-            "computed": half_width,
-            "delta": half_width,
-            "tolerance": 0.01,
-            "passed": half_width <= 0.01,
-        })
-        extras.append(_info("perturbation mean reid B|A", study["mean"]))
-        extras.append(_info("perturbation fraction within +-0.005",
-                            study["fraction_within_0.005"]))
-        extras.append(_info("perturbation 5-95% band low", study["q05"]))
-        extras.append(_info("perturbation 5-95% band high", study["q95"]))
-
+    rows, extras = reference.repro(args.n, args.seed, args.dark_noise_db, args.perturb)
     lines = []
     header = f"{'quantity':<46} {'reference':>10} {'computed':>10} {'|delta|':>9} {'tol':>7}  status"
     lines.append(header)
@@ -284,10 +146,11 @@ def cmd_repro(args) -> int:
     lines.append(f"{len(rows) - len(failures)}/{len(rows)} checks passed")
     for r in failures:
         lines.append(f"FAILED: {r['quantity']} (|delta| = {r['delta']:.6f} > {r['tolerance']:.6f})")
+    # serialised first: a report JSON cannot hold (inf, nan) fails before anything is printed
+    report = _json_text({"rows": rows, "extras": extras, "passed": not failures}) if args.out_path else None
     print("\n".join(lines))
-
     if args.out_path:
-        _write_json({"rows": rows, "extras": extras, "passed": not failures}, args.out_path)
+        _write_text(report, args.out_path)
     return 0 if not failures else 1
 
 
@@ -339,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro", help="re-derive the built-in reference results")
     add_io(p)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=None,
                    help="also run a sampled rerun with this many samples per setting "
                         "(at least 3)")

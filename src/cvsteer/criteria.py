@@ -9,6 +9,7 @@ below 4 in vacuum units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ class GainPair:
     g_p: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.g_x) and np.isfinite(self.g_p)):
+        if not (math.isfinite(self.g_x) and math.isfinite(self.g_p)):
             raise ValueError("GainPair: gains must be finite")
 
     def to_dict(self) -> dict:

@@ -330,6 +330,8 @@ class SourceParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SourceParams":
+        if not isinstance(d, dict):
+            raise ValueError(f"SourceParams JSON: expected an object, got {type(d).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(d) - known
         if unknown:

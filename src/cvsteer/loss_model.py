@@ -40,8 +40,11 @@ _FIT_ENTRIES = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (2, 0), (1, 3), (3, 1)]
 
 
 def db_to_variance(db: float) -> float:
-    """Variance relative to vacuum for a level `db` decibels below it."""
-    return 10.0 ** (-db / 10.0)
+    """Variance relative to vacuum for a level `db` decibels below it; inf past the float range."""
+    try:
+        return 10.0 ** (-db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def variance_to_db(variance: float) -> float:

@@ -132,8 +132,12 @@ def covariance_from_sum(var_sum: float, var_1: float, var_2: float) -> float:
 
 
 def _covariance_sigma(rel: float, v1: float, v2: float, v_joint: float) -> float:
-    # First-order propagation of independent relative errors through the identity.
-    return 0.5 * math.sqrt((rel * v1) ** 2 + (rel * v2) ** 2 + (rel * v_joint) ** 2)
+    # First-order propagation of independent relative errors through the identity;
+    # inf once a squared term leaves the float range.
+    try:
+        return 0.5 * math.sqrt((rel * v1) ** 2 + (rel * v2) ** 2 + (rel * v_joint) ** 2)
+    except OverflowError:
+        return math.inf
 
 
 def reconstruct(ms: MeasurementSet) -> CovarianceMatrix:

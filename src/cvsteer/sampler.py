@@ -179,8 +179,8 @@ def _campaign_projection(state: CovarianceMatrix, settings: list[MeasurementSett
                          dark_noise: float):
     """Weights W (4 x k) and dark scales a (k,): setting i samples z @ W[:, i] + a[i] * d[i]."""
     _check_sampleable(state)
-    if not dark_noise >= 0.0:
-        raise ValueError(f"sampler: dark_noise must be >= 0, got {dark_noise}")
+    if not 0.0 <= dark_noise < math.inf:
+        raise ValueError(f"sampler: dark_noise must be >= 0, got {dark_noise} (finite values only)")
     sq = _sqrt_factor(state)
     weights = np.stack([sq @ s.projection_vector(state.n_modes) for s in settings], axis=1)
     return weights, np.array([math.sqrt(dark_noise * s.dark_factor()) for s in settings])

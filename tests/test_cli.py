@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import cvsteer.reference
 from cvsteer import SourceParams, build_epr_source, criteria_report
 from cvsteer.cli import main, perturbation_study
 from cvsteer.reference import REFERENCE_MEASUREMENTS
@@ -68,6 +73,14 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--dark-noise-db=-inf")
         assert_input_error(code, err, "dark_noise")
 
+    def test_json_list_params_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "list.json"
+        p.write_text("[0.5, 0.5]")
+        for flags in ([], ["--r1", "1.0"]):
+            code, out, err = run(capsys, "simulate", "--in", str(p), *flags)
+            assert_input_error(code, err, "expected an object")
+            assert out == ""
+
     def test_steering_visible_for_fitted_like_params(self, capsys, tmp_path):
         out_path = tmp_path / "cov.json"
         code, _, _ = run(capsys, "simulate", "--r1", "2.17", "--r2", "1.84",
@@ -117,6 +130,17 @@ class TestAnalyze:
         p.write_text(json.dumps(np.eye(4).tolist()))
         code, _, err = run(capsys, "analyze", "--in", str(p))
         assert_input_error(code, err, "expected an object")
+
+    def test_infinite_report_is_not_written_as_json(self, capsys, tmp_path):
+        # the criteria of a 1e300 diagonal overflow to inf, which JSON cannot hold
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"n_modes": 2, "entries": (1e300 * np.eye(4)).tolist()}))
+        out_path = tmp_path / "report.json"
+        for out_flags in ([], ["--out", str(out_path)]):
+            code, out, err = run(capsys, "analyze", "--in", str(p), *out_flags)
+            assert_input_error(code, err, "JSON")
+            assert out == ""
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("n_modes", [2.7, True, "2"])
     def test_non_integer_n_modes_exits_2(self, capsys, tmp_path, n_modes):
@@ -213,6 +237,14 @@ class TestReconstruct:
         code, _, err = run(capsys, "reconstruct", "--in", str(p))
         assert_input_error(code, err, "metadata")
 
+    def test_infinite_uncertainties_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "ms.json"
+        p.write_text(json.dumps({"var_xa": 1e200, "var_pa": 1e200, "var_xb": 1e200,
+                                 "var_pb": 1e200, "var_x_diff": 2e200, "var_p_sum": 2e200}))
+        code, out, err = run(capsys, "reconstruct", "--in", str(p))
+        assert_input_error(code, err, "JSON")
+        assert out == ""
+
     def test_near_boundary_warning_is_reported(self, capsys, tmp_path):
         p = tmp_path / "ms.json"
         p.write_text(json.dumps({"var_xa": 1, "var_pa": 1, "var_xb": 1, "var_pb": 1,
@@ -303,18 +335,110 @@ class TestRepro:
         assert_input_error(code, err, "n_per_setting must be >= 3", "n=2")
         assert out == ""
 
+    def test_infinite_sampled_product_is_not_written_as_json(self, capsys, tmp_path):
+        # 2000 dB of dark noise (variance 1e200) drives the sampled products to inf
+        argv = ["repro", "--n", "10", "--dark-noise-db=-2000"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "inf" in out
+        f = tmp_path / "report.json"
+        code, out, err = run(capsys, *argv, "--out", str(f))
+        assert_input_error(code, err, "JSON")
+        assert out == "" and not f.exists()
+
+    def test_library_repro_matches_out_json(self, capsys, tmp_path):
+        f = tmp_path / "report.json"
+        code, _, _ = run(capsys, "repro", "--n", "2000", "--seed", "3", "--dark-noise-db", "22",
+                         "--perturb", "0.05", "--out", str(f))
+        assert code == 0
+        rows, extras = cvsteer.reference.repro(n=2000, seed=3, dark_noise_db=22.0, perturb=0.05)
+        # JSON float repr is round-trip exact, so equality is exact
+        assert json.loads(f.read_text()) == {"rows": rows, "extras": extras, "passed": True}
+
+    def test_perturbation_study_is_reexported(self):
+        assert perturbation_study is cvsteer.reference.perturbation_study
+
+
+_DARK_NOISE_COMMANDS = {
+    "simulate": lambda cov: ["simulate"],
+    "sample-json": lambda cov: ["sample", "--in", cov, "--n", "10"],
+    "sample-csv": lambda cov: ["sample", "--in", cov, "--n", "10", "--format", "csv"],
+    "repro": lambda cov: ["repro", "--n", "10"],
+}
+
+
+@pytest.mark.parametrize("db", ["-inf", "-4000"])
+@pytest.mark.parametrize("command", sorted(_DARK_NOISE_COMMANDS))
+def test_dark_noise_past_the_float_range_exits_2(capsys, tmp_path, command, db):
+    argv = _DARK_NOISE_COMMANDS[command](write_reference_cov(tmp_path))
+    code, out, err = run(capsys, *argv, f"--dark-noise-db={db}")
+    assert_input_error(code, err, "dark_noise")
+    assert out == ""
+
+
+_ANY_FLOAT = st.floats()  # includes nan, +-inf and magnitudes up to the float maximum
+_FUZZ = settings(max_examples=50, deadline=None, database=None, derandomize=True)
+
+
+@pytest.fixture(scope="module")
+def reference_cov_file(tmp_path_factory):
+    return write_reference_cov(tmp_path_factory.mktemp("fuzz"))
+
+
+def assert_exit_contract(argv):
+    """main returns 0, 1 or 2 without raising; an input error writes nothing to stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:")
+
+
+class TestExitContractFuzz:
+    @_FUZZ
+    @given(n=st.integers(0, 2000), seed=st.integers(-3, 2 ** 64),
+           dark_db=st.none() | _ANY_FLOAT, perturb=st.none() | _ANY_FLOAT)
+    @example(n=10, seed=0, dark_db=-4000.0, perturb=None)
+    def test_repro(self, n, seed, dark_db, perturb):
+        argv = ["repro", f"--n={n}", f"--seed={seed}"]
+        if dark_db is not None:
+            argv.append(f"--dark-noise-db={dark_db!r}")
+        if perturb is not None:
+            argv.append(f"--perturb={perturb!r}")
+        assert_exit_contract(argv)
+
+    @_FUZZ
+    @given(dark_db=_ANY_FLOAT, fmt=st.sampled_from(["json", "csv"]))
+    @example(dark_db=-4000.0, fmt="csv")
+    def test_sample(self, reference_cov_file, dark_db, fmt):
+        assert_exit_contract(["sample", "--in", reference_cov_file, "--n", "10",
+                              f"--format={fmt}", f"--dark-noise-db={dark_db!r}"])
+
+    @_FUZZ
+    @given(dark_db=_ANY_FLOAT)
+    @example(dark_db=-4000.0)
+    def test_simulate(self, dark_db):
+        assert_exit_contract(["simulate", f"--dark-noise-db={dark_db!r}"])
+
+
+def run_module(*argv):
+    """``python -m cvsteer.cli`` in a subprocess that imports the cvsteer under test."""
+    src = os.path.dirname(os.path.dirname(cvsteer.reference.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "cvsteer.cli", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
 
 class TestInstalledEntryPoint:
     def test_repro_runs_as_subprocess(self):
-        proc = subprocess.run([sys.executable, "-m", "cvsteer.cli", "repro"],
-                              capture_output=True, text=True)
+        proc = run_module("repro")
         assert proc.returncode == 0
         assert "checks passed" in proc.stdout
 
     @pytest.mark.parametrize("argv", [["simulate", "--r1", "800"], ["repro", "--perturb=-1"]])
     def test_input_errors_exit_2_without_traceback(self, argv):
-        proc = subprocess.run([sys.executable, "-m", "cvsteer.cli", *argv],
-                              capture_output=True, text=True)
+        proc = run_module(*argv)
         assert_input_error(proc.returncode, proc.stderr)
 
 

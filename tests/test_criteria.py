@@ -149,6 +149,14 @@ class TestGainPair:
         with pytest.raises(ValueError):
             GainPair(float("inf"), 0.0)
 
+    @pytest.mark.parametrize("gains", [(math.nan, 0.0), (1.0, -math.inf), (np.float64(np.nan), 1.0)])
+    def test_non_finite_message(self, gains):
+        with pytest.raises(ValueError, match="^GainPair: gains must be finite$"):
+            GainPair(*gains)
+
+    def test_accepts_numpy_scalars(self):
+        assert GainPair(np.float64(0.5), np.float32(-1.0)).to_dict() == {"g_x": 0.5, "g_p": -1.0}
+
 
 class TestCriteriaProperties:
     def test_optimal_gain_minimizes_conditional_variance(self):

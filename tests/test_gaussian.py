@@ -334,6 +334,11 @@ class TestBuildEprSource:
         with pytest.raises(ValueError, match="non-numeric"):
             SourceParams.from_dict({"r1": [1.0]})
 
+    @pytest.mark.parametrize("payload", [[1.0, 2.0], 5, None, "r1"])
+    def test_params_json_rejects_non_objects(self, payload):
+        with pytest.raises(ValueError, match="SourceParams JSON: expected an object"):
+            SourceParams.from_dict(payload)
+
 
 class TestInvariantProperties:
     def test_generators_preserve_symplectic_form(self):

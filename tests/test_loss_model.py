@@ -177,6 +177,10 @@ class TestDbHelpers:
     def test_roundtrip(self):
         assert variance_to_db(db_to_variance(13.7)) == pytest.approx(13.7, abs=1e-12)
 
+    @pytest.mark.parametrize("db", [-4000.0, -1e308, -math.inf])
+    def test_levels_past_the_float_range_give_inf(self, db):
+        assert db_to_variance(db) == math.inf
+
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(ValueError):
             variance_to_db(0.0)

@@ -104,6 +104,13 @@ class TestPropagateErrors:
         sig = propagate_errors(ref_ms)
         assert sig[0, 1] == sig[0, 3] == sig[1, 2] == sig[2, 3] == 0.0
 
+    def test_squares_past_the_float_range_give_inf(self):
+        # (0.05 * 1e200) ** 2 overflows; the band is inf, not an OverflowError
+        ms = MeasurementSet(1e200, 1e200, 1e200, 1e200, 2e200, 2e200)
+        sig = propagate_errors(ms)
+        assert sig[0, 2] == sig[1, 3] == math.inf and sig[0, 0] == 5e198
+        assert reconstruct(ms).entries[0, 0] == 1e200
+
 
 class TestMeasurementSetIO:
     def test_json_roundtrip(self, ref_ms):

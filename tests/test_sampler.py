@@ -125,7 +125,7 @@ _SAMPLERS = {
 }
 
 
-@pytest.mark.parametrize("dark", [math.nan, -1.0])
+@pytest.mark.parametrize("dark", [math.nan, -1.0, math.inf])
 @pytest.mark.parametrize("sampler", sorted(_SAMPLERS))
 def test_bad_dark_noise_rejected(ref_state, sampler, dark):
     with pytest.raises(ValueError, match=f"dark_noise must be >= 0, got {dark}"):
