@@ -19,9 +19,10 @@ from .gaussian import CovarianceMatrix
 REID_BOUND = 1.0
 DUAN_BOUND = 4.0
 
-_QUAD_OFFSET = {"x": 0, "p": 1}
-# (target mode, steering mode): direction "b|a" means A steers B's outcome.
-_DIRECTIONS = {"b|a": (1, 0), "a|b": (0, 1)}
+# (quad, direction) -> positions of (Var O_target, Var O_steering, Cov) in the moments
+# (Var X_A, Var P_A, Var X_B, Var P_B, Cov X, Cov P); "b|a" means A steers B's outcome.
+_TERMS = {("x", "b|a"): (2, 0, 4), ("p", "b|a"): (3, 1, 5),
+          ("x", "a|b"): (0, 2, 4), ("p", "a|b"): (1, 3, 5)}
 
 
 @dataclass(frozen=True)
@@ -46,51 +47,45 @@ class GainPair:
 UNIT_GAINS = GainPair(1.0, -1.0)
 
 
-def _require_two_mode(state: CovarianceMatrix):
+def _moments(state: CovarianceMatrix) -> tuple[float, ...]:
+    """The six second moments the criteria read, as floats, from a two-mode state."""
     if state.n_modes != 2:
         raise ValueError(f"expected a two-mode state, got {state.n_modes} modes")
+    e = state.entries.tolist()
+    return e[0][0], e[1][1], e[2][2], e[3][3], e[0][2], e[1][3]
 
 
-def _indices(quad: str, direction: str) -> tuple[int, int]:
-    try:
-        off = _QUAD_OFFSET[quad.lower()]
-        target, steer = _DIRECTIONS[direction.lower()]
-    except KeyError:
-        raise ValueError(
-            f"quad must be 'x' or 'p' and direction 'b|a' or 'a|b', "
-            f"got {quad!r}, {direction!r}"
-        ) from None
-    return 2 * target + off, 2 * steer + off
+def _key(quad: str, direction: str) -> tuple[str, str]:
+    key = str(quad).lower(), str(direction).lower()
+    if key not in _TERMS:
+        raise ValueError(f"quad must be 'x' or 'p' and direction 'b|a' or 'a|b', "
+                         f"got {quad!r}, {direction!r}")
+    return key
+
+
+def _conditional(m, key: tuple[str, str], gain=None):
+    """(gain, Var(O_target - gain O_steering)) over moments m of floats or arrays;
+    gain None takes the optimum Cov / Var(O_steering)."""
+    v_t, v_s, cov = (m[i] for i in _TERMS[key])
+    if gain is None:
+        gain = cov / v_s
+    return gain, v_t + gain * gain * v_s - 2.0 * gain * cov
+
+
+def _joint_variances(xa, pa, xb, pb, cov_x, cov_p):
+    """Var(X_A - X_B) and Var(P_A + P_B) from the moments, as floats or arrays."""
+    return xa + xb - 2.0 * cov_x, pa + pb + 2.0 * cov_p
 
 
 def conditional_variance(state: CovarianceMatrix, quad: str, direction: str,
                          gain: float) -> float:
     """Var(O_target - gain * O_steering) from the covariance entries."""
-    _require_two_mode(state)
-    t, s = _indices(quad, direction)
-    g = state.entries
-    return float(g[t, t] + gain * gain * g[s, s] - 2.0 * gain * g[t, s])
+    return float(_conditional(_moments(state), _key(quad, direction), gain)[1])
 
 
 def optimal_gain(state: CovarianceMatrix, quad: str, direction: str) -> float:
     """Gain minimizing the conditional variance: Cov(O_A, O_B) / Var(O_steering)."""
-    _require_two_mode(state)
-    t, s = _indices(quad, direction)
-    var_s = state.entries[s, s]
-    if var_s <= 0.0:
-        raise ValueError("optimal_gain: steering-party variance is degenerate (zero)")
-    return float(state.entries[t, s] / var_s)
-
-
-def _conditional_variances(state: CovarianceMatrix, direction: str,
-                           gains: GainPair | str) -> tuple[GainPair, float, float]:
-    """The gains used and the X and P conditional variances at them."""
-    if gains == "optimal":
-        gains = GainPair(optimal_gain(state, "x", direction), optimal_gain(state, "p", direction))
-    elif not isinstance(gains, GainPair):
-        raise ValueError(f"gains must be a GainPair or 'optimal', got {gains!r}")
-    return (gains, conditional_variance(state, "x", direction, gains.g_x),
-            conditional_variance(state, "p", direction, gains.g_p))
+    return _conditional(_moments(state), _key(quad, direction))[0]
 
 
 def reid_product(state: CovarianceMatrix, direction: str,
@@ -100,17 +95,16 @@ def reid_product(state: CovarianceMatrix, direction: str,
     With gains="optimal" each factor is minimized over its gain, which equals
     the closed form Var(O_B) - Cov(O_A, O_B)^2 / Var(O_A) entrywise.
     """
-    _, vx, vp = _conditional_variances(state, direction, gains)
-    return vx * vp
+    m, (_, d) = _moments(state), _key("x", direction)
+    if gains != "optimal" and not isinstance(gains, GainPair):
+        raise ValueError(f"gains must be a GainPair or 'optimal', got {gains!r}")
+    g_x, g_p = (None, None) if gains == "optimal" else (gains.g_x, gains.g_p)
+    return float(_conditional(m, ("x", d), g_x)[1] * _conditional(m, ("p", d), g_p)[1])
 
 
 def duan_sum(state: CovarianceMatrix) -> float:
     """Var(X_A - X_B) + Var(P_A + P_B); below 4 the state is inseparable."""
-    _require_two_mode(state)
-    g = state.entries
-    var_x_diff = g[0, 0] + g[2, 2] - 2.0 * g[0, 2]
-    var_p_sum = g[1, 1] + g[3, 3] + 2.0 * g[1, 3]
-    return float(var_x_diff + var_p_sum)
+    return sum(_joint_variances(*_moments(state)))
 
 
 @dataclass(frozen=True)
@@ -152,18 +146,21 @@ def criteria_report(state: CovarianceMatrix) -> CriteriaReport:
     sum < 4).  The conditional uncertainty ratio is the geometric mean of the
     two B|A conditional variances, i.e. sqrt(reid_b_given_a).
     """
-    gains_ba, x_ba, p_ba = _conditional_variances(state, "b|a", "optimal")
-    gains_ab, x_ab, p_ab = _conditional_variances(state, "a|b", "optimal")
+    m = _moments(state)
+    # _TERMS lists x and p of B|A, then of A|B
+    (gx_ba, x_ba), (gp_ba, p_ba), (gx_ab, x_ab), (gp_ab, p_ab) = (
+        _conditional(m, key) for key in _TERMS)
     cond = {"x_b_given_a": x_ba, "p_b_given_a": p_ba, "x_a_given_b": x_ab, "p_a_given_b": p_ab}
     reid_ba, reid_ab = x_ba * p_ba, x_ab * p_ab
-    duan = duan_sum(state)
+    duan = sum(_joint_variances(*m))
     return CriteriaReport(
         reid_b_given_a=reid_ba,
         reid_a_given_b=reid_ab,
         duan_sum=duan,
-        unit_gain_product=reid_product(state, "b|a", UNIT_GAINS),
-        optimal_gains_b_given_a=gains_ba,
-        optimal_gains_a_given_b=gains_ab,
+        unit_gain_product=(_conditional(m, ("x", "b|a"), UNIT_GAINS.g_x)[1]
+                           * _conditional(m, ("p", "b|a"), UNIT_GAINS.g_p)[1]),
+        optimal_gains_b_given_a=GainPair(gx_ba, gp_ba),
+        optimal_gains_a_given_b=GainPair(gx_ab, gp_ab),
         conditional_variances=cond,
         steering_b_given_a=reid_ba < REID_BOUND,
         steering_a_given_b=reid_ab < REID_BOUND,

@@ -97,7 +97,7 @@ class CovarianceMatrix:
             n_modes = int(n_modes)
         except KeyError as exc:
             raise ValueError(f"CovarianceMatrix JSON: missing field {exc}") from None
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"CovarianceMatrix JSON: non-numeric field ({exc})") from None
         return cls(n_modes=n_modes, entries=entries)
 
@@ -338,7 +338,7 @@ class SourceParams:
             raise ValueError(f"SourceParams JSON: unknown field(s) {sorted(unknown)}")
         try:
             values = {k: float(v) for k, v in d.items()}
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"SourceParams JSON: non-numeric field ({exc})") from None
         return cls(**values)
 

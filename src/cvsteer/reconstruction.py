@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .criteria import _joint_variances, _moments
 from .gaussian import CovarianceMatrix, is_physical, symplectic_eigenvalues
 
 CSV_FIELDS = ("var_xa", "var_pa", "var_xb", "var_pb", "var_x_diff", "var_p_sum")
@@ -93,7 +94,7 @@ class MeasurementSet:
         try:
             values = {name: float(d[name]) for name in CSV_FIELDS}
             relative_error = float(d.get("relative_error", 0.05))
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"MeasurementSet JSON: non-numeric field ({exc})") from None
         return cls(**values, relative_error=relative_error, metadata=dict(metadata))
 
@@ -106,12 +107,11 @@ class MeasurementSet:
 
     @classmethod
     def from_csv(cls, text: str, relative_error: float = 0.05) -> "MeasurementSet":
-        rows = list(csv.reader(io.StringIO(text)))
-        rows = [r for r in rows if r and any(cell.strip() for cell in r)]
-        if len(rows) != 2 or tuple(h.strip() for h in rows[0]) != CSV_FIELDS:
-            raise ValueError(
-                f"MeasurementSet CSV: expected header {','.join(CSV_FIELDS)} and one data row"
-            )
+        rows = [r for r in csv.reader(io.StringIO(text)) if r and any(cell.strip() for cell in r)]
+        if (len(rows) != 2 or tuple(h.strip() for h in rows[0]) != CSV_FIELDS
+                or len(rows[1]) != len(CSV_FIELDS)):
+            raise ValueError(f"MeasurementSet CSV: expected header {','.join(CSV_FIELDS)} "
+                             f"and one data row of {len(CSV_FIELDS)} values")
         vals = [float(cell) for cell in rows[1]]
         return cls(*vals, relative_error=relative_error)
 
@@ -128,7 +128,17 @@ def covariance_from_sum(var_sum: float, var_1: float, var_2: float) -> float:
             raise ValueError(f"covariance_from_sum: {name} must be finite")
     if var_1 <= 0.0 or var_2 <= 0.0:
         raise ValueError("covariance_from_sum: var_1 and var_2 must be positive")
+    return _covariance(var_sum, var_1, var_2)
+
+
+def _covariance(var_sum, var_1, var_2):  # covariance_from_sum unchecked, on floats or arrays
     return 0.5 * (var_sum - var_1 - var_2)
+
+
+def _covariances(xa, pa, xb, pb, x_diff, p_sum):
+    """Cov(X_A, X_B) and Cov(P_A, P_B) from the six campaign variances, as floats
+    or arrays; the X one is read from the measured difference, hence its sign."""
+    return -_covariance(x_diff, xa, xb), _covariance(p_sum, pa, pb)
 
 
 def _covariance_sigma(rel: float, v1: float, v2: float, v_joint: float) -> float:
@@ -150,8 +160,7 @@ def reconstruct(ms: MeasurementSet) -> CovarianceMatrix:
     matrices that are merely below the symplectic physicality boundary emit a
     PhysicalityWarning but are returned.
     """
-    cov_x = -covariance_from_sum(ms.var_x_diff, ms.var_xa, ms.var_xb)
-    cov_p = covariance_from_sum(ms.var_p_sum, ms.var_pa, ms.var_pb)
+    cov_x, cov_p = _covariances(*ms.values())
     checks = (
         ("x", cov_x, ms.var_xa, ms.var_xb, ms.var_x_diff),
         ("p", cov_p, ms.var_pa, ms.var_pb, ms.var_p_sum),
@@ -199,16 +208,6 @@ def propagate_errors(ms: MeasurementSet) -> np.ndarray:
 def expected_measurements(state: CovarianceMatrix, relative_error: float = 0.0,
                           metadata: dict | None = None) -> MeasurementSet:
     """Noise-free campaign values read directly off a two-mode covariance matrix."""
-    if state.n_modes != 2:
-        raise ValueError("expected_measurements: state must have exactly 2 modes")
-    g = state.entries
-    return MeasurementSet(
-        var_xa=float(g[0, 0]),
-        var_pa=float(g[1, 1]),
-        var_xb=float(g[2, 2]),
-        var_pb=float(g[3, 3]),
-        var_x_diff=float(g[0, 0] + g[2, 2] - 2.0 * g[0, 2]),
-        var_p_sum=float(g[1, 1] + g[3, 3] + 2.0 * g[1, 3]),
-        relative_error=relative_error,
-        metadata=metadata or {},
-    )
+    m = _moments(state)
+    return MeasurementSet(*m[:4], *_joint_variances(*m), relative_error=relative_error,
+                          metadata=metadata or {})

@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from .criteria import criteria_report, optimal_gain
+from .criteria import _conditional, criteria_report, optimal_gain
 from .gaussian import CovarianceMatrix
 from .loss_model import (
     budget_prep_efficiency,
@@ -20,8 +20,8 @@ from .loss_model import (
     efficiency_decomposition,
     fit_efficiency,
 )
-from .reconstruction import MeasurementSet, reconstruct
-from .sampler import measure_campaign
+from .reconstruction import MeasurementSet, _covariances, reconstruct
+from .sampler import _stream, measure_campaign
 
 REFERENCE_MEASUREMENTS = MeasurementSet(
     var_xa=18.41,
@@ -89,7 +89,8 @@ def perturbation_study(ms: MeasurementSet, relative_error: float | None = None,
     would instead fit the noise and bias the product downward.  At those
     fixed gains the product factors are linear in the inputs, making the
     spread an unbiased first-order error band.  An explicit relative_error
-    is checked as MeasurementSet checks its own: it must lie in [0, 1).
+    is checked as MeasurementSet checks its own: it must lie in [0, 1); the
+    seed must be >= 0.
     """
     if relative_error is not None:
         ms = dataclasses.replace(ms, relative_error=relative_error)
@@ -97,14 +98,10 @@ def perturbation_study(ms: MeasurementSet, relative_error: float | None = None,
     base = reconstruct(ms)
     gx = optimal_gain(base, "x", "b|a")
     gp = optimal_gain(base, "p", "b|a")
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    jitter = 1.0 + rel * rng.standard_normal((n_trials, 6))
+    jitter = 1.0 + rel * _stream(seed).standard_normal((n_trials, 6))
     xa, pa, xb, pb, xd, ps = np.asarray(ms.values())[:, None] * jitter.T
-    cov_x = 0.5 * (xa + xb - xd)
-    cov_p = 0.5 * (ps - pa - pb)
-    vx = xb + gx * gx * xa - 2.0 * gx * cov_x
-    vp = pb + gp * gp * pa - 2.0 * gp * cov_p
-    products = vx * vp
+    m = (xa, pa, xb, pb, *_covariances(xa, pa, xb, pb, xd, ps))
+    products = _conditional(m, ("x", "b|a"), gx)[1] * _conditional(m, ("p", "b|a"), gp)[1]
     return {
         "relative_error": rel,
         "n_trials": n_trials,

@@ -186,6 +186,13 @@ def _campaign_projection(state: CovarianceMatrix, settings: list[MeasurementSett
     return weights, np.array([math.sqrt(dark_noise * s.dark_factor()) for s in settings])
 
 
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The random stream seeded (seed, *key); seed must be >= 0."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence([seed, *key]))
+
+
 def _campaign_draws(n: int, seed: int, dark_scale: np.ndarray):
     """Yield the draws chunk by chunk as (z, d), in reused buffers.
 
@@ -194,9 +201,8 @@ def _campaign_draws(n: int, seed: int, dark_scale: np.ndarray):
     or None when no setting has dark noise.  Consume each chunk before
     drawing the next.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    dark_rngs = [np.random.default_rng(np.random.SeedSequence([seed, i + 1]))
-                 for i in range(len(dark_scale))] if dark_scale.any() else []
+    rng = _stream(seed)
+    dark_rngs = [_stream(seed, i + 1) for i in range(len(dark_scale))] if dark_scale.any() else []
     z_buf = np.empty((min(n, _CHUNK), 4))
     d_buf = np.empty((len(dark_rngs), len(z_buf)))
     for start in range(0, n, len(z_buf)):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,11 +13,13 @@ from cvsteer import (
     beamsplitter,
     build_epr_source,
     compose,
+    optimal_gain,
     phase_shift,
+    reconstruct,
     squeezer,
     vacuum_state,
 )
-from cvsteer.reference import REFERENCE_MEASUREMENTS, reference_state
+from cvsteer.reference import REFERENCE_MEASUREMENTS, REID_B_GIVEN_A, reference_state
 from cvsteer.sampler import _sqrt_factor, canonical_settings
 
 
@@ -166,3 +169,109 @@ def reference_sample_quadratures(state, setting, n, seed):
     """
     w = _sqrt_factor(state) @ setting.projection_vector()
     return np.random.default_rng(np.random.SeedSequence([seed])).standard_normal((n, 4)) @ w
+
+
+_REFERENCE_INDICES = {("x", "b|a"): (2, 0), ("p", "b|a"): (3, 1),
+                      ("x", "a|b"): (0, 2), ("p", "a|b"): (1, 3)}
+
+
+def reference_criteria(state, g_x, g_p):
+    """The criteria as each per-state function computed them, indexing the entries.
+
+    Reference for :mod:`cvsteer.criteria` and :func:`cvsteer.expected_measurements`,
+    which read the six second moments once and evaluate shared kernels.  Returns
+    the optimal gain and the conditional variances at (g_x, g_p) and at the
+    optimum per (quad, direction), the Reid products at both per direction, the
+    Duan sum, the ``criteria_report`` dict and the expected measurement values.
+    """
+    g = state.entries
+
+    def conditional_variance(key, gain):
+        t, s = _REFERENCE_INDICES[key]
+        return float(g[t, t] + gain * gain * g[s, s] - 2.0 * gain * g[t, s])
+
+    def optimal_gain(key):
+        t, s = _REFERENCE_INDICES[key]
+        return float(g[t, s] / g[s, s])
+
+    fixed = {"x": g_x, "p": g_p}
+    gains = {key: optimal_gain(key) for key in _REFERENCE_INDICES}
+    at_fixed = {key: conditional_variance(key, fixed[key[0]]) for key in _REFERENCE_INDICES}
+    at_optimum = {key: conditional_variance(key, gains[key]) for key in _REFERENCE_INDICES}
+    reid = {d: at_optimum["x", d] * at_optimum["p", d] for d in ("b|a", "a|b")}
+    var_x_diff = g[0, 0] + g[2, 2] - 2.0 * g[0, 2]
+    var_p_sum = g[1, 1] + g[3, 3] + 2.0 * g[1, 3]
+    duan = float(var_x_diff + var_p_sum)
+    report = {
+        "reid_b_given_a": reid["b|a"],
+        "reid_a_given_b": reid["a|b"],
+        "duan_sum": duan,
+        "unit_gain_product": (conditional_variance(("x", "b|a"), 1.0)
+                              * conditional_variance(("p", "b|a"), -1.0)),
+        "optimal_gains_b_given_a": {"g_x": gains["x", "b|a"], "g_p": gains["p", "b|a"]},
+        "optimal_gains_a_given_b": {"g_x": gains["x", "a|b"], "g_p": gains["p", "a|b"]},
+        "conditional_variances": {"x_b_given_a": at_optimum["x", "b|a"],
+                                  "p_b_given_a": at_optimum["p", "b|a"],
+                                  "x_a_given_b": at_optimum["x", "a|b"],
+                                  "p_a_given_b": at_optimum["p", "a|b"]},
+        "steering_b_given_a": reid["b|a"] < 1.0,
+        "steering_a_given_b": reid["a|b"] < 1.0,
+        "duan_inseparable": duan < 4.0,
+        "conditional_uncertainty_ratio": float(np.sqrt(reid["b|a"])),
+    }
+    return {
+        "optimal_gain": gains,
+        "conditional_variance": at_fixed,
+        "conditional_variance_at_optimum": at_optimum,
+        "reid_optimal": reid,
+        "reid_fixed": {d: at_fixed["x", d] * at_fixed["p", d] for d in ("b|a", "a|b")},
+        "duan_sum": duan,
+        "criteria_report": report,
+        "expected_measurements": (float(g[0, 0]), float(g[1, 1]), float(g[2, 2]), float(g[3, 3]),
+                                  float(var_x_diff), float(var_p_sum)),
+    }
+
+
+def reference_reconstruct_entries(ms):
+    """The reconstructed matrix entries, each covariance written out from the sum
+    identity as :func:`cvsteer.reconstruct` used to form them (through the
+    checked :func:`cvsteer.covariance_from_sum`)."""
+    cov_x = -(0.5 * (ms.var_x_diff - ms.var_xa - ms.var_xb))
+    cov_p = 0.5 * (ms.var_p_sum - ms.var_pa - ms.var_pb)
+    m = np.array([
+        [ms.var_xa, 0.0, cov_x, 0.0],
+        [0.0, ms.var_pa, 0.0, cov_p],
+        [cov_x, 0.0, ms.var_xb, 0.0],
+        [0.0, cov_p, 0.0, ms.var_pb],
+    ])
+    return CovarianceMatrix(n_modes=2, entries=m).entries
+
+
+def reference_perturbation_study(ms, relative_error, n_trials, seed):
+    """The perturbation study with its covariances and conditional variances
+    expanded by hand, as :func:`cvsteer.reference.perturbation_study` used to
+    compute them; it now calls the criteria and reconstruction kernels.  The
+    gains come from the library, as they did."""
+    ms = dataclasses.replace(ms, relative_error=relative_error)
+    rel = ms.relative_error
+    base = reconstruct(ms)
+    gx = optimal_gain(base, "x", "b|a")
+    gp = optimal_gain(base, "p", "b|a")
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    jitter = 1.0 + rel * rng.standard_normal((n_trials, 6))
+    xa, pa, xb, pb, xd, ps = np.asarray(ms.values())[:, None] * jitter.T
+    cov_x = 0.5 * (xa + xb - xd)
+    cov_p = 0.5 * (ps - pa - pb)
+    vx = xb + gx * gx * xa - 2.0 * gx * cov_x
+    vp = pb + gp * gp * pa - 2.0 * gp * cov_p
+    products = vx * vp
+    return {
+        "relative_error": rel,
+        "n_trials": n_trials,
+        "seed": seed,
+        "mean": float(products.mean()),
+        "std": float(products.std(ddof=1)),
+        "q05": float(np.quantile(products, 0.05)),
+        "q95": float(np.quantile(products, 0.95)),
+        "fraction_within_0.005": float(np.mean(np.abs(products - REID_B_GIVEN_A) <= 0.005)),
+    }

@@ -13,7 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 import cvsteer.reference
 from cvsteer import SourceParams, build_epr_source, criteria_report
 from cvsteer.cli import main, perturbation_study
+from cvsteer.reconstruction import CSV_FIELDS
 from cvsteer.reference import REFERENCE_MEASUREMENTS
+from conftest import reference_perturbation_study
 
 
 def run(capsys, *argv):
@@ -245,6 +247,14 @@ class TestReconstruct:
         assert_input_error(code, err, "JSON")
         assert out == ""
 
+    @pytest.mark.parametrize("n_cells", [5, 7])
+    def test_csv_row_of_the_wrong_length_exits_2(self, capsys, tmp_path, n_cells):
+        p = tmp_path / "ms.csv"
+        p.write_text(",".join(CSV_FIELDS) + "\n" + ",".join(["1.0"] * n_cells) + "\n")
+        code, out, err = run(capsys, "reconstruct", "--in", str(p))
+        assert_input_error(code, err, "one data row of 6 values")
+        assert out == ""
+
     def test_near_boundary_warning_is_reported(self, capsys, tmp_path):
         p = tmp_path / "ms.json"
         p.write_text(json.dumps({"var_xa": 1, "var_pa": 1, "var_xb": 1, "var_pb": 1,
@@ -375,6 +385,21 @@ def test_dark_noise_past_the_float_range_exits_2(capsys, tmp_path, command, db):
     assert out == ""
 
 
+_NEGATIVE_SEED_COMMANDS = {
+    "sample": lambda cov: ["sample", "--in", cov, "--n", "10"],
+    "repro-sampled": lambda cov: ["repro", "--n", "10"],
+    "repro-perturb": lambda cov: ["repro", "--perturb", "0.05"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_NEGATIVE_SEED_COMMANDS))
+def test_negative_seed_exits_2_naming_the_seed(capsys, tmp_path, command):
+    argv = _NEGATIVE_SEED_COMMANDS[command](write_reference_cov(tmp_path))
+    code, out, err = run(capsys, *argv, "--seed=-1")
+    assert_input_error(code, err, "seed must be >= 0, got -1")
+    assert out == ""
+
+
 _ANY_FLOAT = st.floats()  # includes nan, +-inf and magnitudes up to the float maximum
 _FUZZ = settings(max_examples=50, deadline=None, database=None, derandomize=True)
 
@@ -382,6 +407,21 @@ _FUZZ = settings(max_examples=50, deadline=None, database=None, derandomize=True
 @pytest.fixture(scope="module")
 def reference_cov_file(tmp_path_factory):
     return write_reference_cov(tmp_path_factory.mktemp("fuzz"))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz_files")
+
+
+# JSON field values: None, ints, floats (nan and +-inf included), strings and lists
+_JSON_SCALAR = st.none() | st.integers(-3, 3) | _ANY_FLOAT | st.text(max_size=3)
+_JSON_FIELD = _JSON_SCALAR | st.lists(_JSON_SCALAR, max_size=4)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True)
+# 4x4 matrices: a scaled identity reaches the criteria; arbitrary entries mostly fail the checks
+_MATRIX = (_ANY_FLOAT.map(lambda v: (v * np.eye(4)).tolist())
+           | st.lists(st.lists(_ANY_FLOAT, min_size=4, max_size=4), min_size=4, max_size=4))
+_CSV_CELL = _ANY_FLOAT.map(repr) | st.integers(-3, 3).map(str) | st.text("0123456789.e-x ", max_size=4)
 
 
 def assert_exit_contract(argv):
@@ -420,6 +460,30 @@ class TestExitContractFuzz:
     @example(dark_db=-4000.0)
     def test_simulate(self, dark_db):
         assert_exit_contract(["simulate", f"--dark-noise-db={dark_db!r}"])
+
+    @_FUZZ
+    @given(doc=st.fixed_dictionaries({"n_modes": st.just(2) | _JSON_FIELD,
+                                      "entries": _MATRIX | _JSON_FIELD}))
+    @example(doc={"n_modes": 2, "entries": [[10 ** 400, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                                            [0, 0, 0, 1]]})
+    def test_analyze_file(self, fuzz_dir, doc):
+        path = fuzz_dir / "state.json"
+        path.write_text(json.dumps(doc))
+        assert_exit_contract(["analyze", "--in", str(path)])
+
+    @_FUZZ
+    @given(text=st.fixed_dictionaries({name: _POSITIVE | _JSON_FIELD for name in CSV_FIELDS},
+                                      optional={"relative_error": _JSON_FIELD,
+                                                "metadata": _JSON_FIELD}).map(json.dumps)
+           | st.lists(_CSV_CELL, max_size=8).map(lambda cells: ",".join(CSV_FIELDS) + "\n"
+                                                               + ",".join(cells) + "\n"))
+    @example(text=",".join(CSV_FIELDS) + "\n1,1,1,1,2\n")
+    @example(text=",".join(CSV_FIELDS) + "\n1,1,1,1,2,2,0.5\n")
+    @example(text=json.dumps({name: 10 ** 400 for name in CSV_FIELDS}))
+    def test_reconstruct_file(self, fuzz_dir, text):
+        path = fuzz_dir / "measurements"
+        path.write_text(text)
+        assert_exit_contract(["reconstruct", "--in", str(path)])
 
 
 def run_module(*argv):
@@ -460,6 +524,30 @@ class TestPerturbationStudy:
     def test_rejects_relative_error_outside_unit_interval(self, rel):
         with pytest.raises(ValueError, match="relative_error"):
             perturbation_study(REFERENCE_MEASUREMENTS, rel)
+
+    @pytest.mark.parametrize("rel", [0.01, 0.05])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_hand_expanded_formula(self, rel, seed):
+        # The study rounds Cov X as reconstruct does, the formula as 0.5 * (xa + xb - xd).
+        # Each product's X factor cancels terms about 350 times its size on the
+        # reference set, so the tolerance is 1e-14 relative to those cancelled terms.
+        xa, _, xb, _, xd, _ = REFERENCE_MEASUREMENTS.values()
+        cov_x = 0.5 * (xa + xb - xd)
+        gx = cov_x / xa
+        terms = xb + gx * gx * xa + 2.0 * abs(gx * cov_x)
+        cancelled = terms / (xb + gx * gx * xa - 2.0 * gx * cov_x)
+        new = perturbation_study(REFERENCE_MEASUREMENTS, rel, n_trials=200, seed=seed)
+        old = reference_perturbation_study(REFERENCE_MEASUREMENTS, rel, n_trials=200, seed=seed)
+        assert set(new) == set(old)
+        for key in ("mean", "std", "q05", "q95"):
+            assert new[key] == pytest.approx(old[key], rel=1e-14 * cancelled, abs=0.0)
+        for key in ("relative_error", "n_trials", "seed", "fraction_within_0.005"):
+            assert new[key] == old[key]
+
+    @pytest.mark.parametrize("seed", [-1, -(2 ** 70)])
+    def test_rejects_negative_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            perturbation_study(REFERENCE_MEASUREMENTS, 0.05, seed=seed)
 
     def test_scales_linearly_with_relative_error(self):
         lo = perturbation_study(REFERENCE_MEASUREMENTS, 0.01, n_trials=400, seed=2)

@@ -11,12 +11,13 @@ from cvsteer import (
     conditional_variance,
     criteria_report,
     duan_sum,
+    expected_measurements,
     optimal_gain,
     reid_product,
     vacuum_state,
 )
 from cvsteer.gaussian import SourceParams, build_epr_source
-from conftest import random_physical_state, random_product_state
+from conftest import random_physical_state, random_product_state, reference_criteria
 
 # Direct arithmetic on the reference entries, kept separate from the library path.
 VAR_XA, VAR_PA, VAR_XB, VAR_PB = 18.41, 35.49, 17.98, 34.61
@@ -45,6 +46,10 @@ class TestConditionalVariance:
             conditional_variance(ref_state, "y", "b|a", 1.0)
         with pytest.raises(ValueError):
             conditional_variance(ref_state, "x", "b/a", 1.0)
+        with pytest.raises(ValueError):
+            conditional_variance(ref_state, 1, "b|a", 1.0)
+        with pytest.raises(ValueError):
+            conditional_variance(ref_state, "x", None, 1.0)
 
 
 class TestOptimalGain:
@@ -200,3 +205,29 @@ class TestCriteriaProperties:
             total = (conditional_variance(state, "x", "b|a", 1.0)
                      + conditional_variance(state, "p", "b|a", -1.0))
             assert duan_sum(state) == pytest.approx(total, rel=1e-12, abs=1e-12)
+
+
+class TestMatchesPerStateReference:
+    def test_kernels_equal_the_entry_indexing_code(self):
+        # every value is the same float arithmetic on the same entries, so equal exactly
+        rng = np.random.default_rng(71)
+        for _ in range(1000):
+            state = random_physical_state(rng)
+            g_x, g_p = rng.uniform(-2.0, 2.0, size=2)
+            ref = reference_criteria(state, g_x, g_p)
+            for quad, direction in ref["optimal_gain"]:
+                labels = (quad, direction) if rng.random() < 0.5 else (quad.upper(), direction.upper())
+                key = quad, direction
+                gain = {"x": g_x, "p": g_p}[quad]
+                assert optimal_gain(state, *labels) == ref["optimal_gain"][key]
+                assert conditional_variance(state, *labels, gain) == ref["conditional_variance"][key]
+                assert (conditional_variance(state, *labels, optimal_gain(state, *labels))
+                        == ref["conditional_variance_at_optimum"][key])
+            for direction in ("b|a", "a|b"):
+                assert reid_product(state, direction) == ref["reid_optimal"][direction]
+                assert reid_product(state, direction, "optimal") == ref["reid_optimal"][direction]
+                assert (reid_product(state, direction, GainPair(g_x, g_p))
+                        == ref["reid_fixed"][direction])
+            assert duan_sum(state) == ref["duan_sum"]
+            assert criteria_report(state).to_dict() == ref["criteria_report"]
+            assert expected_measurements(state).values() == ref["expected_measurements"]

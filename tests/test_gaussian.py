@@ -240,6 +240,7 @@ class TestCovarianceMatrixType:
         ({"n_modes": 2.7, "entries": np.eye(4).tolist()}, "n_modes must be an integer"),
         ({"n_modes": True, "entries": np.eye(4).tolist()}, "n_modes must be an integer"),
         ({"n_modes": "2", "entries": np.eye(4).tolist()}, "n_modes must be an integer"),
+        ({"n_modes": 2, "entries": [[10 ** 400, 0, 0, 0]] + np.eye(4)[1:].tolist()}, "too large"),
     ])
     def test_badly_shaped_json_rejected(self, payload, match):
         with pytest.raises(ValueError, match=match):
@@ -333,6 +334,10 @@ class TestBuildEprSource:
     def test_params_json_rejects_non_numeric(self):
         with pytest.raises(ValueError, match="non-numeric"):
             SourceParams.from_dict({"r1": [1.0]})
+
+    def test_params_json_rejects_ints_past_the_float_range(self):
+        with pytest.raises(ValueError, match="too large"):
+            SourceParams.from_dict({"r1": 10 ** 400})
 
     @pytest.mark.parametrize("payload", [[1.0, 2.0], 5, None, "r1"])
     def test_params_json_rejects_non_objects(self, payload):

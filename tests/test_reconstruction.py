@@ -18,8 +18,9 @@ from cvsteer import (
     symplectic_eigenvalues,
     vacuum_state,
 )
+from cvsteer.reconstruction import CSV_FIELDS
 from cvsteer.reference import REFERENCE_COVARIANCE
-from conftest import random_source_state
+from conftest import random_physical_state, random_source_state, reference_reconstruct_entries
 
 VACUUM_SET = MeasurementSet(1.0, 1.0, 1.0, 1.0, 2.0, 2.0)
 
@@ -130,6 +131,7 @@ class TestMeasurementSetIO:
         ("metadata", 5, "metadata must be an object"),
         ("var_xa", [18.41], "non-numeric"),
         ("relative_error", None, "non-numeric"),
+        pytest.param("var_xa", 10 ** 400, "too large", id="var_xa-10**400-too large"),
     ])
     def test_json_badly_typed_fields(self, ref_ms, field, value, match):
         d = ref_ms.to_dict()
@@ -144,6 +146,12 @@ class TestMeasurementSetIO:
     def test_csv_rejects_wrong_header(self):
         with pytest.raises(ValueError, match="header"):
             MeasurementSet.from_csv("a,b,c\n1,2,3\n")
+
+    @pytest.mark.parametrize("n_cells", [5, 7])
+    def test_csv_row_of_the_wrong_length_rejected(self, n_cells):
+        text = ",".join(CSV_FIELDS) + "\n" + ",".join(["1.0"] * n_cells) + "\n"
+        with pytest.raises(ValueError, match="one data row of 6 values"):
+            MeasurementSet.from_csv(text)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="var_xb"):
@@ -229,6 +237,25 @@ class TestCorrelationMonotonicity:
                 assert (reid_product(tighter, "b|a")
                         <= reid_product(base, "b|a") + 1e-9)
         assert checked >= 200
+
+
+class TestMatchesReference:
+    def test_entries_equal_the_checked_identity_code(self):
+        # jittered campaigns of random states: the same float arithmetic, so equal exactly
+        rng = np.random.default_rng(73)
+        reconstructed = 0
+        for _ in range(1000):
+            values = np.array(expected_measurements(random_physical_state(rng)).values())
+            ms = MeasurementSet(*(values * (1.0 + 0.05 * rng.standard_normal(6))).tolist())
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", PhysicalityWarning)
+                    state = reconstruct(ms)
+            except ValueError:
+                continue
+            reconstructed += 1
+            assert np.array_equal(state.entries, reference_reconstruct_entries(ms))
+        assert reconstructed >= 500
 
 
 class TestExpectedMeasurements:
