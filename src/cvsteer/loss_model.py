@@ -9,10 +9,11 @@ entries of a measured covariance matrix.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize_scalar
 
 from .gaussian import (
     CovarianceMatrix,
@@ -32,10 +33,13 @@ __all__ = [
     "variance_to_db",
 ]
 
-# Grid + refinement contract: coarse xi scan, then derivative-free local
-# refinement well below the 1e-6 parameter tolerance, capped at 1e4 evaluations.
-_XI_GRID = np.linspace(0.70, 1.00, 31)
-_MAX_EVALS = 10_000
+# Profile search: a scan of xi, a bounded Brent refinement of the best bracket,
+# then up to _SECANT_STEPS secant steps on the profile's slope.
+_XI_SCAN = np.linspace(1e-6, 1.0, 41)
+_SECANT_STEPS = 2
+_A_MAX = math.exp(20.0)  # a = exp(2r), r in [0, 10]
+_A_BOUNDS = np.array([1.0, _A_MAX])
+_ENTRY_MAX = math.sqrt(sys.float_info.max) / 8.0  # sums of squared entries stay finite
 _FIT_ENTRIES = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (2, 0), (1, 3), (3, 1)]
 
 
@@ -99,28 +103,33 @@ class LossFit:
         }
 
 
-def _objective(p, measured: np.ndarray) -> float:
-    # Uniform xi commutes through the chain; fold it all into eta_prep.  Grid
-    # points and bounded Nelder-Mead vertices all lie in SourceParams' domain.
-    r1, r2, xi = p
-    model = build_epr_source(SourceParams(r1=r1, r2=r2, eta_prep=xi)).entries
-    return sum((model[i] - measured[i]) ** 2 for i in _FIT_ENTRIES)
+def _profile(xi: np.ndarray, v_minus: np.ndarray, v_plus: np.ndarray):
+    """The fit objective at each xi, minimized over both sources' squeezing.
 
-
-def _seed_r(measured: np.ndarray, xi: float) -> tuple[float, float]:
-    """Closed-form r estimates from the anti-squeezed effective variances.
-
-    The symmetric model maps the averaged diagonals and the covariances back
-    to the four effective single-source variances; the anti-squeezed pair
-    dominates a raw-entry least-squares residual, so it seeds r.
+    For fixed xi a source's squared mismatch (xi/a - u)^2 + (xi a - w)^2, with
+    a = exp(2r), u = v_minus - 1 + xi and w = v_plus - 1 + xi, is stationary
+    at the roots of xi a^4 - w a^3 + u a - xi.  One batched eigvals of the
+    stacked companion matrices gives every root; the best of their real parts
+    clipped to [1, exp(20)] (r in [0, 10]) and the two bounds wins.  Returns
+    the profile (k,), the best a (k, 2) and the profile's slope in xi, which
+    by the envelope theorem is the partial derivative at the best a.
     """
-    a_bar = 0.5 * (measured[0, 0] + measured[2, 2])
-    b_bar = 0.5 * (measured[1, 1] + measured[3, 3])
-    v1_plus = b_bar - measured[1, 3]
-    v2_plus = a_bar + measured[0, 2]
-    r1 = 0.5 * math.log(max((v1_plus - 1.0 + xi) / xi, 1.0))
-    r2 = 0.5 * math.log(max((v2_plus - 1.0 + xi) / xi, 1.0))
-    return r1, r2
+    x = xi[:, None]
+    u = v_minus - 1.0 + x
+    w = v_plus - 1.0 + x
+    companion = np.zeros((len(xi), 2, 4, 4))
+    companion[..., 0, 0] = w / x
+    companion[..., 0, 2] = -u / x
+    companion[..., 0, 3] = companion[..., 1, 0] = companion[..., 2, 1] = companion[..., 3, 2] = 1.0
+    a = np.empty((len(xi), 2, 6))
+    a[..., :4] = np.clip(np.linalg.eigvals(companion).real, 1.0, _A_MAX)
+    a[..., 4:] = _A_BOUNDS
+    x, u, w = x[..., None], u[..., None], w[..., None]
+    a = np.take_along_axis(a, ((x / a - u) ** 2 + (x * a - w) ** 2).argmin(axis=-1)[..., None], -1)
+    miss_minus, miss_plus = x / a - u, x * a - w
+    profile = (miss_minus ** 2 + miss_plus ** 2).sum(axis=(1, 2))
+    slope = 2.0 * (miss_minus * (1.0 / a - 1.0) + miss_plus * (a - 1.0)).sum(axis=(1, 2))
+    return profile, a[..., 0], slope
 
 
 def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
@@ -128,44 +137,78 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
 
     Expects a two-mode physical matrix with zero X-P cross terms (the
     reconstruction output shape).  Minimizes the sum of squared differences
-    over the eight nonzero entries: a coarse grid over xi in [0.7, 1.0]
-    (step 0.01, ties to the lower xi) with closed-form-seeded r values picks
-    the start, then Nelder-Mead refines all three parameters.  The residual
-    is the RMS entry mismatch of the best fit; converged is False if the
-    evaluation cap was exhausted first (best-so-far is still returned).
+    over the eight nonzero entries.  In the symmetric model those entries are
+    an orthonormal linear map of the four effective source variances, so the
+    sum splits into the squared distance of the model variances from
+    v = (v1-, v1+, v2-, v2+), read off the matrix, plus a constant.  The fit
+    profiles out r1 and r2 exactly (:func:`_profile`) and searches xi alone:
+    a scan of xi over [1e-6, 1], a bounded Brent refinement of the best
+    bracket, then secant steps on the profile's slope, which resolve xi below
+    Brent's sqrt(eps) limit; the best point evaluated in the bracket wins.
+    The residual is the RMS entry mismatch of the forward model at the fit.
+    iterations counts profile evaluations; converged is False if the
+    refinement missed its tolerance or a second, separated scan basin lies
+    within 1e-9 relative of the best objective.  A minimum on the bound
+    xi = 1 is a valid fit.
     """
     if gamma_measured.n_modes != 2:
         raise ValueError("fit_efficiency: state must have exactly 2 modes")
     if not is_physical(gamma_measured):
         raise ValueError("fit_efficiency: input matrix is unphysical")
     g = gamma_measured.entries
+    if np.abs(g).max() > _ENTRY_MAX:
+        raise ValueError(f"fit_efficiency: entries up to {np.abs(g).max():.3g} are too large; "
+                         f"the fit squares them (at most {_ENTRY_MAX:.3g})")
     cross = max(abs(g[0, 1]), abs(g[0, 3]), abs(g[2, 1]), abs(g[2, 3]))
     if cross > 1e-9 * max(1.0, g.diagonal().max()):
         raise ValueError("fit_efficiency: expected zero X-P cross terms "
                          f"(reconstruction output shape), found {cross:.3g}")
 
-    best = None
-    for xi in _XI_GRID:
-        r1, r2 = _seed_r(g, xi)
-        f = _objective((r1, r2, xi), g)
-        if best is None or f < best[0]:
-            best = (f, r1, r2, xi)
-    res = minimize(
-        _objective,
-        x0=best[1:],
-        args=(g,),
-        method="Nelder-Mead",
-        bounds=[(0.0, 10.0), (0.0, 10.0), (1e-6, 1.0)],
-        options={"xatol": 1e-8, "fatol": 1e-16, "maxfev": _MAX_EVALS},
-    )
-    r1, r2, xi = res.x
+    v_minus = 0.5 * np.array([g[0, 0] + g[2, 2] - 2.0 * g[0, 2], g[1, 1] + g[3, 3] + 2.0 * g[1, 3]])
+    v_plus = 0.5 * np.array([g[1, 1] + g[3, 3] - 2.0 * g[1, 3], g[0, 0] + g[2, 2] + 2.0 * g[0, 2]])
+    scan, scan_a, scan_slope = _profile(_XI_SCAN, v_minus, v_plus)
+    k = int(scan.argmin())
+    seen = {float(_XI_SCAN[k]): (scan[k], scan_a[k], scan_slope[k])}
+
+    def evaluate(xi):
+        if xi not in seen:
+            profile, a, slope = _profile(np.array([xi]), v_minus, v_plus)
+            seen[xi] = profile[0], a[0], slope[0]
+        return seen[xi]
+
+    lo, hi = _XI_SCAN[max(k - 1, 0)], _XI_SCAN[min(k + 1, len(_XI_SCAN) - 1)]
+    res = minimize_scalar(lambda xi: evaluate(float(xi))[0], bounds=(lo, hi), method="bounded")
+    # Brent resolves xi to about sqrt(eps); secant steps on the slope from its
+    # two best points take the minimum down to rounding.
+    x0, x1 = sorted(seen, key=lambda x: seen[x][0])[:2]
+    for _ in range(_SECANT_STEPS):
+        s0, s1 = seen[x0][2], seen[x1][2]
+        if s0 == s1:
+            break
+        x0, x1 = x1, float(x1 - s1 * (x1 - x0) / (s1 - s0))
+        if x1 == x0 or not lo <= x1 <= hi:
+            break
+        evaluate(x1)
+    xi = min(seen, key=lambda x: seen[x][0])
+    best, a, _ = seen[xi]
+
+    # The entry sum is the profile plus the part of g that no model reaches.  A
+    # second scan basin, apart from the best one, that ties it leaves xi ambiguous.
+    offset = 0.5 * ((g[0, 0] - g[2, 2]) ** 2 + (g[1, 1] - g[3, 3]) ** 2)
+    padded = np.concatenate(([np.inf], scan, [np.inf]))
+    basins = (scan <= padded[:-2]) & (scan <= padded[2:]) & (abs(np.arange(len(scan)) - k) > 1)
+    unique = not np.any(scan[basins] + offset <= (best + offset) * (1.0 + 1e-9))
+
+    r1, r2 = (0.5 * np.log(a)).tolist()
+    model = build_epr_source(SourceParams(r1=r1, r2=r2, eta_prep=xi)).entries
+    residual = math.sqrt(sum((model[i] - g[i]) ** 2 for i in _FIT_ENTRIES) / len(_FIT_ENTRIES))
     return LossFit(
-        xi=float(xi),
-        r1=float(r1),
-        r2=float(r2),
-        residual=math.sqrt(res.fun / len(_FIT_ENTRIES)),
-        iterations=int(res.nit),
-        converged=bool(res.success),
+        xi=xi,
+        r1=r1,
+        r2=r2,
+        residual=residual,
+        iterations=len(_XI_SCAN) + len(seen) - 1,
+        converged=bool(res.success) and unique,
     )
 
 

@@ -9,6 +9,7 @@ All variances are in vacuum units, measured at a 5 MHz Fourier frequency
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -90,8 +91,10 @@ def perturbation_study(ms: MeasurementSet, relative_error: float | None = None,
     fixed gains the product factors are linear in the inputs, making the
     spread an unbiased first-order error band.  An explicit relative_error
     is checked as MeasurementSet checks its own: it must lie in [0, 1); the
-    seed must be >= 0.
+    seed must be >= 0, and n_trials >= 2 for the spread.
     """
+    if n_trials < 2:
+        raise ValueError(f"perturbation_study: n_trials must be >= 2, got {n_trials}")
     if relative_error is not None:
         ms = dataclasses.replace(ms, relative_error=relative_error)
     rel = ms.relative_error
@@ -131,6 +134,8 @@ def repro(n: int | None = None, seed: int = 0, dark_noise_db: float | None = Non
     rerun of the reconstructed state (n defaults to 1e6 per setting), with and
     without dark noise at dark_noise_db dB below vacuum; perturb adds the
     input-jitter study at that relative error, whose half-width is checked.
+    Dark noise so large that the sampled variances or their squares overflow
+    is an input error.
     """
     state = reconstruct(REFERENCE_MEASUREMENTS)
     report = criteria_report(state)
@@ -168,7 +173,11 @@ def repro(n: int | None = None, seed: int = 0, dark_noise_db: float | None = Non
         extras.append(_row(f"sampled reid B|A (n={n}, no dark noise)", base))
         if dark_noise_db is not None:
             dark = db_to_variance(dark_noise_db)
-            noisy = criteria_report(reconstruct(measure_campaign(state, n, seed, dark))).reid_b_given_a
+            sampled = measure_campaign(state, n, seed, dark)
+            if not all(math.isfinite(v * v) for v in sampled.values()):
+                raise ValueError(f"dark noise of {dark_noise_db:g} dB (variance {dark:.3g}) is too "
+                                 "large: the sampled variances or their squares overflow")
+            noisy = criteria_report(reconstruct(sampled)).reid_b_given_a
             extras.append(_row(f"sampled reid B|A (n={n}, dark {dark_noise_db:g} dB)", noisy))
             extras.append(_row("dark-noise shift of reid B|A", noisy - base))
 

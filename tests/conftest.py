@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from cvsteer import (
     CovarianceMatrix,
@@ -275,3 +276,42 @@ def reference_perturbation_study(ms, relative_error, n_trials, seed):
         "q95": float(np.quantile(products, 0.95)),
         "fraction_within_0.005": float(np.mean(np.abs(products - REID_B_GIVEN_A) <= 0.005)),
     }
+
+
+FIT_ENTRIES = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (2, 0), (1, 3), (3, 1)]
+
+
+def fit_objective(g, r1, r2, xi):
+    """Sum of squared differences of the loss model at (r1, r2, xi) from g over
+    the eight fitted entries."""
+    model = build_epr_source(SourceParams(r1=r1, r2=r2, eta_prep=xi)).entries
+    return sum((model[i] - g[i]) ** 2 for i in FIT_ENTRIES)
+
+
+def reference_nelder_mead_fit(state):
+    """The loss fit as a bounded Nelder-Mead search over (r1, r2, xi).
+
+    Reference for :func:`cvsteer.fit_efficiency`, which profiles r1 and r2
+    out exactly and searches xi alone.  A grid over xi in [0.7, 1] with r
+    seeded in closed form from the anti-squeezed effective variances picks
+    the start; Nelder-Mead refines all three parameters, capped at 1e4
+    evaluations.  Returns (xi, r1, r2, objective).
+    """
+    g = state.entries
+
+    def seed_r(xi):
+        a_bar = 0.5 * (g[0, 0] + g[2, 2])
+        b_bar = 0.5 * (g[1, 1] + g[3, 3])
+        r1 = 0.5 * math.log(max((b_bar - g[1, 3] - 1.0 + xi) / xi, 1.0))
+        r2 = 0.5 * math.log(max((a_bar + g[0, 2] - 1.0 + xi) / xi, 1.0))
+        return r1, r2
+
+    def objective(p):
+        return fit_objective(g, *p)
+
+    start = min(((*seed_r(xi), xi) for xi in np.linspace(0.70, 1.00, 31)), key=objective)
+    res = minimize(objective, x0=start, method="Nelder-Mead",
+                   bounds=[(0.0, 10.0), (0.0, 10.0), (1e-6, 1.0)],
+                   options={"xatol": 1e-8, "fatol": 1e-16, "maxfev": 10_000})
+    r1, r2, xi = res.x
+    return float(xi), float(r1), float(r2), float(res.fun)

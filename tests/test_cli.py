@@ -271,6 +271,7 @@ class TestFit:
         assert code == 0
         d = json.loads(out)
         assert 0.88 <= d["xi"] <= 0.96
+        assert d["xi"] == pytest.approx(0.9149490426164827, abs=1e-8)  # the Nelder-Mead fit
         assert d["converged"] is True
 
     def test_synthetic_self_consistency(self, capsys, tmp_path):
@@ -294,7 +295,8 @@ class TestFit:
                    "--out", str(cov))[0] == 0
         code, out, _ = run(capsys, "fit", "--in", str(cov))
         assert code == 0
-        assert json.loads(out)["xi"] >= 0.999
+        d = json.loads(out)
+        assert d["xi"] == 1.0 and d["converged"] is True
 
 
 class TestRepro:
@@ -346,14 +348,23 @@ class TestRepro:
         assert out == ""
 
     def test_infinite_sampled_product_is_not_written_as_json(self, capsys, tmp_path):
-        # 2000 dB of dark noise (variance 1e200) drives the sampled products to inf
+        # 2000 dB of dark noise (variance 1e200) would drive the sampled products
+        # to inf; the squared sampled variances overflow first, which names it
         argv = ["repro", "--n", "10", "--dark-noise-db=-2000"]
-        code, out, _ = run(capsys, *argv)
-        assert code == 0 and "inf" in out
         f = tmp_path / "report.json"
-        code, out, err = run(capsys, *argv, "--out", str(f))
-        assert_input_error(code, err, "JSON")
-        assert out == "" and not f.exists()
+        for extra in ([], ["--out", str(f)]):
+            code, out, err = run(capsys, *argv, *extra)
+            assert_input_error(code, err, "dark noise of -2000 dB", "overflow")
+            assert out == "" and not f.exists()
+
+    @pytest.mark.parametrize("db", ["-1539", "-2000"])
+    @pytest.mark.filterwarnings("ignore::cvsteer.reconstruction.PhysicalityWarning")  # n = 3
+    def test_dark_noise_overflowing_the_sampled_variances_exits_2(self, capsys, db):
+        # variance 7.9e153 at -1539 dB: the joint settings' variances, twice
+        # that, square past the float range ("not positive definite" before)
+        code, out, err = run(capsys, "repro", "--n", "3", f"--dark-noise-db={db}")
+        assert_input_error(code, err, f"dark noise of {db} dB", "too large")
+        assert out == ""
 
     def test_library_repro_matches_out_json(self, capsys, tmp_path):
         f = tmp_path / "report.json"
@@ -421,6 +432,11 @@ _POSITIVE = st.floats(min_value=0.0, exclude_min=True)
 # 4x4 matrices: a scaled identity reaches the criteria; arbitrary entries mostly fail the checks
 _MATRIX = (_ANY_FLOAT.map(lambda v: (v * np.eye(4)).tolist())
            | st.lists(st.lists(_ANY_FLOAT, min_size=4, max_size=4), min_size=4, max_size=4))
+# physical source-model states, the fit's input shape, as scaled-variance matrices
+_FIT_MATRIX = st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0), st.floats(1e-3, 1.0),
+                        st.floats(-3.0, 3.0)).map(
+    lambda p: (build_epr_source(SourceParams(r1=p[0], r2=p[1], eta_prep=p[2])).entries
+               * 10.0 ** p[3]).tolist())
 _CSV_CELL = _ANY_FLOAT.map(repr) | st.integers(-3, 3).map(str) | st.text("0123456789.e-x ", max_size=4)
 
 
@@ -470,6 +486,17 @@ class TestExitContractFuzz:
         path = fuzz_dir / "state.json"
         path.write_text(json.dumps(doc))
         assert_exit_contract(["analyze", "--in", str(path)])
+
+    @_FUZZ
+    @given(doc=st.fixed_dictionaries({"n_modes": st.just(2) | _JSON_FIELD,
+                                      "entries": _MATRIX | _FIT_MATRIX | _JSON_FIELD}))
+    @example(doc={"n_modes": 2, "entries": [[1e300, 0, 0, 0], [0, 1e300, 0, 0], [0, 0, 1e300, 0],
+                                            [0, 0, 0, 1e300]]})
+    @example(doc={"n_modes": 2, "entries": np.eye(4).tolist()})
+    def test_fit_file(self, fuzz_dir, doc):
+        path = fuzz_dir / "fit_state.json"
+        path.write_text(json.dumps(doc))
+        assert_exit_contract(["fit", "--in", str(path)])
 
     @_FUZZ
     @given(text=st.fixed_dictionaries({name: _POSITIVE | _JSON_FIELD for name in CSV_FIELDS},
@@ -548,6 +575,11 @@ class TestPerturbationStudy:
     def test_rejects_negative_seed(self, seed):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             perturbation_study(REFERENCE_MEASUREMENTS, 0.05, seed=seed)
+
+    @pytest.mark.parametrize("n_trials", [-1, 0, 1])
+    def test_rejects_fewer_than_two_trials(self, n_trials):
+        with pytest.raises(ValueError, match=f"n_trials must be >= 2, got {n_trials}"):
+            perturbation_study(REFERENCE_MEASUREMENTS, 0.05, n_trials=n_trials)
 
     def test_scales_linearly_with_relative_error(self):
         lo = perturbation_study(REFERENCE_MEASUREMENTS, 0.01, n_trials=400, seed=2)

@@ -1,23 +1,30 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cvsteer import (
+    CovarianceMatrix,
+    MeasurementSet,
     SourceParams,
     budget_prep_efficiency,
     criteria_report,
     db_to_variance,
     detected_variance,
     efficiency_decomposition,
+    expected_measurements,
     fit_efficiency,
     forward_covariance,
+    reconstruct,
     reid_product,
     symplectic_eigenvalues,
     variance_to_db,
     vacuum_state,
 )
 from cvsteer.loss_model import LossFit
+from cvsteer.reconstruction import PhysicalityWarning
+from conftest import FIT_ENTRIES, fit_objective, reference_nelder_mead_fit
 
 
 def uniform_xi_params(r1, r2, xi):
@@ -102,7 +109,9 @@ class TestFitEfficiency:
 
     def test_pure_state_input_fits_unit_efficiency(self):
         fit = fit_efficiency(forward_covariance(uniform_xi_params(1.2, 1.0, 1.0)))
-        assert fit.xi >= 0.999
+        assert fit.xi == 1.0 and fit.converged  # the bound xi = 1 is a valid minimum
+        assert fit.r1 == pytest.approx(1.2, abs=1e-9)
+        assert fit.r2 == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_nonzero_cross_terms(self, ref_state):
         m = ref_state.entries.copy()
@@ -110,6 +119,10 @@ class TestFitEfficiency:
         from cvsteer import CovarianceMatrix
         with pytest.raises(ValueError, match="cross terms"):
             fit_efficiency(CovarianceMatrix(2, m))
+
+    def test_rejects_entries_whose_squares_overflow(self):
+        with pytest.raises(ValueError, match="too large"):
+            fit_efficiency(CovarianceMatrix(2, 1e160 * np.eye(4)))
 
     def test_rejects_wrong_mode_count(self):
         with pytest.raises(ValueError):
@@ -126,6 +139,103 @@ class TestFitEfficiency:
         assert set(d) == {"xi", "r1", "r2", "residual", "iterations", "converged"}
         with pytest.raises(ValueError):
             LossFit(xi=1.2, r1=1.0, r2=0.8, residual=0.1, iterations=5, converged=True)
+
+
+# The eight fitted entries as a linear map of the effective source variances
+# (v1-, v1+, v2-, v2+), rows in FIT_ENTRIES order.
+ENTRY_MAP = 0.5 * np.array([
+    [1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0],
+    [-1, 0, 0, 1], [-1, 0, 0, 1], [0, -1, 1, 0], [0, -1, 1, 0],
+])
+
+
+def effective_variances(r1, r2, xi):
+    return np.array([detected_variance(r1, xi), detected_variance(r1, xi, antisqueezed=True),
+                     detected_variance(r2, xi), detected_variance(r2, xi, antisqueezed=True)])
+
+
+@pytest.fixture(scope="module")
+def comparison_states():
+    """200 reconstructed states, r in [0, 2.3], eta in [0.5, 1], every second
+    one with its six measured values jittered by 1%."""
+    rng = np.random.default_rng(20240)
+    states = []
+    for i in range(200):
+        r1, r2 = rng.uniform(0.0, 2.3, size=2)
+        ms = expected_measurements(forward_covariance(uniform_xi_params(r1, r2,
+                                                                        rng.uniform(0.5, 1.0))))
+        if i % 2:
+            values = np.array(ms.values()) * (1.0 + 0.01 * rng.standard_normal(6))
+            ms = MeasurementSet(*values.tolist(), relative_error=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PhysicalityWarning)
+            states.append(reconstruct(ms))
+    return states
+
+
+class TestProfiledFit:
+    def test_entry_map_is_orthonormal_and_is_the_forward_model(self):
+        assert np.array_equal(ENTRY_MAP.T @ ENTRY_MAP, np.eye(4))
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            r1, r2 = rng.uniform(0.0, 2.3, size=2)
+            xi = rng.uniform(1e-6, 1.0)
+            g = forward_covariance(uniform_xi_params(r1, r2, xi)).entries
+            entries = np.array([g[i] for i in FIT_ENTRIES])
+            np.testing.assert_allclose(ENTRY_MAP @ effective_variances(r1, r2, xi), entries,
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_objective_splits_into_variance_distance_plus_constant(self, comparison_states):
+        rng = np.random.default_rng(6)
+        for state in comparison_states[1:40:2]:
+            g = state.entries
+            v_hat = ENTRY_MAP.T @ np.array([g[i] for i in FIT_ENTRIES])
+            offset = 0.5 * ((g[0, 0] - g[2, 2]) ** 2 + (g[1, 1] - g[3, 3]) ** 2)
+            r1, r2 = rng.uniform(0.0, 2.3, size=2)
+            xi = rng.uniform(0.5, 1.0)
+            split = np.sum((effective_variances(r1, r2, xi) - v_hat) ** 2) + offset
+            assert split == pytest.approx(fit_objective(g, r1, r2, xi), rel=1e-10)
+
+    def test_objective_never_worse_than_nelder_mead(self, comparison_states):
+        # Floor fixed before the comparison ran: where both fits sit at rounding,
+        # 64 eps of the largest entry in each of the eight entries.
+        eps = np.finfo(float).eps
+        compared = 0
+        for state in comparison_states:
+            try:
+                fit = fit_efficiency(state)
+            except ValueError as exc:
+                assert "unphysical" in str(exc)
+                continue
+            g = state.entries
+            xi, r1, r2, nelder_mead = reference_nelder_mead_fit(state)
+            profiled = fit_objective(g, fit.r1, fit.r2, fit.xi)
+            assert profiled == pytest.approx(8.0 * fit.residual ** 2, rel=1e-12, abs=1e-300)
+            floor = 8.0 * (64.0 * eps * np.abs(g).max()) ** 2
+            assert profiled <= nelder_mead * (1.0 + 1e-9) + floor, (fit, xi, r1, r2)
+            compared += 1
+        assert compared >= 180
+
+    def test_reference_xi_matches_nelder_mead(self, ref_state):
+        # the Nelder-Mead fit of the reference state gave xi = 0.9149490426164827
+        assert reference_nelder_mead_fit(ref_state)[0] == 0.9149490426164827
+        fit = fit_efficiency(ref_state)
+        assert fit.xi == pytest.approx(0.9149490426164827, abs=1e-8)
+        assert fit.converged
+
+    def test_squeezing_past_the_bound_fits_r_at_10(self):
+        fit = fit_efficiency(forward_covariance(uniform_xi_params(10.5, 1.0, 0.9)))
+        assert fit.r1 == 10.0
+
+    def test_iterations_count_profile_evaluations(self, ref_state):
+        # a 41-point scan, then the Brent refinement and the secant steps
+        assert 41 < fit_efficiency(ref_state).iterations < 41 + 30
+
+    def test_unidentifiable_efficiency_is_not_converged(self):
+        # without squeezing every xi fits vacuum exactly
+        fit = fit_efficiency(CovarianceMatrix(2, np.eye(4)))
+        assert fit.residual < 1e-12
+        assert not fit.converged
 
 
 class TestEfficiencyDecomposition:
