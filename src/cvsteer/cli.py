@@ -8,6 +8,7 @@ identical inputs and seeds give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import warnings
@@ -25,6 +26,10 @@ from .reconstruction import (
 from .sampler import campaign_batches, measure_campaign, samples_to_csv
 from . import reference
 from .reference import perturbation_study  # re-exported: callers import it from cvsteer.cli
+
+
+# SourceParams fields settable by a simulate flag of the same name; dark noise is set in dB.
+_SIMULATE_FLAGS = [f.name for f in dataclasses.fields(SourceParams) if f.name != "dark_noise"]
 
 
 def _write_text(text: str, out_path: str | None):
@@ -72,9 +77,7 @@ def _parse_gains(text: str) -> GainPair | str:
 
 def cmd_simulate(args) -> int:
     params = SourceParams.from_dict(_load_json(args.in_path)) if args.in_path else SourceParams()
-    flags = {name: getattr(args, name) for name in ("r1", "r2", "relative_phase", "transmittance",
-                                                   "eta_prep", "eta_det_a", "eta_det_b")
-             if getattr(args, name) is not None}
+    flags = {name: getattr(args, name) for name in _SIMULATE_FLAGS if getattr(args, name) is not None}
     if args.dark_noise_db is not None:
         flags["dark_noise"] = db_to_variance(args.dark_noise_db)
     state = build_epr_source(SourceParams.from_dict({**params.to_dict(), **flags}))
@@ -169,9 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="forward-model a source into a covariance matrix")
     add_io(p)
-    for name in ("r1", "r2", "relative-phase", "transmittance",
-                 "eta-prep", "eta-det-a", "eta-det-b"):
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=float, default=None)
+    for name in _SIMULATE_FLAGS:
+        p.add_argument(f"--{name.replace('_', '-')}", type=float, default=None)
     p.add_argument("--dark-noise-db", type=float, default=None,
                    help="dark-noise clearance in dB below vacuum")
     p.set_defaults(func=cmd_simulate)
@@ -217,14 +219,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except InconsistentDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code, error = args.func(args), None
+        except InconsistentDataError as exc:
+            code, error = 1, exc
+        except (ValueError, OSError, json.JSONDecodeError) as exc:
+            code, error = 2, exc
+    # The outcome first, then one line per library warning met on the way.
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return code
 
 
 def entry_point():

@@ -10,7 +10,7 @@ below 4 in vacuum units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class GainPair:
             raise ValueError("GainPair: gains must be finite")
 
     def to_dict(self) -> dict:
-        return {"g_x": self.g_x, "g_p": self.g_p}
+        return asdict(self)
 
 
 UNIT_GAINS = GainPair(1.0, -1.0)
@@ -124,19 +124,7 @@ class CriteriaReport:
     conditional_uncertainty_ratio: float
 
     def to_dict(self) -> dict:
-        return {
-            "reid_b_given_a": self.reid_b_given_a,
-            "reid_a_given_b": self.reid_a_given_b,
-            "duan_sum": self.duan_sum,
-            "unit_gain_product": self.unit_gain_product,
-            "optimal_gains_b_given_a": self.optimal_gains_b_given_a.to_dict(),
-            "optimal_gains_a_given_b": self.optimal_gains_a_given_b.to_dict(),
-            "conditional_variances": dict(self.conditional_variances),
-            "steering_b_given_a": self.steering_b_given_a,
-            "steering_a_given_b": self.steering_a_given_b,
-            "duan_inseparable": self.duan_inseparable,
-            "conditional_uncertainty_ratio": self.conditional_uncertainty_ratio,
-        }
+        return asdict(self)
 
 
 def criteria_report(state: CovarianceMatrix) -> CriteriaReport:

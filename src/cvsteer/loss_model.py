@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from .criteria import _joint_variances, _moments
 from .gaussian import (
     CovarianceMatrix,
     SourceParams,
@@ -93,14 +94,7 @@ class LossFit:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "xi": self.xi,
-            "r1": self.r1,
-            "r2": self.r2,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
+        return asdict(self)
 
 
 def _profile(xi: np.ndarray, v_minus: np.ndarray, v_plus: np.ndarray):
@@ -164,8 +158,11 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
         raise ValueError("fit_efficiency: expected zero X-P cross terms "
                          f"(reconstruction output shape), found {cross:.3g}")
 
-    v_minus = 0.5 * np.array([g[0, 0] + g[2, 2] - 2.0 * g[0, 2], g[1, 1] + g[3, 3] + 2.0 * g[1, 3]])
-    v_plus = 0.5 * np.array([g[1, 1] + g[3, 3] - 2.0 * g[1, 3], g[0, 0] + g[2, 2] + 2.0 * g[0, 2]])
+    # Half of Var(X_A - X_B), Var(P_A + P_B) and, with the covariances negated,
+    # of Var(X_A + X_B), Var(P_A - P_B).
+    xa, pa, xb, pb, cov_x, cov_p = _moments(gamma_measured)
+    v_minus = 0.5 * np.array(_joint_variances(xa, pa, xb, pb, cov_x, cov_p))
+    v_plus = 0.5 * np.array(_joint_variances(xa, pa, xb, pb, -cov_x, -cov_p)[::-1])
     scan, scan_a, scan_slope = _profile(_XI_SCAN, v_minus, v_plus)
     k = int(scan.argmin())
     seen = {float(_XI_SCAN[k]): (scan[k], scan_a[k], scan_slope[k])}
@@ -194,7 +191,7 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
 
     # The entry sum is the profile plus the part of g that no model reaches.  A
     # second scan basin, apart from the best one, that ties it leaves xi ambiguous.
-    offset = 0.5 * ((g[0, 0] - g[2, 2]) ** 2 + (g[1, 1] - g[3, 3]) ** 2)
+    offset = 0.5 * ((xa - xb) ** 2 + (pa - pb) ** 2)
     padded = np.concatenate(([np.inf], scan, [np.inf]))
     basins = (scan <= padded[:-2]) & (scan <= padded[2:]) & (abs(np.arange(len(scan)) - k) > 1)
     unique = not np.any(scan[basins] + offset <= (best + offset) * (1.0 + 1e-9))

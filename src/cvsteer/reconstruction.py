@@ -13,7 +13,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,12 @@ CSV_FIELDS = ("var_xa", "var_pa", "var_xb", "var_pb", "var_x_diff", "var_p_sum")
 
 
 class InconsistentDataError(ValueError):
-    """A reconstructed covariance exceeds its Cauchy-Schwarz bound beyond the error band."""
+    """A reconstructed covariance breaks its Cauchy-Schwarz bound.
+
+    Either it exceeds the bound beyond the error band (excess > 0), or it
+    reaches the bound, or comes within rounding of it, inside the band, so
+    that the reconstructed matrix is not positive definite (excess <= 0).
+    """
 
     def __init__(self, entry: str, value: float, bound: float, band: float):
         self.entry = entry
@@ -32,11 +37,13 @@ class InconsistentDataError(ValueError):
         self.bound = bound
         self.band = band
         self.excess = abs(value) - (bound + band)
-        super().__init__(
-            f"measurement set inconsistent: |Cov_{entry}| = {abs(value):.6g} exceeds "
-            f"sqrt(Var*Var) = {bound:.6g} by {self.excess:.6g} "
-            f"(allowed error band {band:.6g})"
-        )
+        if self.excess > 0:
+            detail = (f"exceeds sqrt(Var*Var) = {bound:.6g} by {self.excess:.6g} "
+                      f"(allowed error band {band:.6g})")
+        else:
+            detail = (f"reaches sqrt(Var*Var) = {bound:.6g} within the allowed error band "
+                      f"{band:.6g}, so the reconstructed matrix is not positive definite")
+        super().__init__(f"measurement set inconsistent: |Cov_{entry}| = {abs(value):.6g} {detail}")
 
 
 class PhysicalityWarning(UserWarning):
@@ -75,10 +82,7 @@ class MeasurementSet:
         return tuple(getattr(self, name) for name in CSV_FIELDS)
 
     def to_dict(self) -> dict:
-        d = {name: getattr(self, name) for name in CSV_FIELDS}
-        d["relative_error"] = self.relative_error
-        d["metadata"] = dict(self.metadata)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MeasurementSet":
@@ -156,7 +160,8 @@ def reconstruct(ms: MeasurementSet) -> CovarianceMatrix:
     Diagonal from the four single variances; Cov(X_A, X_B) from the measured
     difference (sign handled here), Cov(P_A, P_B) from the measured sum; all
     X-P cross terms set to zero.  Covariances breaching the Cauchy-Schwarz
-    bound beyond the propagated error band raise InconsistentDataError;
+    bound beyond the propagated error band, or reaching it inside the band so
+    that the matrix is not positive definite, raise InconsistentDataError;
     matrices that are merely below the symplectic physicality boundary emit a
     PhysicalityWarning but are returned.
     """
@@ -165,18 +170,28 @@ def reconstruct(ms: MeasurementSet) -> CovarianceMatrix:
         ("x", cov_x, ms.var_xa, ms.var_xb, ms.var_x_diff),
         ("p", cov_p, ms.var_pa, ms.var_pb, ms.var_p_sum),
     )
+    passed = []
     for entry, cov, v1, v2, vj in checks:
         bound = math.sqrt(v1 * v2)
         band = _covariance_sigma(ms.relative_error, v1, v2, vj)
         if abs(cov) > bound + band:
             raise InconsistentDataError(entry, cov, bound, band)
+        passed.append((abs(cov) / math.sqrt(v1) / math.sqrt(v2), entry, cov, bound, band))
     m = np.array([
         [ms.var_xa, 0.0, cov_x, 0.0],
         [0.0, ms.var_pa, 0.0, cov_p],
         [cov_x, 0.0, ms.var_xb, 0.0],
         [0.0, cov_p, 0.0, ms.var_pb],
     ])
-    state = CovarianceMatrix(n_modes=2, entries=m)
+    try:
+        state = CovarianceMatrix(n_modes=2, entries=m)
+    except ValueError:
+        if not (math.isfinite(cov_x) and math.isfinite(cov_p)):
+            raise
+        # Inside the band, a covariance at or past its bound, or within rounding
+        # of it, leaves the matrix singular or indefinite; the Cholesky check in
+        # CovarianceMatrix decides exactly.  Name the more strongly correlated entry.
+        raise InconsistentDataError(*max(passed)[1:]) from None
     if not is_physical(state):
         warnings.warn(
             PhysicalityWarning(

@@ -259,10 +259,21 @@ class TestReconstruct:
         p = tmp_path / "ms.json"
         p.write_text(json.dumps({"var_xa": 1, "var_pa": 1, "var_xb": 1, "var_pb": 1,
                                  "var_x_diff": 0.5, "var_p_sum": 0.5}))
-        code, out, _ = run(capsys, "reconstruct", "--in", str(p))
-        assert code == 0
+        code, out, err = run(capsys, "reconstruct", "--in", str(p))
+        assert code == 0 and err == ""
         d = json.loads(out)
         assert len(d["warnings"]) == 1 and "unphysical" in d["warnings"][0]
+
+    def test_covariance_reaching_its_bound_exits_1(self, capsys, tmp_path):
+        # |Cov_x| = 1.0995 reaches sqrt(1.0 * 1.2) inside its error band: the
+        # matrix is not positive definite, an analysis failure, not an input error
+        p = tmp_path / "ms.csv"
+        p.write_text(",".join(CSV_FIELDS) + "\n1.0,1.0,1.2,1.0,0.001,2.0\n")
+        code, out, err = run(capsys, "reconstruct", "--in", str(p))
+        assert code == 1 and out == ""
+        assert err.startswith("error: measurement set inconsistent: |Cov_x| = 1.0995 ")
+        assert "sqrt(Var*Var) = 1.09545" in err and "error band 0.0390513" in err
+        assert "not positive definite" in err and "by -" not in err
 
 
 class TestFit:
@@ -365,6 +376,14 @@ class TestRepro:
         code, out, err = run(capsys, "repro", "--n", "3", f"--dark-noise-db={db}")
         assert_input_error(code, err, f"dark noise of {db} dB", "too large")
         assert out == ""
+
+    def test_small_dark_campaign_reaching_its_bound_exits_1(self, capsys):
+        # 3 samples per setting with 10 dB of excess dark noise: the sampled
+        # Cov_x reaches its bound ("not positive definite", exit 2, before)
+        code, out, err = run(capsys, "repro", "--n", "3", "--seed", "1", "--dark-noise-db=-10")
+        assert code == 1 and out == ""
+        assert err.startswith("error: measurement set inconsistent: |Cov_x| = ")
+        assert "not positive definite" in err and "by -" not in err
 
     def test_library_repro_matches_out_json(self, capsys, tmp_path):
         f = tmp_path / "report.json"
@@ -526,6 +545,15 @@ class TestInstalledEntryPoint:
         proc = run_module("repro")
         assert proc.returncode == 0
         assert "checks passed" in proc.stdout
+
+    def test_warnings_are_one_line_each(self, capsys):
+        # 3 samples per setting reconstruct an unphysical campaign: PhysicalityWarning
+        proc = run_module("repro", "--n", "3", "--seed", "1")
+        assert proc.returncode == 0
+        lines = proc.stderr.splitlines()
+        assert lines and all(line.startswith("warning: ") for line in lines)
+        assert ".py:" not in proc.stderr
+        assert proc.stdout == run(capsys, "repro", "--n", "3", "--seed", "1")[1]
 
     @pytest.mark.parametrize("argv", [["simulate", "--r1", "800"], ["repro", "--perturb=-1"]])
     def test_input_errors_exit_2_without_traceback(self, argv):

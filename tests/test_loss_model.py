@@ -107,6 +107,18 @@ class TestFitEfficiency:
             fit = fit_efficiency(forward_covariance(uniform_xi_params(r1, r2, xi)))
             assert fit.xi == pytest.approx(xi, abs=0.01)
 
+    def test_recovers_noise_free_sources_up_to_r_3_and_down_to_xi_1e_3(self):
+        # strong squeezing (26 dB at r = 3) and near-total loss (xi log-uniform)
+        rng = np.random.default_rng(2718)
+        for _ in range(300):
+            r1, r2 = rng.uniform(0.05, 3.0, size=2)
+            xi = 10.0 ** rng.uniform(-3.0, 0.0)
+            fit = fit_efficiency(forward_covariance(uniform_xi_params(r1, r2, xi)))
+            assert fit.converged
+            assert fit.xi == pytest.approx(xi, abs=1e-6)
+            assert fit.r1 == pytest.approx(r1, abs=1e-5)
+            assert fit.r2 == pytest.approx(r2, abs=1e-5)
+
     def test_pure_state_input_fits_unit_efficiency(self):
         fit = fit_efficiency(forward_covariance(uniform_xi_params(1.2, 1.0, 1.0)))
         assert fit.xi == 1.0 and fit.converged  # the bound xi = 1 is a valid minimum

@@ -63,6 +63,39 @@ class TestReconstruct:
         assert exc.value.entry == "x"
         assert exc.value.excess > 0
 
+    def test_covariance_reaching_its_bound_inside_the_band_is_inconsistent(self):
+        # |Cov_x| = 1.0995 is past sqrt(1.0 * 1.2) = 1.0954 but inside its error
+        # band: the matrix is not positive definite, an analysis failure
+        with pytest.raises(InconsistentDataError, match="reaches sqrt") as exc:
+            reconstruct(MeasurementSet(1.0, 1.0, 1.2, 1.0, 0.001, 2.0))
+        assert exc.value.entry == "x" and exc.value.excess <= 0
+        assert "not positive definite" in str(exc.value) and "by -" not in str(exc.value)
+
+    def test_near_bound_sets_reconstruct_or_are_inconsistent(self):
+        # values over 10^[-3, 4], covariances 1e-17 to 1e-1 (relative) either side
+        # of their bounds: never the plain "not positive definite" ValueError
+        rng = np.random.default_rng(97)
+        outcomes = {"reconstructed": 0, "inconsistent": 0}
+        for _ in range(3000):
+            xa, pa, xb, pb = 10.0 ** rng.uniform(-3.0, 4.0, size=4)
+            cov_x, cov_p = (rng.choice([-1.0, 1.0]) * math.sqrt(v1 * v2)
+                            * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-17.0, -1.0))
+                            for v1, v2 in ((xa, xb), (pa, pb)))
+            try:
+                ms = MeasurementSet(xa, pa, xb, pb, xa + xb - 2.0 * cov_x, pa + pb + 2.0 * cov_p,
+                                    relative_error=rng.choice([0.0, 0.01, 0.05]))
+            except ValueError:
+                continue  # a joint variance rounded to <= 0: not a valid set
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", PhysicalityWarning)
+                    reconstruct(ms)
+                outcomes["reconstructed"] += 1
+            except InconsistentDataError as exc:
+                assert exc.excess > 0 or "not positive definite" in str(exc)
+                outcomes["inconsistent"] += 1
+        assert min(outcomes.values()) >= 500
+
     def test_near_maximal_correlation_is_accepted(self):
         # |cov| just inside sqrt(var*var): passes the consistency gate and
         # reconstructs (with a physicality warning), no clamping.
@@ -117,6 +150,11 @@ class TestMeasurementSetIO:
     def test_json_roundtrip(self, ref_ms):
         again = MeasurementSet.from_dict(ref_ms.to_dict())
         assert again == ref_ms
+
+    def test_to_dict_is_a_deep_copy(self, ref_ms):
+        ms = MeasurementSet(*ref_ms.values(), metadata={"labels": {"rbw_hz": 300.0e3}})
+        ms.to_dict()["metadata"]["labels"]["rbw_hz"] = 1.0
+        assert ms.metadata == {"labels": {"rbw_hz": 300.0e3}}
 
     def test_json_missing_field(self):
         with pytest.raises(ValueError, match="var_p_sum"):
