@@ -69,10 +69,11 @@ def _load_measurements(path: str) -> MeasurementSet:
 def _parse_gains(text: str) -> GainPair | str:
     if text == "optimal":
         return "optimal"
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"--gains expects 'gx,gp' or 'optimal', got {text!r}")
-    return GainPair(float(parts[0]), float(parts[1]))
+    try:
+        return GainPair(*map(float, text.split(",")))
+    except (TypeError, ValueError):
+        raise ValueError(f"--gains expects two finite numbers 'gx,gp' or 'optimal', "
+                         f"got {text!r}") from None
 
 
 def cmd_simulate(args) -> int:
@@ -86,11 +87,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    gains = None if args.gains is None else _parse_gains(args.gains)
     state = _load_state(args.in_path)
     report = criteria_report(state)
     _write_json(report.to_dict(), args.out_path)
-    if args.gains is not None:
-        gains = _parse_gains(args.gains)
+    if gains is not None:
         value = reid_product(state, "b|a", gains)
         label = "optimal" if gains == "optimal" else f"({gains.g_x:g}, {gains.g_p:g})"
         print(f"# reid product B|A at gains {label}: {value!r}", file=sys.stderr)

@@ -133,8 +133,9 @@ class LossChannel:
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError(f"LossChannel: efficiency must be in [0, 1], got {self.efficiency}")
-        if self.excess_noise < 0.0:
-            raise ValueError(f"LossChannel: excess_noise must be >= 0, got {self.excess_noise}")
+        if not 0.0 <= self.excess_noise < math.inf:
+            raise ValueError(
+                f"LossChannel: excess_noise must be finite, >= 0, got {self.excess_noise}")
 
 
 def _check_mode(mode: int, n_modes: int):

@@ -172,9 +172,10 @@ def reconstruct(ms: MeasurementSet) -> CovarianceMatrix:
     )
     passed = []
     for entry, cov, v1, v2, vj in checks:
-        bound = math.sqrt(v1 * v2)
+        bound = math.sqrt(v1) * math.sqrt(v2)
         band = _covariance_sigma(ms.relative_error, v1, v2, vj)
-        if abs(cov) > bound + band:
+        # an overflowed covariance is an input error, raised by CovarianceMatrix below
+        if math.isfinite(cov) and abs(cov) > bound + band:
             raise InconsistentDataError(entry, cov, bound, band)
         passed.append((abs(cov) / math.sqrt(v1) / math.sqrt(v2), entry, cov, bound, band))
     m = np.array([

@@ -166,6 +166,9 @@ def repro(n: int | None = None, seed: int = 0, dark_noise_db: float | None = Non
              DETECTION_EFFICIENCY, OVERALL_EFFICIENCY_TOL + PREP_EFFICIENCY_TOL),
     ]
     extras = []
+    # checked before the sampled rerun, so a bad perturb fails before any sampling
+    study = (None if perturb is None
+             else perturbation_study(REFERENCE_MEASUREMENTS, perturb, seed=seed))
 
     if n is not None or dark_noise_db is not None:
         n = 1_000_000 if n is None else n
@@ -181,8 +184,7 @@ def repro(n: int | None = None, seed: int = 0, dark_noise_db: float | None = Non
             extras.append(_row(f"sampled reid B|A (n={n}, dark {dark_noise_db:g} dB)", noisy))
             extras.append(_row("dark-noise shift of reid B|A", noisy - base))
 
-    if perturb is not None:
-        study = perturbation_study(REFERENCE_MEASUREMENTS, perturb, seed=seed)
+    if study is not None:
         rows.append(_row(f"perturbation spread at {perturb:g} (1-sigma half-width)",
                          study["std"], 0.0, PERTURBATION_SPREAD_TOL))
         extras.append(_row("perturbation mean reid B|A", study["mean"]))

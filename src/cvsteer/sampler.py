@@ -26,84 +26,79 @@ from .reconstruction import MeasurementSet
 # cache, and fixed so results never depend on n-dependent batching.
 _CHUNK = 1 << 14
 
-SINGLE = "single_quadrature"
-JOINT = "joint_combination"
-
-
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """One homodyne acquisition: a single quadrature or a combination.
+    """One homodyne acquisition: the linear form c_a q_A(angle_a) + c_b q_B(angle_b)
+    of the two detector outputs, with q(angle) = cos(angle) X + sin(angle) P.
 
-    For kind "single_quadrature", `mode` and `angle_a` select the quadrature
-    cos(angle) X_mode + sin(angle) P_mode.  For "joint_combination" the
-    sampled scalar is c_a * quad_A(angle_a) + c_b * quad_B(angle_b), the
-    passively subtracted (or summed) output of the two detectors.
+    A single quadrature of mode 0 or 1 has coefficients (1, 0) or (0, 1); a
+    joint setting is the passively subtracted (or summed) output of both
+    detectors.  The default is X_A.
     """
 
-    kind: str
-    mode: int = 0
     angle_a: float = 0.0
     angle_b: float = 0.0
     coefficients: tuple = (1.0, 0.0)
 
     def __post_init__(self):
-        if self.kind not in (SINGLE, JOINT):
-            raise ValueError(f"MeasurementSetting: unknown kind {self.kind!r}")
-        if self.kind == JOINT and self.coefficients[0] == 0.0 and self.coefficients[1] == 0.0:
-            raise ValueError("MeasurementSetting: joint coefficients must not both be zero")
+        try:
+            c_a, c_b = map(float, self.coefficients)
+            finite = all(map(math.isfinite, (c_a, c_b, self.angle_a, self.angle_b)))
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise ValueError("MeasurementSetting: need two finite coefficients and finite angles, "
+                             f"got coefficients {self.coefficients!r}, "
+                             f"angles ({self.angle_a!r}, {self.angle_b!r})")
+        if c_a == 0.0 and c_b == 0.0:
+            raise ValueError("MeasurementSetting: coefficients must not both be zero")
+        object.__setattr__(self, "coefficients", (c_a, c_b))
 
     @classmethod
     def single(cls, mode: int, angle: float = 0.0) -> "MeasurementSetting":
-        return cls(kind=SINGLE, mode=mode, angle_a=angle)
+        if mode not in (0, 1):
+            raise ValueError(f"MeasurementSetting: mode must be 0 or 1, got {mode!r}")
+        return cls.joint(1.0, 0.0, angle) if mode == 0 else cls.joint(0.0, 1.0, 0.0, angle)
 
     @classmethod
     def joint(cls, c_a: float, c_b: float, angle_a: float = 0.0,
               angle_b: float = 0.0) -> "MeasurementSetting":
-        return cls(kind=JOINT, angle_a=angle_a, angle_b=angle_b,
-                   coefficients=(float(c_a), float(c_b)))
+        return cls(angle_a=angle_a, angle_b=angle_b, coefficients=(c_a, c_b))
 
-    def projection_vector(self, n_modes: int = 2) -> np.ndarray:
-        v = np.zeros(2 * n_modes)
-        if self.kind == SINGLE:
-            if not 0 <= self.mode < n_modes:
-                raise ValueError(f"MeasurementSetting: mode {self.mode} out of range")
-            v[2 * self.mode] = math.cos(self.angle_a)
-            v[2 * self.mode + 1] = math.sin(self.angle_a)
-        else:
-            c_a, c_b = self.coefficients
-            v[0] = c_a * math.cos(self.angle_a)
-            v[1] = c_a * math.sin(self.angle_a)
-            v[2] = c_b * math.cos(self.angle_b)
-            v[3] = c_b * math.sin(self.angle_b)
-        return v
+    def projection_vector(self) -> np.ndarray:
+        """The form's weights on (X_A, P_A, X_B, P_B)."""
+        c_a, c_b = self.coefficients
+        return np.array([c_a * math.cos(self.angle_a), c_a * math.sin(self.angle_a),
+                         c_b * math.cos(self.angle_b), c_b * math.sin(self.angle_b)])
 
     def dark_factor(self) -> float:
-        """Dark-noise variance multiplier: one detector for single settings,
-        both coefficient-weighted detectors for joint ones."""
-        if self.kind == SINGLE:
-            return 1.0
+        """Dark-noise variance multiplier: each detector's noise weighted by its
+        squared coefficient, exactly 1 for a single quadrature."""
         c_a, c_b = self.coefficients
         return c_a * c_a + c_b * c_b
 
     def label(self) -> str:
-        if self.kind == SINGLE:
-            canonical = {
-                (0, 0.0): "x_a",
-                (0, math.pi / 2): "p_a",
-                (1, 0.0): "x_b",
-                (1, math.pi / 2): "p_b",
-            }
-            key = (self.mode, self.angle_a)
-            if key in canonical:
-                return canonical[key]
-            return f"single(mode={self.mode},angle={self.angle_a:g})"
+        """The CSV label: a canonical setting's name, else its single(...) or joint(...) form."""
+        if self in _CANONICAL:
+            return _CANONICAL[self]
         c_a, c_b = self.coefficients
-        if (c_a, c_b) == (1.0, -1.0) and self.angle_a == self.angle_b == 0.0:
-            return "x_a-x_b"
-        if (c_a, c_b) == (1.0, 1.0) and self.angle_a == self.angle_b == math.pi / 2:
-            return "p_a+p_b"
+        if (c_a, c_b) == (1.0, 0.0):
+            return f"single(mode=0,angle={self.angle_a:g})"
+        if (c_a, c_b) == (0.0, 1.0):
+            return f"single(mode=1,angle={self.angle_b:g})"
         return (f"joint(ca={c_a:g},cb={c_b:g},"
                 f"angle_a={self.angle_a:g},angle_b={self.angle_b:g})")
+
+
+# The six campaign settings in campaign order, with their CSV labels.
+_CANONICAL = {
+    MeasurementSetting.single(0, 0.0): "x_a",
+    MeasurementSetting.single(0, math.pi / 2): "p_a",
+    MeasurementSetting.single(1, 0.0): "x_b",
+    MeasurementSetting.single(1, math.pi / 2): "p_b",
+    MeasurementSetting.joint(1.0, -1.0): "x_a-x_b",
+    MeasurementSetting.joint(1.0, 1.0, math.pi / 2, math.pi / 2): "p_a+p_b",
+}
 
 
 @dataclass(frozen=True)
@@ -124,14 +119,7 @@ class SampleBatch:
 
 def canonical_settings() -> list[MeasurementSetting]:
     """The six campaign settings: X_A, P_A, X_B, P_B, X_A - X_B, P_A + P_B."""
-    return [
-        MeasurementSetting.single(0, 0.0),
-        MeasurementSetting.single(0, math.pi / 2),
-        MeasurementSetting.single(1, 0.0),
-        MeasurementSetting.single(1, math.pi / 2),
-        MeasurementSetting.joint(1.0, -1.0),
-        MeasurementSetting.joint(1.0, 1.0, math.pi / 2, math.pi / 2),
-    ]
+    return list(_CANONICAL)
 
 
 def _sqrt_factor(state: CovarianceMatrix) -> np.ndarray:
@@ -182,7 +170,7 @@ def _campaign_projection(state: CovarianceMatrix, settings: list[MeasurementSett
     if not 0.0 <= dark_noise < math.inf:
         raise ValueError(f"sampler: dark_noise must be >= 0, got {dark_noise} (finite values only)")
     sq = _sqrt_factor(state)
-    weights = np.stack([sq @ s.projection_vector(state.n_modes) for s in settings], axis=1)
+    weights = np.stack([sq @ s.projection_vector() for s in settings], axis=1)
     return weights, np.array([math.sqrt(dark_noise * s.dark_factor()) for s in settings])
 
 

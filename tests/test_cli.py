@@ -158,6 +158,23 @@ class TestAnalyze:
         assert float(err.split(":")[-1]) == pytest.approx(0.042, abs=1e-10)
         json.loads(out)  # stdout stays pure JSON
 
+    @pytest.mark.parametrize("gains", ["1,2,3", "a,b", "inf,1", "1"])
+    def test_bad_gains_exit_2_before_any_output(self, capsys, tmp_path, gains):
+        out_path = tmp_path / "report.json"
+        for out_flags in ([], ["--out", str(out_path)]):
+            code, out, err = run(capsys, "analyze", "--in", write_reference_cov(tmp_path),
+                                 "--gains", gains, *out_flags)
+            assert_input_error(code, err, "--gains expects", repr(gains))
+            assert out == ""
+        assert not out_path.exists()
+
+    def test_optimal_gains_note_is_the_report_product(self, capsys, tmp_path):
+        code, out, err = run(capsys, "analyze", "--in", write_reference_cov(tmp_path),
+                             "--gains", "optimal")
+        assert code == 0
+        assert err.startswith("# reid product B|A at gains optimal: ")
+        assert float(err.split(":")[-1]) == json.loads(out)["reid_b_given_a"]
+
     def test_matches_in_process_report_exactly(self, capsys, tmp_path):
         params = SourceParams(r1=1.3, r2=0.9, eta_prep=0.93, eta_det_a=0.97,
                               eta_det_b=0.96, dark_noise=0.0063)
@@ -246,6 +263,17 @@ class TestReconstruct:
         code, out, err = run(capsys, "reconstruct", "--in", str(p))
         assert_input_error(code, err, "JSON")
         assert out == ""
+
+    def test_overflowing_covariance_exits_2(self, capsys, tmp_path):
+        # Cov_x = -(1 - 2 * 1.7e308) / 2 overflows: an input error, with or without an error band
+        values = dict(zip(CSV_FIELDS, [1.7e308, 1, 1.7e308, 1, 1, 2]))
+        js, csv = tmp_path / "ms.json", tmp_path / "ms.csv"
+        js.write_text(json.dumps({**values, "relative_error": 0}))
+        csv.write_text(",".join(CSV_FIELDS) + "\n1.7e308,1,1.7e308,1,1,2\n")
+        for p in (js, csv):
+            code, out, err = run(capsys, "reconstruct", "--in", str(p))
+            assert_input_error(code, err, "entries must be finite")
+            assert out == ""
 
     @pytest.mark.parametrize("n_cells", [5, 7])
     def test_csv_row_of_the_wrong_length_exits_2(self, capsys, tmp_path, n_cells):
@@ -346,6 +374,15 @@ class TestRepro:
         code, out, err = run(capsys, "repro", f"--perturb={rel}")
         assert_input_error(code, err, "relative_error")
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [["--dark-noise-db", "22"], ["--n", "3", "--seed", "0"]])
+    def test_bad_perturb_exits_2_before_sampling(self, capsys, monkeypatch, argv):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the sampled rerun ran before perturb was checked")
+        monkeypatch.setattr(cvsteer.reference, "measure_campaign", no_sampling)
+        code, out, err = run(capsys, "repro", *argv, "--perturb", "1.0")
+        assert_input_error(code, err, "relative_error must be in [0, 1), got 1.0")
+        assert out == "" and "warning:" not in err
 
     def test_sampled_rerun_with_dark_noise(self, capsys):
         code, out, _ = run(capsys, "repro", "--n", "200000", "--seed", "3",

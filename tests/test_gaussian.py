@@ -147,6 +147,16 @@ class TestApplySymplectic:
         back = apply_symplectic(out, squeezer(-0.6, 1, 2))
         np.testing.assert_allclose(back.entries, ref_state.entries, atol=1e-10)
 
+    def test_non_symplectic_matrix_rejected(self):
+        with pytest.raises(ValueError, match="S Omega S"):
+            SymplecticTransform(n_modes=1, matrix=np.diag([2.0, 2.0]))
+
+    def test_compose_needs_transforms_of_one_mode_count(self):
+        with pytest.raises(ValueError, match="at least one transform"):
+            compose()
+        with pytest.raises(ValueError, match="mode-count mismatch"):
+            compose(squeezer(0.5, 0, 2), squeezer(0.5, 0, 1))
+
     def test_dimension_mismatch(self, ref_state):
         with pytest.raises(ValueError):
             apply_symplectic(ref_state, phase_shift(0.3, 0, 1))
@@ -175,6 +185,11 @@ class TestApplyLoss:
             LossChannel(0, 1.5, 0.0)
         with pytest.raises(ValueError):
             LossChannel(0, 0.9, -0.1)
+
+    @pytest.mark.parametrize("excess", [math.nan, math.inf, -math.inf])
+    def test_non_finite_excess_noise_rejected_by_name(self, excess):
+        with pytest.raises(ValueError, match=f"excess_noise must be finite, >= 0, got {excess}"):
+            LossChannel(0, 0.9, excess)
 
 
 class TestSymplecticEigenvalues:
@@ -324,6 +339,16 @@ class TestBuildEprSource:
     def test_params_reject_non_finite_and_overflowing(self, field, value):
         with pytest.raises(ValueError, match=field):
             SourceParams(**{field: value})
+
+    @pytest.mark.parametrize("transmittance", [-0.1, 1.1, math.nan])
+    def test_params_reject_transmittance_outside_unit_interval(self, transmittance):
+        with pytest.raises(ValueError, match="transmittance must be in \\[0, 1\\]"):
+            SourceParams(transmittance=transmittance)
+
+    @pytest.mark.parametrize("phase", [math.nan, math.inf])
+    def test_params_reject_non_finite_relative_phase(self, phase):
+        with pytest.raises(ValueError, match="relative_phase must be finite"):
+            SourceParams(relative_phase=phase)
 
     def test_params_json_roundtrip(self):
         p = SourceParams(r1=1.0, r2=0.8, eta_prep=0.95, dark_noise=0.006)

@@ -110,6 +110,21 @@ class TestReconstruct:
             state = reconstruct(ms)
         assert np.min(symplectic_eigenvalues(state)) < 1.0
 
+    def test_tiny_well_correlated_set_reconstructs(self):
+        # correlation 0.5 at variances of 1e-170, where Var*Var underflows to 0
+        ms = MeasurementSet(1e-170, 1e-170, 1e-170, 1e-170, 1e-170, 3e-170)
+        with pytest.warns(PhysicalityWarning):
+            state = reconstruct(ms)
+        assert state.entries[0, 2] == pytest.approx(5e-171, rel=1e-12)
+        assert state.entries[1, 3] == pytest.approx(5e-171, rel=1e-12)
+
+    def test_overflowing_covariance_stays_an_input_error(self):
+        # Cov_x overflows to inf: not an inconsistency beyond a finite bound
+        ms = MeasurementSet(1.7e308, 1.0, 1.7e308, 1.0, 1.0, 2.0, relative_error=0.0)
+        with pytest.raises(ValueError, match="entries must be finite") as info:
+            reconstruct(ms)
+        assert not isinstance(info.value, InconsistentDataError)
+
     def test_physical_result_does_not_warn(self, ref_ms):
         with warnings.catch_warnings():
             warnings.simplefilter("error", PhysicalityWarning)

@@ -50,6 +50,60 @@ class TestSettings:
         with pytest.raises(ValueError):
             MeasurementSetting.joint(0.0, 0.0)
 
+    def test_default_is_x_a(self):
+        assert MeasurementSetting() == MeasurementSetting.single(0, 0.0)
+        assert MeasurementSetting().label() == "x_a"
+
+    def test_single_is_the_form_with_one_unit_coefficient(self):
+        assert MeasurementSetting.single(0, 0.3) == MeasurementSetting.joint(1.0, 0.0, 0.3)
+        assert MeasurementSetting.single(1, 0.3) == MeasurementSetting.joint(0.0, 1.0, 0.0, 0.3)
+        assert MeasurementSetting.joint(1.0, 0.0, math.pi / 2).label() == "p_a"
+        assert MeasurementSetting.single(1, 0.3).dark_factor() == 1.0
+
+    def test_projection_vector_is_the_linear_form(self):
+        # one formula for every setting, exact (0.0 * cos 0 = 0.0)
+        assert MeasurementSetting.single(1, 0.3).projection_vector().tolist() == [
+            0.0, 0.0, math.cos(0.3), math.sin(0.3)]
+        joint = MeasurementSetting.joint(0.5, -2.0, 0.1, 1.2)
+        assert joint.projection_vector().tolist() == [
+            0.5 * math.cos(0.1), 0.5 * math.sin(0.1), -2.0 * math.cos(1.2), -2.0 * math.sin(1.2)]
+
+    @pytest.mark.parametrize("setting, label", [
+        (MeasurementSetting.single(1, 0.3), "single(mode=1,angle=0.3)"),
+        (MeasurementSetting.single(0, 1.1), "single(mode=0,angle=1.1)"),
+        (MeasurementSetting.joint(0.5, -2.0, 0.1, 1.2),
+         "joint(ca=0.5,cb=-2,angle_a=0.1,angle_b=1.2)"),
+    ])
+    def test_non_canonical_labels(self, setting, label):
+        assert setting.label() == label
+
+    def test_coefficients_are_stored_as_a_float_pair(self):
+        setting = MeasurementSetting(coefficients=[1, -1])
+        assert setting.coefficients == (1.0, -1.0)
+        assert setting.label() == "x_a-x_b"
+
+    @pytest.mark.parametrize("c_a, c_b, angle", [
+        (math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0), (1.0, -math.inf, 0.0), (1.0, 1.0, math.inf),
+        (1.0, 1.0, math.nan),
+    ])
+    def test_non_finite_forms_rejected(self, c_a, c_b, angle):
+        with pytest.raises(ValueError, match="finite coefficients and finite angles"):
+            MeasurementSetting.joint(c_a, c_b, angle)
+
+    def test_non_finite_single_angle_rejected(self):
+        with pytest.raises(ValueError, match="finite coefficients and finite angles"):
+            MeasurementSetting.single(0, math.inf)
+
+    @pytest.mark.parametrize("coefficients", [(1.0,), (1.0, 2.0, 3.0), None, ("a", 1.0)])
+    def test_malformed_coefficients_rejected(self, coefficients):
+        with pytest.raises(ValueError, match="two finite coefficients"):
+            MeasurementSetting(coefficients=coefficients)
+
+    @pytest.mark.parametrize("mode", [-1, 2])
+    def test_single_mode_checked_when_built(self, mode):
+        with pytest.raises(ValueError, match=f"mode must be 0 or 1, got {mode}"):
+            MeasurementSetting.single(mode)
+
 
 class TestSampleQuadratures:
     def test_vacuum_variance_within_band(self):
@@ -81,6 +135,11 @@ class TestSampleQuadratures:
     def test_needs_two_samples(self, ref_state):
         with pytest.raises(ValueError):
             sample_quadratures(ref_state, X_DIFF, 1, seed=0)
+
+    @pytest.mark.parametrize("n_modes", [1, 3])
+    def test_needs_a_two_mode_state(self, n_modes):
+        with pytest.raises(ValueError, match="exactly 2 modes"):
+            sample_quadratures(vacuum_state(n_modes), X_DIFF, 10, seed=0)
 
     def test_joint_equals_combined_marginals_at_same_seed(self, ref_state):
         # same seed -> same latent quadrature vectors, so the joint batch is
@@ -253,6 +312,11 @@ class TestMeasureCampaign:
 
 
 class TestCampaignBatches:
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_needs_two_samples(self, ref_state, n):
+        with pytest.raises(ValueError, match=f"n_per_setting must be >= 2, got {n}"):
+            campaign_batches(ref_state, n, seed=0)
+
     def test_batch_variances_match_campaign(self, ref_state):
         n = 20000
         ms = measure_campaign(ref_state, n, seed=8, dark_noise=0.005)
