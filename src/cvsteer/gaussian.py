@@ -40,7 +40,7 @@ def _as_checked_matrix(entries, n_modes: int, what: str) -> np.ndarray:
         raise ValueError(
             f"{what}: expected shape {(2 * n_modes, 2 * n_modes)}, got {m.shape}"
         )
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{what}: entries must be finite")
     return m
 
@@ -62,7 +62,7 @@ class CovarianceMatrix:
         m = _as_checked_matrix(self.entries, self.n_modes, "CovarianceMatrix")
         asym = np.abs(m - m.T)
         tol = SYMMETRY_RTOL * np.maximum(1.0, np.abs(m))
-        if np.any(asym > tol):
+        if (asym > tol).any():
             i, j = np.unravel_index(np.argmax(asym - tol), m.shape)
             raise ValueError(
                 f"CovarianceMatrix: not symmetric at ({i},{j}): "
@@ -252,16 +252,48 @@ def symplectic_eigenvalues(state: CovarianceMatrix) -> np.ndarray:
     return moduli[::2].copy()
 
 
-def symplectic_eigenvalues_two_mode(state: CovarianceMatrix) -> np.ndarray:
-    """Two-mode symplectic eigenvalues via the invariant formula.
+def _decoupled_nu_squared(state: CovarianceMatrix) -> tuple[float, float] | None:
+    """(nu_hi^2, nu_lo^2), the eigenvalues of M = Gamma_x Gamma_p (trace t, det d),
+    for a two-mode state whose X-P entries are exactly zero; None (use eigvals)
+    for any other state, or when t underflows to 0 or a product overflows.
 
-    For gamma = [[A, C], [C^T, B]] in 2x2 blocks, with
+    The discriminant is (M11 - M22)^2 + 4 M12 M21: t^2 - 4 d would lose sqrt(eps)
+    at a degenerate spectrum, e.g. near vacuum.  nu_lo^2 = d / nu_hi^2, clamped at
+    0 for a d rounded below 0 at the Cauchy-Schwarz bound.
+    """
+    if state.n_modes != 2:
+        return None
+    g = state.entries.tolist()
+    if g[0][1] or g[0][3] or g[1][2] or g[2][3]:
+        return None
+    xa, pa, xb, pb, cx, cp = g[0][0], g[1][1], g[2][2], g[3][3], g[0][2], g[1][3]
+    t = xa * pa + xb * pb + 2.0 * cx * cp
+    d = (xa * xb - cx * cx) * (pa * pb - cp * cp)
+    half_gap = 0.5 * (xa * pa - xb * pb)
+    disc = half_gap * half_gap + (xa * cp + cx * pb) * (cx * pa + xb * cp)  # (t^2 - 4 d) / 4
+    if not (0.0 < t < math.inf and math.isfinite(d) and math.isfinite(disc)):
+        return None
+    hi = 0.5 * t + math.sqrt(max(disc, 0.0))
+    return hi, max(d / hi, 0.0)
+
+
+def symplectic_eigenvalues_two_mode(state: CovarianceMatrix) -> np.ndarray:
+    """Two-mode symplectic eigenvalues [nu_hi, nu_lo] in closed form.
+
+    States without X-P cross terms use the closed form that :func:`is_physical`
+    decides them by.  Others use the invariant formula: for
+    gamma = [[A, C], [C^T, B]] in 2x2 blocks, with
     Delta = det A + det B + 2 det C, the squared eigenvalues are
-    (Delta +- sqrt(Delta^2 - 4 det gamma)) / 2.  Independent cross-check of
-    :func:`symplectic_eigenvalues`.
+    (Delta +- sqrt(Delta^2 - 4 det gamma)) / 2.  Near a degenerate spectrum
+    (nu_hi = nu_lo, e.g. pure symmetric states) that difference of two close
+    numbers loses about sqrt(eps) relative in nu_lo.  Independent cross-check
+    of :func:`symplectic_eigenvalues`.
     """
     if state.n_modes != 2:
         raise ValueError("symplectic_eigenvalues_two_mode: state must have exactly 2 modes")
+    nu2 = _decoupled_nu_squared(state)
+    if nu2 is not None:
+        return np.sqrt(nu2)
     g = state.entries
     a = np.linalg.det(g[:2, :2])
     b = np.linalg.det(g[2:, 2:])
@@ -275,8 +307,15 @@ def symplectic_eigenvalues_two_mode(state: CovarianceMatrix) -> np.ndarray:
 
 
 def is_physical(state: CovarianceMatrix, atol: float = PHYSICALITY_ATOL) -> bool:
-    """Whether all symplectic eigenvalues satisfy nu >= 1 - atol (vacuum units)."""
-    return bool(np.min(symplectic_eigenvalues(state)) >= 1.0 - atol)
+    """Whether all symplectic eigenvalues satisfy nu >= 1 - atol (vacuum units).
+
+    Two-mode states with no X-P cross terms (every reconstruction) are decided
+    from the closed-form smallest root; all others from :func:`symplectic_eigenvalues`.
+    """
+    nu2 = _decoupled_nu_squared(state)
+    if nu2 is None:
+        return bool(np.min(symplectic_eigenvalues(state)) >= 1.0 - atol)
+    return math.sqrt(nu2[1]) >= 1.0 - atol
 
 
 def quadrature_variance(state: CovarianceMatrix, mode: int, angle: float) -> float:

@@ -315,3 +315,13 @@ def reference_nelder_mead_fit(state):
                    options={"xatol": 1e-8, "fatol": 1e-16, "maxfev": 10_000})
     r1, r2, xi = res.x
     return float(xi), float(r1), float(r2), float(res.fun)
+
+
+# Two-mode diagonals, with their physicality, whose closed-form spectrum would
+# underflow or overflow, so that is_physical hands them to eigvals
+TRAP_DIAGONALS = [
+    ([5e-324] * 4, False),              # t underflows to 0
+    ([1e100, 1e100, 1.0, 1.0], True),   # the discriminant overflows
+    ([1e100] * 4, True),                # d overflows
+    ([1e160] * 4, True),                # t overflows
+]

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from cvsteer import gaussian
 from cvsteer import (
     CovarianceMatrix,
     LossChannel,
@@ -13,6 +15,7 @@ from cvsteer import (
     beamsplitter,
     build_epr_source,
     compose,
+    criteria_report,
     is_physical,
     phase_shift,
     quadrature_variance,
@@ -23,6 +26,7 @@ from cvsteer import (
     vacuum_state,
 )
 from conftest import (
+    TRAP_DIAGONALS,
     random_physical_state,
     random_source_params,
     random_transform,
@@ -209,6 +213,107 @@ class TestSymplecticEigenvalues:
     def test_invariant_route_requires_two_modes(self):
         with pytest.raises(ValueError):
             symplectic_eigenvalues_two_mode(vacuum_state(1))
+
+
+XP_ENTRIES = ((0, 1), (0, 3), (1, 2), (2, 3))
+
+
+def decoupled(state):
+    """The state with its four X-P entries set exactly to zero."""
+    m = state.entries.copy()
+    for i, j in XP_ENTRIES:
+        m[i, j] = m[j, i] = 0.0
+    return CovarianceMatrix(2, m)
+
+
+def eigvals_spy(monkeypatch):
+    """Count the calls is_physical makes to the general eigvals route."""
+    calls = []
+    route = gaussian.symplectic_eigenvalues
+
+    def spy(state):
+        calls.append(state)
+        return route(state)
+    monkeypatch.setattr(gaussian, "symplectic_eigenvalues", spy)
+    return calls
+
+
+class TestClosedFormPhysicality:
+    @pytest.mark.parametrize("r", [1.0, 2.0, 2.3, 3.0])
+    def test_decoupled_pure_states_match_eigvals(self, r):
+        # nu_hi = nu_lo = 1, where the invariant formula loses ~sqrt(eps) (nu_lo - 1
+        # = -3.3e-8 at r = 1, -5.0e-7 at r = 2.3)
+        state = decoupled(build_epr_source(SourceParams(r1=r, r2=r)))
+        np.testing.assert_allclose(symplectic_eigenvalues_two_mode(state),
+                                   symplectic_eigenvalues(state), rtol=1e-11, atol=0)
+        assert is_physical(state)
+
+    def test_degenerate_spectrum_keeps_full_precision(self):
+        # nu^2 = 1 and 1 - 2^-53: t^2 - 4 d would leave a discriminant of 2^-51 and
+        # nu_lo - 1 = -5e-9, an unphysical verdict for a state within rounding of vacuum
+        state = CovarianceMatrix(2, np.diag([1.0, 1.0, 1.0 - 2.0 ** -53, 1.0]))
+        np.testing.assert_allclose(symplectic_eigenvalues_two_mode(state),
+                                   symplectic_eigenvalues(state), rtol=1e-15, atol=0)
+        assert is_physical(state)
+
+    def test_decoupled_states_skip_eigvals(self, monkeypatch, ref_state):
+        calls = eigvals_spy(monkeypatch)
+        assert is_physical(ref_state)
+        assert not is_physical(CovarianceMatrix(2, np.diag([0.5, 1.0, 1.0, 1.0])))
+        assert calls == []
+
+    @pytest.mark.parametrize("entry", XP_ENTRIES)
+    def test_one_xp_entry_takes_the_eigvals_route(self, monkeypatch, ref_state, entry):
+        m = ref_state.entries.copy()
+        m[entry] = m[entry[::-1]] = 1e-300
+        state = CovarianceMatrix(2, m)
+        calls = eigvals_spy(monkeypatch)
+        assert is_physical(state)
+        assert calls == [state]
+
+    @pytest.mark.parametrize("n_modes", [1, 3])
+    def test_other_mode_counts_take_the_eigvals_route(self, monkeypatch, n_modes):
+        calls = eigvals_spy(monkeypatch)
+        assert is_physical(vacuum_state(n_modes))
+        assert not is_physical(CovarianceMatrix(n_modes, 0.5 * np.eye(2 * n_modes)))
+        assert len(calls) == 2
+
+    def test_near_bound_rounding_clamps_to_unphysical(self):
+        # Cholesky passes, but xa*xb - cx^2 rounds to -4.4e-16
+        xa, xb, cx = 1.1456046519611394, 1.9816001320124095, 1.5066951680948022
+        assert xa * xb - cx * cx < 0.0
+        state = CovarianceMatrix(2, [[xa, 0, cx, 0], [0, 1, 0, 0], [cx, 0, xb, 0], [0, 0, 0, 1]])
+        assert gaussian._decoupled_nu_squared(state)[1] == 0.0
+        assert not is_physical(state)
+        assert np.min(symplectic_eigenvalues(state)) < 1e-6
+
+    @pytest.mark.parametrize("diagonal, physical", TRAP_DIAGONALS)
+    def test_underflow_and_overflow_fall_back_to_eigvals(self, monkeypatch, diagonal, physical):
+        state = CovarianceMatrix(2, np.diag(diagonal))
+        assert gaussian._decoupled_nu_squared(state) is None
+        calls = eigvals_spy(monkeypatch)
+        assert is_physical(state) == physical
+        assert len(calls) == 1
+
+
+class TestProductSources:
+    # Transmittance 0 or 1: the beamsplitter does not mix, so the source is a product
+    # state.  Pure ones (eta = 1, no dark noise) sit on the bounds, up to rounding.
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(transmittance=st.sampled_from([0.0, 1.0]), r=st.tuples(*[st.floats(0.0, 3.0)] * 2),
+           phase=st.floats(-math.pi, math.pi), eta=st.tuples(*[st.floats(0.05, 1.0)] * 3),
+           dark_noise=st.floats(0.0, 0.1))
+    @example(transmittance=0.0, r=(3.0, 3.0), phase=0.0, eta=(1.0, 1.0, 1.0), dark_noise=0.0)
+    @example(transmittance=0.0, r=(2.0 ** -52, 0.0), phase=0.0, eta=(0.5, 1.0, 0.5), dark_noise=0.0)
+    def test_uncorrelated_and_physical(self, transmittance, r, phase, eta, dark_noise):
+        state = build_epr_source(SourceParams(
+            r1=r[0], r2=r[1], relative_phase=phase, transmittance=transmittance,
+            eta_prep=eta[0], eta_det_a=eta[1], eta_det_b=eta[2], dark_noise=dark_noise))
+        assert np.all(state.entries[:2, 2:] == 0.0)
+        rep = criteria_report(state)
+        assert rep.reid_b_given_a >= 1.0 - 1e-12 and rep.reid_a_given_b >= 1.0 - 1e-12
+        assert rep.duan_sum >= 4.0 - 4e-12
+        assert is_physical(state)
 
 
 class TestQuadratureVariance:

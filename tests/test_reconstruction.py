@@ -3,24 +3,31 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cvsteer import (
     CovarianceMatrix,
     InconsistentDataError,
     MeasurementSet,
     PhysicalityWarning,
+    SourceParams,
+    build_epr_source,
     covariance_from_sum,
     expected_measurements,
+    is_physical,
     optimal_gain,
     conditional_variance,
     propagate_errors,
     reconstruct,
     symplectic_eigenvalues,
+    symplectic_eigenvalues_two_mode,
     vacuum_state,
 )
+from cvsteer import gaussian
 from cvsteer.reconstruction import CSV_FIELDS
 from cvsteer.reference import REFERENCE_COVARIANCE
-from conftest import random_physical_state, random_source_state, reference_reconstruct_entries
+from conftest import (TRAP_DIAGONALS, random_physical_state, random_source_state,
+                      reference_reconstruct_entries)
 
 VACUUM_SET = MeasurementSet(1.0, 1.0, 1.0, 1.0, 2.0, 2.0)
 
@@ -129,6 +136,50 @@ class TestReconstruct:
         with warnings.catch_warnings():
             warnings.simplefilter("error", PhysicalityWarning)
             reconstruct(ref_ms)
+
+
+class TestPhysicalityDecision:
+    """Reconstructed states have no X-P cross terms, so is_physical decides them in
+    closed form; the decision and nu_min must match the general eigvals route."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(r=st.tuples(*[st.floats(0.0, 3.0)] * 2), eta=st.tuples(*[st.floats(0.05, 1.0)] * 3),
+           dark_noise=st.floats(0.0, 0.1), level=st.sampled_from([0.0, 0.005, 0.01, 0.05]),
+           z=st.tuples(*[st.floats(-3.0, 3.0)] * 6))
+    def test_closed_form_matches_eigvals(self, r, eta, dark_noise, level, z):
+        source = build_epr_source(SourceParams(r1=r[0], r2=r[1], eta_prep=eta[0], eta_det_a=eta[1],
+                                               eta_det_b=eta[2], dark_noise=dark_noise))
+        values = [v * (1.0 + level * zi) for v, zi in zip(expected_measurements(source).values(), z)]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PhysicalityWarning)
+                state = reconstruct(MeasurementSet(*values, relative_error=level))
+        except ValueError:
+            return  # the jitter broke a Cauchy-Schwarz bound
+        assert gaussian._decoupled_nu_squared(state) is not None
+        nu_min = float(np.min(symplectic_eigenvalues(state)))
+        assert is_physical(state) == (nu_min >= 1.0 - gaussian.PHYSICALITY_ATOL)
+        assert symplectic_eigenvalues_two_mode(state)[1] == pytest.approx(nu_min, rel=1e-11)
+
+    def test_near_bound_set_warns_without_a_domain_error(self):
+        # Cholesky passes, but the factored det Gamma_x rounds to -8.9e-16
+        ms = MeasurementSet(1.696568256280103, 1.0, 3.717006778866605, 1.0,
+                            0.39116298140080374, 2.0)
+        with pytest.warns(PhysicalityWarning, match="slightly unphysical"):
+            state = reconstruct(ms)
+        g = state.entries
+        assert g[0, 0] * g[2, 2] - g[0, 2] * g[0, 2] < 0.0
+        assert not is_physical(state)
+
+    @pytest.mark.parametrize("diagonal, physical", TRAP_DIAGONALS)
+    def test_underflow_and_overflow_take_the_eigvals_route(self, diagonal, physical):
+        xa, pa, xb, pb = diagonal
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            state = reconstruct(MeasurementSet(xa, pa, xb, pb, xa + xb, pa + pb))
+        assert gaussian._decoupled_nu_squared(state) is None
+        assert is_physical(state) == physical
+        assert [w.category for w in caught] == [PhysicalityWarning] * (not physical)
 
 
 class TestPropagateErrors:
