@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import warnings
 
@@ -115,8 +116,11 @@ def cmd_reconstruct(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", PhysicalityWarning)
         state = reconstruct(ms)
+    sigma = propagate_errors(ms)
+    if not math.isfinite(sigma.max()):
+        raise ValueError("reconstruct: uncertainties overflow the float range; JSON cannot hold them")
     payload = state.to_dict()
-    payload["uncertainties"] = propagate_errors(ms).tolist()
+    payload["uncertainties"] = sigma.tolist()
     payload["warnings"] = [str(w.message) for w in caught
                            if issubclass(w.category, PhysicalityWarning)]
     _write_json(payload, args.out_path)

@@ -13,7 +13,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq
 
 from .criteria import _joint_variances, _moments
 from .gaussian import (
@@ -34,10 +34,9 @@ __all__ = [
     "variance_to_db",
 ]
 
-# Profile search: a scan of xi, a bounded Brent refinement of the best bracket,
-# then up to _SECANT_STEPS secant steps on the profile's slope.
+# Profile search: a scan of xi, then a root search for the profile's slope to _XI_RTOL.
 _XI_SCAN = np.linspace(1e-6, 1.0, 41)
-_SECANT_STEPS = 2
+_XI_RTOL = 1e-13
 _A_MAX = math.exp(20.0)  # a = exp(2r), r in [0, 10]
 _A_BOUNDS = np.array([1.0, _A_MAX])
 _ENTRY_MAX = math.sqrt(sys.float_info.max) / 8.0  # sums of squared entries stay finite
@@ -136,14 +135,15 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     sum splits into the squared distance of the model variances from
     v = (v1-, v1+, v2-, v2+), read off the matrix, plus a constant.  The fit
     profiles out r1 and r2 exactly (:func:`_profile`) and searches xi alone:
-    a scan of xi over [1e-6, 1], a bounded Brent refinement of the best
-    bracket, then secant steps on the profile's slope, which resolve xi below
-    Brent's sqrt(eps) limit; the best point evaluated in the bracket wins.
+    a scan of xi over [1e-6, 1], then a root search for the profile's slope
+    between the best scan point and the neighbour its slope points to, to a
+    relative tolerance of _XI_RTOL; the best point evaluated wins.
     The residual is the RMS entry mismatch of the forward model at the fit.
-    iterations counts profile evaluations; converged is False if the
-    refinement missed its tolerance or a second, separated scan basin lies
-    within 1e-9 relative of the best objective.  A minimum on the bound
-    xi = 1 is a valid fit.
+    iterations counts profile evaluations; converged is False if the root
+    search missed its tolerance, the slope kept its sign across an interior
+    bracket, or a second, separated scan basin lies within 1e-9 relative of
+    the best objective.  A minimum on a scan bound whose slope points outward
+    (or is 0), such as xi = 1, is a valid fit.
     """
     if gamma_measured.n_modes != 2:
         raise ValueError("fit_efficiency: state must have exactly 2 modes")
@@ -165,27 +165,23 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     v_plus = 0.5 * np.array(_joint_variances(xa, pa, xb, pb, -cov_x, -cov_p)[::-1])
     scan, scan_a, scan_slope = _profile(_XI_SCAN, v_minus, v_plus)
     k = int(scan.argmin())
-    seen = {float(_XI_SCAN[k]): (scan[k], scan_a[k], scan_slope[k])}
+    seen = {float(_XI_SCAN[i]): (scan[i], scan_a[i], scan_slope[i])
+            for i in range(max(k - 1, 0), min(k + 2, len(_XI_SCAN)))}
+    scanned = len(seen)
 
-    def evaluate(xi):
+    def slope(xi):
         if xi not in seen:
-            profile, a, slope = _profile(np.array([xi]), v_minus, v_plus)
-            seen[xi] = profile[0], a[0], slope[0]
-        return seen[xi]
+            seen[xi] = tuple(p[0] for p in _profile(np.array([xi]), v_minus, v_plus))
+        return seen[xi][2]
 
-    lo, hi = _XI_SCAN[max(k - 1, 0)], _XI_SCAN[min(k + 1, len(_XI_SCAN) - 1)]
-    res = minimize_scalar(lambda xi: evaluate(float(xi))[0], bounds=(lo, hi), method="bounded")
-    # Brent resolves xi to about sqrt(eps); secant steps on the slope from its
-    # two best points take the minimum down to rounding.
-    x0, x1 = sorted(seen, key=lambda x: seen[x][0])[:2]
-    for _ in range(_SECANT_STEPS):
-        s0, s1 = seen[x0][2], seen[x1][2]
-        if s0 == s1:
-            break
-        x0, x1 = x1, float(x1 - s1 * (x1 - x0) / (s1 - s0))
-        if x1 == x0 or not lo <= x1 <= hi:
-            break
-        evaluate(x1)
+    # The slope's sign at the best point picks the neighbour that brackets the
+    # minimum with it.  On a scan bound it may point outward (or be 0): xi stands.
+    j = k + 1 if scan_slope[k] < 0 else k - 1
+    found = scan_slope[k] == 0 or not 0 <= j < len(_XI_SCAN)
+    if not found and np.sign(scan_slope[j]) != np.sign(scan_slope[k]):
+        lo, hi = sorted((float(_XI_SCAN[j]), float(_XI_SCAN[k])))
+        found = brentq(slope, lo, hi, xtol=_XI_RTOL * _XI_SCAN[0], rtol=_XI_RTOL,
+                       full_output=True, disp=False)[1].converged
     xi = min(seen, key=lambda x: seen[x][0])
     best, a, _ = seen[xi]
 
@@ -204,8 +200,8 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
         r1=r1,
         r2=r2,
         residual=residual,
-        iterations=len(_XI_SCAN) + len(seen) - 1,
-        converged=bool(res.success) and unique,
+        iterations=len(_XI_SCAN) + len(seen) - scanned,
+        converged=bool(found) and unique,
     )
 
 

@@ -261,7 +261,7 @@ class TestReconstruct:
         p.write_text(json.dumps({"var_xa": 1e200, "var_pa": 1e200, "var_xb": 1e200,
                                  "var_pb": 1e200, "var_x_diff": 2e200, "var_p_sum": 2e200}))
         code, out, err = run(capsys, "reconstruct", "--in", str(p))
-        assert_input_error(code, err, "JSON")
+        assert_input_error(code, err, "uncertainties", "JSON")
         assert out == ""
 
     def test_overflowing_covariance_exits_2(self, capsys, tmp_path):

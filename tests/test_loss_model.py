@@ -118,10 +118,18 @@ class TestFitEfficiency:
             assert fit.xi == pytest.approx(xi, abs=1e-6)
             assert fit.r1 == pytest.approx(r1, abs=1e-5)
             assert fit.r2 == pytest.approx(r2, abs=1e-5)
+        # once more, down to xi = 1e-6, where xi must still come out to nine digits
+        for _ in range(300):
+            r1, r2 = rng.uniform(0.05, 3.0, size=2)
+            xi = 10.0 ** rng.uniform(-6.0, -3.0)
+            fit = fit_efficiency(forward_covariance(uniform_xi_params(r1, r2, xi)))
+            assert fit.converged
+            assert fit.xi == pytest.approx(xi, rel=1e-9)
 
     def test_pure_state_input_fits_unit_efficiency(self):
         fit = fit_efficiency(forward_covariance(uniform_xi_params(1.2, 1.0, 1.0)))
         assert fit.xi == 1.0 and fit.converged  # the bound xi = 1 is a valid minimum
+        assert fit.iterations <= 43  # a minimum on the bound takes at most two refinement steps
         assert fit.r1 == pytest.approx(1.2, abs=1e-9)
         assert fit.r2 == pytest.approx(1.0, abs=1e-9)
 
@@ -240,7 +248,7 @@ class TestProfiledFit:
         assert fit.r1 == 10.0
 
     def test_iterations_count_profile_evaluations(self, ref_state):
-        # a 41-point scan, then the Brent refinement and the secant steps
+        # a 41-point scan, then the root search for the slope in the best bracket
         assert 41 < fit_efficiency(ref_state).iterations < 41 + 30
 
     def test_unidentifiable_efficiency_is_not_converged(self):
