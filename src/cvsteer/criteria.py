@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .gaussian import CovarianceMatrix
+from .gaussian import CovarianceMatrix, _moments
 
 REID_BOUND = 1.0
 DUAN_BOUND = 4.0
@@ -45,14 +45,6 @@ class GainPair:
 
 
 UNIT_GAINS = GainPair(1.0, -1.0)
-
-
-def _moments(state: CovarianceMatrix) -> tuple[float, ...]:
-    """The six second moments the criteria read, as floats, from a two-mode state."""
-    if state.n_modes != 2:
-        raise ValueError(f"expected a two-mode state, got {state.n_modes} modes")
-    e = state.entries.tolist()
-    return e[0][0], e[1][1], e[2][2], e[3][3], e[0][2], e[1][3]
 
 
 def _key(quad: str, direction: str) -> tuple[str, str]:

@@ -32,6 +32,27 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return m
 
 
+def _json_object(d, what: str, fields=None):
+    """Check that d is a JSON object with no field outside `fields` (None: any)."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} JSON: expected an object, got {type(d).__name__}")
+    unknown = set(d) - set(d if fields is None else fields)
+    if unknown:
+        raise ValueError(f"{what} JSON: unknown field(s) {sorted(unknown)}")
+
+
+def _no_bools(value):
+    """value, unless a JSON boolean, which float() and numpy read as 0 or 1, is in it
+    at any depth: then the TypeError of a non-numeric field."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, bool):
+            raise TypeError(f"{str(v).lower()} is not a number")
+        stack.extend(v if isinstance(v, list) else ())
+    return value
+
+
 def _as_checked_matrix(entries, n_modes: int, what: str) -> np.ndarray:
     m = np.array(entries, dtype=float)
     if n_modes < 1:
@@ -68,7 +89,9 @@ class CovarianceMatrix:
                 f"CovarianceMatrix: not symmetric at ({i},{j}): "
                 f"{m[i, j]!r} vs {m[j, i]!r}"
             )
-        m = 0.5 * (m + m.T)
+        # 0.5 a + 0.5 b cannot overflow; equal pairs stay as given, as halving rounds odd subnormals
+        if asym.any():
+            m = np.where(asym == 0.0, m, 0.5 * m + 0.5 * m.T)
         try:
             np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
@@ -85,13 +108,12 @@ class CovarianceMatrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CovarianceMatrix":
-        if not isinstance(d, dict):
-            raise ValueError(f"CovarianceMatrix JSON: expected an object, got {type(d).__name__}")
+        _json_object(d, "CovarianceMatrix")
         ordering = d.get("ordering", "x1p1x2p2")
         if ordering != "x1p1x2p2":
             raise ValueError(f"CovarianceMatrix JSON: unsupported ordering {ordering!r}")
         try:
-            n_modes, entries = d["n_modes"], np.array(d["entries"], dtype=float)
+            n_modes, entries = d["n_modes"], np.array(_no_bools(d["entries"]), dtype=float)
             if isinstance(n_modes, (bool, str)) or isinstance(n_modes, float) and not n_modes.is_integer():
                 raise ValueError(f"CovarianceMatrix JSON: n_modes must be an integer, got {n_modes!r}")
             n_modes = int(n_modes)
@@ -252,6 +274,28 @@ def symplectic_eigenvalues(state: CovarianceMatrix) -> np.ndarray:
     return moduli[::2].copy()
 
 
+def _moments(state: CovarianceMatrix) -> tuple[float, ...]:
+    """The six second moments (Var X_A, Var P_A, Var X_B, Var P_B, Cov X, Cov P), as floats."""
+    if state.n_modes != 2:
+        raise ValueError(f"expected a two-mode state, got {state.n_modes} modes")
+    e = state.entries.tolist()
+    return e[0][0], e[1][1], e[2][2], e[3][3], e[0][2], e[1][3]
+
+
+def _xp_entries(state: CovarianceMatrix) -> tuple[float, ...]:
+    """The four X-P entries (X_A P_A, X_A P_B, P_A X_B, X_B P_B) of a two-mode state."""
+    e = state.entries.tolist()
+    return e[0][1], e[0][3], e[1][2], e[2][3]
+
+
+def _from_moments(xa, pa, xb, pb, cx, cp) -> np.ndarray:
+    """The 4x4 two-mode array of the six moments with zero X-P entries; inverse of _moments."""
+    return np.array([xa, 0.0, cx, 0.0,
+                     0.0, pa, 0.0, cp,
+                     cx, 0.0, xb, 0.0,
+                     0.0, cp, 0.0, pb]).reshape(4, 4)  # faster than nested lists
+
+
 def _decoupled_nu_squared(state: CovarianceMatrix) -> tuple[float, float] | None:
     """(nu_hi^2, nu_lo^2), the eigenvalues of M = Gamma_x Gamma_p (trace t, det d),
     for a two-mode state whose X-P entries are exactly zero; None (use eigvals)
@@ -261,12 +305,9 @@ def _decoupled_nu_squared(state: CovarianceMatrix) -> tuple[float, float] | None
     at a degenerate spectrum, e.g. near vacuum.  nu_lo^2 = d / nu_hi^2, clamped at
     0 for a d rounded below 0 at the Cauchy-Schwarz bound.
     """
-    if state.n_modes != 2:
+    if state.n_modes != 2 or any(_xp_entries(state)):
         return None
-    g = state.entries.tolist()
-    if g[0][1] or g[0][3] or g[1][2] or g[2][3]:
-        return None
-    xa, pa, xb, pb, cx, cp = g[0][0], g[1][1], g[2][2], g[3][3], g[0][2], g[1][3]
+    xa, pa, xb, pb, cx, cp = _moments(state)
     t = xa * pa + xb * pb + 2.0 * cx * cp
     d = (xa * xb - cx * cx) * (pa * pb - cp * cp)
     half_gap = 0.5 * (xa * pa - xb * pb)
@@ -278,32 +319,16 @@ def _decoupled_nu_squared(state: CovarianceMatrix) -> tuple[float, float] | None
 
 
 def symplectic_eigenvalues_two_mode(state: CovarianceMatrix) -> np.ndarray:
-    """Two-mode symplectic eigenvalues [nu_hi, nu_lo] in closed form.
+    """Two-mode symplectic eigenvalues [nu_hi, nu_lo].
 
     States without X-P cross terms use the closed form that :func:`is_physical`
-    decides them by.  Others use the invariant formula: for
-    gamma = [[A, C], [C^T, B]] in 2x2 blocks, with
-    Delta = det A + det B + 2 det C, the squared eigenvalues are
-    (Delta +- sqrt(Delta^2 - 4 det gamma)) / 2.  Near a degenerate spectrum
-    (nu_hi = nu_lo, e.g. pure symmetric states) that difference of two close
-    numbers loses about sqrt(eps) relative in nu_lo.  Independent cross-check
-    of :func:`symplectic_eigenvalues`.
+    decides them by, an independent cross-check of :func:`symplectic_eigenvalues`;
+    every other two-mode state takes that eigvals route.
     """
     if state.n_modes != 2:
         raise ValueError("symplectic_eigenvalues_two_mode: state must have exactly 2 modes")
     nu2 = _decoupled_nu_squared(state)
-    if nu2 is not None:
-        return np.sqrt(nu2)
-    g = state.entries
-    a = np.linalg.det(g[:2, :2])
-    b = np.linalg.det(g[2:, 2:])
-    c = np.linalg.det(g[:2, 2:])
-    delta = a + b + 2.0 * c
-    disc = delta * delta - 4.0 * np.linalg.det(g)
-    root = math.sqrt(max(disc, 0.0))
-    nu_hi = math.sqrt(max((delta + root) / 2.0, 0.0))
-    nu_lo = math.sqrt(max((delta - root) / 2.0, 0.0))
-    return np.array([nu_hi, nu_lo])
+    return symplectic_eigenvalues(state) if nu2 is None else np.sqrt(nu2)
 
 
 def is_physical(state: CovarianceMatrix, atol: float = PHYSICALITY_ATOL) -> bool:
@@ -370,14 +395,9 @@ class SourceParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SourceParams":
-        if not isinstance(d, dict):
-            raise ValueError(f"SourceParams JSON: expected an object, got {type(d).__name__}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"SourceParams JSON: unknown field(s) {sorted(unknown)}")
+        _json_object(d, "SourceParams", cls.__dataclass_fields__)
         try:
-            values = {k: float(v) for k, v in d.items()}
+            values = {k: float(_no_bools(v)) for k, v in d.items()}
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"SourceParams JSON: non-numeric field ({exc})") from None
         return cls(**values)

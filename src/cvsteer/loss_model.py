@@ -15,10 +15,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .criteria import _joint_variances, _moments
+from .criteria import _joint_variances
 from .gaussian import (
     CovarianceMatrix,
     SourceParams,
+    _moments,
+    _xp_entries,
     build_epr_source,
     is_physical,
 )
@@ -40,7 +42,6 @@ _XI_RTOL = 1e-13
 _A_MAX = math.exp(20.0)  # a = exp(2r), r in [0, 10]
 _A_BOUNDS = np.array([1.0, _A_MAX])
 _ENTRY_MAX = math.sqrt(sys.float_info.max) / 8.0  # sums of squared entries stay finite
-_FIT_ENTRIES = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (2, 0), (1, 3), (3, 1)]
 
 
 def db_to_variance(db: float) -> float:
@@ -153,14 +154,14 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     if np.abs(g).max() > _ENTRY_MAX:
         raise ValueError(f"fit_efficiency: entries up to {np.abs(g).max():.3g} are too large; "
                          f"the fit squares them (at most {_ENTRY_MAX:.3g})")
-    cross = max(abs(g[0, 1]), abs(g[0, 3]), abs(g[2, 1]), abs(g[2, 3]))
+    cross = max(map(abs, _xp_entries(gamma_measured)))
     if cross > 1e-9 * max(1.0, g.diagonal().max()):
         raise ValueError("fit_efficiency: expected zero X-P cross terms "
                          f"(reconstruction output shape), found {cross:.3g}")
 
     # Half of Var(X_A - X_B), Var(P_A + P_B) and, with the covariances negated,
     # of Var(X_A + X_B), Var(P_A - P_B).
-    xa, pa, xb, pb, cov_x, cov_p = _moments(gamma_measured)
+    xa, pa, xb, pb, cov_x, cov_p = measured = _moments(gamma_measured)
     v_minus = 0.5 * np.array(_joint_variances(xa, pa, xb, pb, cov_x, cov_p))
     v_plus = 0.5 * np.array(_joint_variances(xa, pa, xb, pb, -cov_x, -cov_p)[::-1])
     scan, scan_a, scan_slope = _profile(_XI_SCAN, v_minus, v_plus)
@@ -193,8 +194,10 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     unique = not np.any(scan[basins] + offset <= (best + offset) * (1.0 + 1e-9))
 
     r1, r2 = (0.5 * np.log(a)).tolist()
-    model = build_epr_source(SourceParams(r1=r1, r2=r2, eta_prep=xi)).entries
-    residual = math.sqrt(sum((model[i] - g[i]) ** 2 for i in _FIT_ENTRIES) / len(_FIT_ENTRIES))
+    model = _moments(build_epr_source(SourceParams(r1=r1, r2=r2, eta_prep=xi)))
+    miss = [m - v for m, v in zip(model, measured)]
+    # the eight nonzero entries: the diagonal, then each covariance twice
+    residual = math.sqrt(sum(e * e for e in miss[:4] + miss[4:5] * 2 + miss[5:] * 2) / 8)
     return LossFit(
         xi=xi,
         r1=r1,

@@ -17,8 +17,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .criteria import _joint_variances, _moments
-from .gaussian import CovarianceMatrix, is_physical, symplectic_eigenvalues
+from .criteria import _joint_variances
+from .gaussian import (CovarianceMatrix, _from_moments, _json_object, _moments, _no_bools,
+                       is_physical, symplectic_eigenvalues)
 
 CSV_FIELDS = ("var_xa", "var_pa", "var_xb", "var_pb", "var_x_diff", "var_p_sum")
 
@@ -86,8 +87,7 @@ class MeasurementSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MeasurementSet":
-        if not isinstance(d, dict):
-            raise ValueError(f"MeasurementSet JSON: expected an object, got {type(d).__name__}")
+        _json_object(d, "MeasurementSet", cls.__dataclass_fields__)
         missing = [name for name in CSV_FIELDS if name not in d]
         if missing:
             raise ValueError(f"MeasurementSet JSON: missing field(s) {missing}")
@@ -96,8 +96,8 @@ class MeasurementSet:
             raise ValueError("MeasurementSet JSON: metadata must be an object, "
                              f"got {type(metadata).__name__}")
         try:
-            values = {name: float(d[name]) for name in CSV_FIELDS}
-            relative_error = float(d.get("relative_error", 0.05))
+            values = {name: float(_no_bools(d[name])) for name in CSV_FIELDS}
+            relative_error = float(_no_bools(d.get("relative_error", 0.05)))
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"MeasurementSet JSON: non-numeric field ({exc})") from None
         return cls(**values, relative_error=relative_error, metadata=dict(metadata))
@@ -165,11 +165,9 @@ def reconstruct(ms: MeasurementSet) -> CovarianceMatrix:
     matrices that are merely below the symplectic physicality boundary emit a
     PhysicalityWarning but are returned.
     """
-    cov_x, cov_p = _covariances(*ms.values())
-    checks = (
-        ("x", cov_x, ms.var_xa, ms.var_xb, ms.var_x_diff),
-        ("p", cov_p, ms.var_pa, ms.var_pb, ms.var_p_sum),
-    )
+    xa, pa, xb, pb, x_diff, p_sum = ms.values()
+    cov_x, cov_p = _covariances(xa, pa, xb, pb, x_diff, p_sum)
+    checks = (("x", cov_x, xa, xb, x_diff), ("p", cov_p, pa, pb, p_sum))
     passed = []
     for entry, cov, v1, v2, vj in checks:
         bound = math.sqrt(v1) * math.sqrt(v2)
@@ -178,14 +176,8 @@ def reconstruct(ms: MeasurementSet) -> CovarianceMatrix:
         if math.isfinite(cov) and abs(cov) > bound + band:
             raise InconsistentDataError(entry, cov, bound, band)
         passed.append((abs(cov) / math.sqrt(v1) / math.sqrt(v2), entry, cov, bound, band))
-    m = np.array([
-        [ms.var_xa, 0.0, cov_x, 0.0],
-        [0.0, ms.var_pa, 0.0, cov_p],
-        [cov_x, 0.0, ms.var_xb, 0.0],
-        [0.0, cov_p, 0.0, ms.var_pb],
-    ])
     try:
-        state = CovarianceMatrix(n_modes=2, entries=m)
+        state = CovarianceMatrix(n_modes=2, entries=_from_moments(xa, pa, xb, pb, cov_x, cov_p))
     except ValueError:
         if not (math.isfinite(cov_x) and math.isfinite(cov_p)):
             raise
@@ -213,12 +205,9 @@ def propagate_errors(ms: MeasurementSet) -> np.ndarray:
     uncertainty.
     """
     rel = ms.relative_error
-    sig = np.zeros((4, 4))
-    for i, name in enumerate(("var_xa", "var_pa", "var_xb", "var_pb")):
-        sig[i, i] = rel * getattr(ms, name)
-    sig[0, 2] = sig[2, 0] = _covariance_sigma(rel, ms.var_xa, ms.var_xb, ms.var_x_diff)
-    sig[1, 3] = sig[3, 1] = _covariance_sigma(rel, ms.var_pa, ms.var_pb, ms.var_p_sum)
-    return sig
+    return _from_moments(rel * ms.var_xa, rel * ms.var_pa, rel * ms.var_xb, rel * ms.var_pb,
+                         _covariance_sigma(rel, ms.var_xa, ms.var_xb, ms.var_x_diff),
+                         _covariance_sigma(rel, ms.var_pa, ms.var_pb, ms.var_p_sum))
 
 
 def expected_measurements(state: CovarianceMatrix, relative_error: float = 0.0,

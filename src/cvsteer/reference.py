@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .criteria import _conditional, criteria_report, optimal_gain
-from .gaussian import CovarianceMatrix
+from .gaussian import CovarianceMatrix, _from_moments
 from .loss_model import (
     budget_prep_efficiency,
     db_to_variance,
@@ -37,12 +37,7 @@ REFERENCE_MEASUREMENTS = MeasurementSet(
 
 # Reconstructed from the six measurements above; X-P cross terms are zero by
 # the experimental arrangement, not measured.
-REFERENCE_COVARIANCE = np.array([
-    [18.41,   0.00, 18.09,   0.00],
-    [ 0.00,  35.49,  0.00, -34.95],
-    [18.09,   0.00, 17.98,   0.00],
-    [ 0.00, -34.95,  0.00,  34.61],
-])
+REFERENCE_COVARIANCE = _from_moments(18.41, 35.49, 17.98, 34.61, 18.09, -34.95)
 
 # Headline reference values with the tolerances the repro gate applies.
 REID_B_GIVEN_A = 0.039

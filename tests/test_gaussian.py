@@ -214,6 +214,15 @@ class TestSymplecticEigenvalues:
         with pytest.raises(ValueError):
             symplectic_eigenvalues_two_mode(vacuum_state(1))
 
+    def test_coupled_states_take_the_eigvals_route(self):
+        rng = np.random.default_rng(14)
+        states = [random_physical_state(rng) for _ in range(100)]
+        coupled = [state for state in states if any(gaussian._xp_entries(state))]
+        assert len(coupled) >= 50
+        for state in coupled:
+            np.testing.assert_array_equal(symplectic_eigenvalues_two_mode(state),
+                                          symplectic_eigenvalues(state))
+
 
 XP_ENTRIES = ((0, 1), (0, 3), (1, 2), (2, 3))
 
@@ -338,6 +347,15 @@ class TestCovarianceMatrixType:
         with pytest.raises(ValueError, match="symmetric"):
             CovarianceMatrix(2, m)
 
+    def test_entries_near_the_float_max_stay_finite(self):
+        # 0.5 * (a + b) overflows above about 9e307; equal pairs are kept as given
+        big = 1.0e308
+        m = np.diag([1.7e308, 1.7e308, 1.0, 1.0])
+        m[0, 1], m[1, 0] = big, np.nextafter(big, math.inf)
+        state = CovarianceMatrix(2, m)
+        assert state.entries[0, 0] == 1.7e308
+        assert state.entries[0, 1] == state.entries[1, 0] in (m[0, 1], m[1, 0])
+
     def test_not_positive_definite_rejected(self):
         m = np.diag([1.0, 1.0, -0.5, 1.0])
         with pytest.raises(ValueError, match="positive definite"):
@@ -361,6 +379,8 @@ class TestCovarianceMatrixType:
         ({"n_modes": True, "entries": np.eye(4).tolist()}, "n_modes must be an integer"),
         ({"n_modes": "2", "entries": np.eye(4).tolist()}, "n_modes must be an integer"),
         ({"n_modes": 2, "entries": [[10 ** 400, 0, 0, 0]] + np.eye(4)[1:].tolist()}, "too large"),
+        ({"n_modes": 2, "entries": [[True, 0, 0, 0]] + np.eye(4)[1:].tolist()}, "non-numeric"),
+        ({"n_modes": 2, "entries": True}, "non-numeric"),
     ])
     def test_badly_shaped_json_rejected(self, payload, match):
         with pytest.raises(ValueError, match=match):
@@ -464,6 +484,8 @@ class TestBuildEprSource:
     def test_params_json_rejects_non_numeric(self):
         with pytest.raises(ValueError, match="non-numeric"):
             SourceParams.from_dict({"r1": [1.0]})
+        with pytest.raises(ValueError, match="non-numeric field \\(true is not a number\\)"):
+            SourceParams.from_dict({"eta_prep": True})
 
     def test_params_json_rejects_ints_past_the_float_range(self):
         with pytest.raises(ValueError, match="too large"):

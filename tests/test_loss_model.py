@@ -143,6 +143,8 @@ class TestFitEfficiency:
     def test_rejects_entries_whose_squares_overflow(self):
         with pytest.raises(ValueError, match="too large"):
             fit_efficiency(CovarianceMatrix(2, 1e160 * np.eye(4)))
+        with pytest.raises(ValueError, match="entries up to 1.7e\\+308 are too large"):
+            fit_efficiency(CovarianceMatrix(2, np.diag([1.7e308, 1.0, 1.0, 1.0])))
 
     def test_rejects_wrong_mode_count(self):
         with pytest.raises(ValueError):

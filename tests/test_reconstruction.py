@@ -236,6 +236,9 @@ class TestMeasurementSetIO:
         ("var_xa", [18.41], "non-numeric"),
         ("relative_error", None, "non-numeric"),
         pytest.param("var_xa", 10 ** 400, "too large", id="var_xa-10**400-too large"),
+        ("var_xa", True, "non-numeric"),
+        ("relative_error", True, "non-numeric"),
+        ("relative_eror", 0.5, "unknown field\\(s\\) \\['relative_eror'\\]"),
     ])
     def test_json_badly_typed_fields(self, ref_ms, field, value, match):
         d = ref_ms.to_dict()
