@@ -18,6 +18,7 @@ from .gaussian import CovarianceMatrix, _moments
 
 REID_BOUND = 1.0
 DUAN_BOUND = 4.0
+_EPS = math.ulp(1.0)
 
 # (quad, direction) -> positions of (Var O_target, Var O_steering, Cov) in the moments
 # (Var X_A, Var P_A, Var X_B, Var P_B, Cov X, Cov P); "b|a" means A steers B's outcome.
@@ -58,10 +59,24 @@ def _key(quad: str, direction: str) -> tuple[str, str]:
 def _conditional(m, key: tuple[str, str], gain=None):
     """(gain, Var(O_target - gain O_steering)) over moments m of floats or arrays;
     gain None takes the optimum Cov / Var(O_steering)."""
-    v_t, v_s, cov = (m[i] for i in _TERMS[key])
+    i, j, k = _TERMS[key]
+    v_t, v_s, cov = m[i], m[j], m[k]
     if gain is None:
         gain = cov / v_s
     return gain, v_t + gain * gain * v_s - 2.0 * gain * cov
+
+
+def _steers(m, direction: str, x: tuple, p: tuple) -> bool:
+    """Whether the product of the X and P factors x and p, each a (gain, variance) of
+    _conditional for the direction, is below REID_BOUND by more than its rounding bound
+    4 eps (S_x |p| + S_p |x|), S being a factor's term magnitude v_t + g^2 v_s + 2 |g cov|."""
+    (g_x, v_x), (g_p, v_p) = x, p
+    if not v_x * v_p < REID_BOUND:
+        return False
+    (i, j, k), (a, b, c) = _TERMS["x", direction], _TERMS["p", direction]
+    s_x = m[i] + g_x * g_x * m[j] + 2.0 * abs(g_x * m[k])
+    s_p = m[a] + g_p * g_p * m[b] + 2.0 * abs(g_p * m[c])
+    return v_x * v_p < REID_BOUND - 4.0 * _EPS * (s_x * abs(v_p) + s_p * abs(v_x))
 
 
 def _joint_variances(xa, pa, xb, pb, cov_x, cov_p):
@@ -122,16 +137,16 @@ class CriteriaReport:
 def criteria_report(state: CovarianceMatrix) -> CriteriaReport:
     """Evaluate both steering directions, the unit-gain product and the Duan sum.
 
-    Steering flags use strict inequality against the bounds (product < 1,
-    sum < 4).  The conditional uncertainty ratio is the geometric mean of the
-    two B|A conditional variances, i.e. sqrt(reid_b_given_a).
+    A steering flag needs the product below 1 by more than its rounding bound
+    (see _steers), so a product state whose product rounds to just below 1
+    does not steer; the Duan flag is the strict sum < 4.  The conditional
+    uncertainty ratio is the geometric mean of the two B|A conditional
+    variances, i.e. sqrt(reid_b_given_a).
     """
     m = _moments(state)
-    # _TERMS lists x and p of B|A, then of A|B
-    (gx_ba, x_ba), (gp_ba, p_ba), (gx_ab, x_ab), (gp_ab, p_ab) = (
-        _conditional(m, key) for key in _TERMS)
-    cond = {"x_b_given_a": x_ba, "p_b_given_a": p_ba, "x_a_given_b": x_ab, "p_a_given_b": p_ab}
-    reid_ba, reid_ab = x_ba * p_ba, x_ab * p_ab
+    xba, pba = _conditional(m, ("x", "b|a")), _conditional(m, ("p", "b|a"))
+    xab, pab = _conditional(m, ("x", "a|b")), _conditional(m, ("p", "a|b"))
+    reid_ba, reid_ab = xba[1] * pba[1], xab[1] * pab[1]
     duan = sum(_joint_variances(*m))
     return CriteriaReport(
         reid_b_given_a=reid_ba,
@@ -139,11 +154,14 @@ def criteria_report(state: CovarianceMatrix) -> CriteriaReport:
         duan_sum=duan,
         unit_gain_product=(_conditional(m, ("x", "b|a"), UNIT_GAINS.g_x)[1]
                            * _conditional(m, ("p", "b|a"), UNIT_GAINS.g_p)[1]),
-        optimal_gains_b_given_a=GainPair(gx_ba, gp_ba),
-        optimal_gains_a_given_b=GainPair(gx_ab, gp_ab),
-        conditional_variances=cond,
-        steering_b_given_a=reid_ba < REID_BOUND,
-        steering_a_given_b=reid_ab < REID_BOUND,
+        optimal_gains_b_given_a=GainPair(xba[0], pba[0]),
+        optimal_gains_a_given_b=GainPair(xab[0], pab[0]),
+        conditional_variances={"x_b_given_a": xba[1], "p_b_given_a": pba[1],
+                               "x_a_given_b": xab[1], "p_a_given_b": pab[1]},
+        steering_b_given_a=_steers(m, "b|a", xba, pba),
+        steering_a_given_b=_steers(m, "a|b", xab, pab),
         duan_inseparable=duan < DUAN_BOUND,
-        conditional_uncertainty_ratio=float(np.sqrt(reid_ba)),
+        # math.sqrt would raise on a product rounded below 0, where np.sqrt gives nan
+        conditional_uncertainty_ratio=(math.sqrt(reid_ba) if reid_ba >= 0.0
+                                       else float(np.sqrt(reid_ba))),
     )

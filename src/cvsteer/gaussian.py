@@ -81,16 +81,18 @@ class CovarianceMatrix:
 
     def __post_init__(self):
         m = _as_checked_matrix(self.entries, self.n_modes, "CovarianceMatrix")
-        asym = np.abs(m - m.T)
-        tol = SYMMETRY_RTOL * np.maximum(1.0, np.abs(m))
-        if (asym > tol).any():
-            i, j = np.unravel_index(np.argmax(asym - tol), m.shape)
-            raise ValueError(
-                f"CovarianceMatrix: not symmetric at ({i},{j}): "
-                f"{m[i, j]!r} vs {m[j, i]!r}"
-            )
-        # 0.5 a + 0.5 b cannot overflow; equal pairs stay as given, as halving rounds odd subnormals
-        if asym.any():
+        # an exactly symmetric matrix, (0.0, -0.0) pairs included, is kept as given
+        if not (m == m.T).all():
+            asym = np.abs(m - m.T)
+            tol = SYMMETRY_RTOL * np.maximum(1.0, np.abs(m))
+            if (asym > tol).any():
+                i, j = np.unravel_index(np.argmax(asym - tol), m.shape)
+                raise ValueError(
+                    f"CovarianceMatrix: not symmetric at ({i},{j}): "
+                    f"{m[i, j]!r} vs {m[j, i]!r}"
+                )
+            # 0.5 a + 0.5 b cannot overflow; equal pairs stay as given, as halving
+            # rounds odd subnormals
             m = np.where(asym == 0.0, m, 0.5 * m + 0.5 * m.T)
         try:
             np.linalg.cholesky(m)
@@ -278,13 +280,21 @@ def _moments(state: CovarianceMatrix) -> tuple[float, ...]:
     """The six second moments (Var X_A, Var P_A, Var X_B, Var P_B, Cov X, Cov P), as floats."""
     if state.n_modes != 2:
         raise ValueError(f"expected a two-mode state, got {state.n_modes} modes")
-    e = state.entries.tolist()
+    return _moments_of(state.entries.tolist())
+
+
+def _moments_of(e: list) -> tuple[float, ...]:
+    """_moments of the nested list of a two-mode matrix's entries."""
     return e[0][0], e[1][1], e[2][2], e[3][3], e[0][2], e[1][3]
 
 
 def _xp_entries(state: CovarianceMatrix) -> tuple[float, ...]:
     """The four X-P entries (X_A P_A, X_A P_B, P_A X_B, X_B P_B) of a two-mode state."""
-    e = state.entries.tolist()
+    return _xp_of(state.entries.tolist())
+
+
+def _xp_of(e: list) -> tuple[float, ...]:
+    """_xp_entries of the nested list of a two-mode matrix's entries."""
     return e[0][1], e[0][3], e[1][2], e[2][3]
 
 
@@ -305,9 +315,12 @@ def _decoupled_nu_squared(state: CovarianceMatrix) -> tuple[float, float] | None
     at a degenerate spectrum, e.g. near vacuum.  nu_lo^2 = d / nu_hi^2, clamped at
     0 for a d rounded below 0 at the Cauchy-Schwarz bound.
     """
-    if state.n_modes != 2 or any(_xp_entries(state)):
+    if state.n_modes != 2:
         return None
-    xa, pa, xb, pb, cx, cp = _moments(state)
+    e = state.entries.tolist()
+    if any(_xp_of(e)):
+        return None
+    xa, pa, xb, pb, cx, cp = _moments_of(e)
     t = xa * pa + xb * pb + 2.0 * cx * cp
     d = (xa * xb - cx * cx) * (pa * pb - cp * cp)
     half_gap = 0.5 * (xa * pa - xb * pb)

@@ -70,8 +70,7 @@ class MeasurementSet:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in CSV_FIELDS:
-            v = getattr(self, name)
+        for name, v in zip(CSV_FIELDS, self.values()):
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"MeasurementSet: {name} must be positive, got {v}")
         if not 0.0 <= self.relative_error < 1.0:
@@ -80,7 +79,8 @@ class MeasurementSet:
             )
 
     def values(self) -> tuple[float, ...]:
-        return tuple(getattr(self, name) for name in CSV_FIELDS)
+        """The six variances in CSV_FIELDS order."""
+        return self.var_xa, self.var_pa, self.var_xb, self.var_pb, self.var_x_diff, self.var_p_sum
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -168,14 +168,14 @@ def reconstruct(ms: MeasurementSet) -> CovarianceMatrix:
     xa, pa, xb, pb, x_diff, p_sum = ms.values()
     cov_x, cov_p = _covariances(xa, pa, xb, pb, x_diff, p_sum)
     checks = (("x", cov_x, xa, xb, x_diff), ("p", cov_p, pa, pb, p_sum))
-    passed = []
     for entry, cov, v1, v2, vj in checks:
         bound = math.sqrt(v1) * math.sqrt(v2)
-        band = _covariance_sigma(ms.relative_error, v1, v2, vj)
-        # an overflowed covariance is an input error, raised by CovarianceMatrix below
-        if math.isfinite(cov) and abs(cov) > bound + band:
-            raise InconsistentDataError(entry, cov, bound, band)
-        passed.append((abs(cov) / math.sqrt(v1) / math.sqrt(v2), entry, cov, bound, band))
+        # The band is >= 0, so only a covariance past its bound needs it; an
+        # overflowed covariance is an input error, raised by CovarianceMatrix below.
+        if bound < abs(cov) < math.inf:
+            band = _covariance_sigma(ms.relative_error, v1, v2, vj)
+            if abs(cov) > bound + band:
+                raise InconsistentDataError(entry, cov, bound, band)
     try:
         state = CovarianceMatrix(n_modes=2, entries=_from_moments(xa, pa, xb, pb, cov_x, cov_p))
     except ValueError:
@@ -184,7 +184,10 @@ def reconstruct(ms: MeasurementSet) -> CovarianceMatrix:
         # Inside the band, a covariance at or past its bound, or within rounding
         # of it, leaves the matrix singular or indefinite; the Cholesky check in
         # CovarianceMatrix decides exactly.  Name the more strongly correlated entry.
-        raise InconsistentDataError(*max(passed)[1:]) from None
+        raise InconsistentDataError(*max(
+            (abs(cov) / math.sqrt(v1) / math.sqrt(v2), entry, cov, math.sqrt(v1) * math.sqrt(v2),
+             _covariance_sigma(ms.relative_error, v1, v2, vj))
+            for entry, cov, v1, v2, vj in checks)[1:]) from None
     if not is_physical(state):
         warnings.warn(
             PhysicalityWarning(

@@ -215,6 +215,8 @@ def measure_campaign(state: CovarianceMatrix, n_per_setting: int, seed: int,
     n_per_setting must be at least 3, so that the returned relative_error,
     sqrt(2 / n_per_setting), the relative one-sigma of a Gaussian variance
     estimate, is below 1.  Seed and counts are recorded in the metadata.
+    Variances that overflow raise ValueError, naming the largest state entry
+    and the dark-noise variance.
     Deterministic for fixed inputs; the estimates equal the sample variances
     of :func:`campaign_batches` up to float rounding.
     """
@@ -231,11 +233,16 @@ def measure_campaign(state: CovarianceMatrix, n_per_setting: int, seed: int,
             dz += d @ z
             d_sum += d @ ones[:len(z)]
             dd += np.einsum("ij,ij->i", d, d)
-    s1 = z_sum @ weights + dark_scale * d_sum
-    s2 = (np.einsum("ki,kl,li->i", weights, gram, weights)
-          + dark_scale * (2.0 * np.einsum("ik,ki->i", dz, weights) + dark_scale * dd))
     n = n_per_setting
-    variances = (s2 - s1 * s1 / n) / (n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, by name
+        s1 = z_sum @ weights + dark_scale * d_sum
+        s2 = (np.einsum("ki,kl,li->i", weights, gram, weights)
+              + dark_scale * (2.0 * np.einsum("ik,ki->i", dz, weights) + dark_scale * dd))
+        variances = (s2 - s1 * s1 / n) / (n - 1)
+    if not np.isfinite(variances).all():
+        raise ValueError("measure_campaign: the sampled variances overflow (largest state "
+                         f"entry {np.abs(state.entries).max():.6g}, "
+                         f"dark-noise variance {dark_noise:.6g})")
     return MeasurementSet(
         *variances.tolist(),
         relative_error=math.sqrt(2.0 / n_per_setting),

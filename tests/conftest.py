@@ -200,6 +200,17 @@ def reference_criteria(state, g_x, g_p):
     at_fixed = {key: conditional_variance(key, fixed[key[0]]) for key in _REFERENCE_INDICES}
     at_optimum = {key: conditional_variance(key, gains[key]) for key in _REFERENCE_INDICES}
     reid = {d: at_optimum["x", d] * at_optimum["p", d] for d in ("b|a", "a|b")}
+
+    def steers(d):
+        # below 1 by more than the product's rounding bound 4 eps (S_x |p| + S_p |x|)
+        size = {}
+        for quad in "xp":
+            t, s = _REFERENCE_INDICES[quad, d]
+            gain = gains[quad, d]
+            size[quad] = float(g[t, t] + gain * gain * g[s, s] + 2.0 * abs(gain * g[t, s]))
+        x, p = at_optimum["x", d], at_optimum["p", d]
+        return reid[d] < 1.0 - 4.0 * np.finfo(float).eps * (size["x"] * abs(p) + size["p"] * abs(x))
+
     var_x_diff = g[0, 0] + g[2, 2] - 2.0 * g[0, 2]
     var_p_sum = g[1, 1] + g[3, 3] + 2.0 * g[1, 3]
     duan = float(var_x_diff + var_p_sum)
@@ -215,8 +226,8 @@ def reference_criteria(state, g_x, g_p):
                                   "p_b_given_a": at_optimum["p", "b|a"],
                                   "x_a_given_b": at_optimum["x", "a|b"],
                                   "p_a_given_b": at_optimum["p", "a|b"]},
-        "steering_b_given_a": reid["b|a"] < 1.0,
-        "steering_a_given_b": reid["a|b"] < 1.0,
+        "steering_b_given_a": steers("b|a"),
+        "steering_a_given_b": steers("a|b"),
         "duan_inseparable": duan < 4.0,
         "conditional_uncertainty_ratio": float(np.sqrt(reid["b|a"])),
     }

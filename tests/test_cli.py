@@ -219,6 +219,15 @@ class TestSample:
         assert_input_error(code, err, "n_per_setting must be >= 3", "n=2")
         assert out == ""
 
+    def test_overflowing_campaign_names_the_entry_without_warnings(self, capsys, tmp_path):
+        # the campaign's sums of squares of a 1.7e308 entry overflow
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps({"n_modes": 2, "entries": np.diag([1.7e308, 1, 1, 1]).tolist()}))
+        code, out, err = run(capsys, "sample", "--in", str(p), "--n", "100")
+        assert_input_error(code, err, "overflow", "largest state entry 1.7e+308",
+                           "dark-noise variance 0")
+        assert out == "" and err.count("\n") == 1 and "warning:" not in err
+
 
 class TestReconstruct:
     def test_csv_input_reproduces_reference_matrix(self, capsys, tmp_path):

@@ -117,6 +117,20 @@ class TestCriteriaReport:
         assert not rep.steering_a_given_b
         assert not rep.duan_inseparable  # sum is exactly 4, strict inequality
 
+    def test_product_rounded_below_one_is_not_steering(self):
+        # a lossless product state: each factor is a pure state's e^{-2r} e^{2r} = 1,
+        # which rounds to 1 - eps / 2, inside the product's rounding bound
+        rep = criteria_report(build_epr_source(SourceParams(r1=2.0, r2=2.0, transmittance=1.0)))
+        assert rep.reid_b_given_a < 1.0 and rep.reid_a_given_b < 1.0
+        assert not rep.steering_b_given_a and not rep.steering_a_given_b
+
+    @pytest.mark.parametrize("gap, steers", [(1e-13, True), (1e-16, False)])
+    def test_steering_margin_is_the_rounding_bound(self, gap, steers):
+        # uncorrelated factors 0.5 and 2 (1 - gap): the bound is 4 eps (0.5 * 2 + 2 * 0.5)
+        rep = criteria_report(CovarianceMatrix(2, np.diag([1.0, 1.0, 0.5, 2.0 * (1.0 - gap)])))
+        assert rep.reid_b_given_a < 1.0
+        assert rep.steering_b_given_a is steers
+
     def test_gains_sign_convention(self, ref_state):
         # g_p is the multiplier in Var(P_B - g_p P_A): negative for the
         # anticorrelated P quadratures, so "P_A + P_B" means g_p = -1.

@@ -321,6 +321,8 @@ class TestProductSources:
         assert np.all(state.entries[:2, 2:] == 0.0)
         rep = criteria_report(state)
         assert rep.reid_b_given_a >= 1.0 - 1e-12 and rep.reid_a_given_b >= 1.0 - 1e-12
+        # a lossless product rounds to just below 1, inside its rounding bound
+        assert not rep.steering_b_given_a and not rep.steering_a_given_b
         assert rep.duan_sum >= 4.0 - 4e-12
         assert is_physical(state)
 
@@ -355,6 +357,44 @@ class TestCovarianceMatrixType:
         state = CovarianceMatrix(2, m)
         assert state.entries[0, 0] == 1.7e308
         assert state.entries[0, 1] == state.entries[1, 0] in (m[0, 1], m[1, 0])
+
+    @pytest.mark.parametrize("other", [0.0, 1e-14])
+    def test_signed_zero_pair_keeps_both_signs(self, other):
+        # also when another pair (other != 0) takes the averaging path
+        m = np.eye(4)
+        m[0, 1], m[1, 0] = 0.0, -0.0
+        m[2, 3] = other
+        entries = CovarianceMatrix(2, m).entries
+        assert entries[0, 1] == 0.0 and not np.signbit(entries[0, 1])
+        assert entries[1, 0] == 0.0 and np.signbit(entries[1, 0])
+
+    def test_pair_within_tolerance_is_averaged(self):
+        m = np.eye(4)
+        a, b = 0.3, 0.3 + 1e-14
+        m[0, 2], m[2, 0] = a, b
+        entries = CovarianceMatrix(2, m).entries
+        assert entries[0, 2] == entries[2, 0] == 0.5 * a + 0.5 * b
+        assert entries[0, 2] not in (a, b)
+
+    def test_rejection_names_the_worst_pair(self):
+        m = np.eye(4)
+        m[0, 1] = 1e-9    # past the 1e-12 tolerance too, but less so
+        m[3, 2] = 1e-6
+        with pytest.raises(ValueError, match=r"not symmetric at \(2,3\): \S*0\.0\S* vs \S*1e-06"):
+            CovarianceMatrix(2, m)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-14])
+    def test_entries_do_not_alias_the_input(self, offset):
+        # exactly symmetric input (offset 0) and input averaged on construction
+        m = np.eye(4)
+        m[0, 2], m[2, 0] = 0.25, 0.25 + offset
+        state = CovarianceMatrix(2, m)
+        assert not np.shares_memory(state.entries, m)
+        assert not state.entries.flags.writeable and m.flags.writeable
+        m[0, 0] = 7.0
+        assert state.entries[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            state.entries[0, 0] = 7.0
 
     def test_not_positive_definite_rejected(self):
         m = np.diag([1.0, 1.0, -0.5, 1.0])

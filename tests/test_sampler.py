@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import cvsteer.sampler as sampler_mod
 from cvsteer import (
+    CovarianceMatrix,
     MeasurementSet,
     MeasurementSetting,
     SampleBatch,
@@ -189,6 +191,18 @@ _SAMPLERS = {
 def test_bad_dark_noise_rejected(ref_state, sampler, dark):
     with pytest.raises(ValueError, match=f"dark_noise must be >= 0, got {dark}"):
         _SAMPLERS[sampler](ref_state, dark)
+
+
+@pytest.mark.parametrize("diagonal, dark, entry", [
+    ([1.7e308, 1.0, 1.0, 1.0], 0.0, "1.7e+308"),
+    ([1.0, 1.0, 1.0, 1.0], 1e307, "1"),
+])
+@pytest.mark.filterwarnings("error")
+def test_overflowing_campaign_is_named(diagonal, dark, entry):
+    # the sums of squares overflow: one error naming the state and the dark noise
+    message = f"overflow (largest state entry {entry}, dark-noise variance {dark:.6g})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        measure_campaign(CovarianceMatrix(2, np.diag(diagonal)), 100, seed=0, dark_noise=dark)
 
 
 class TestSampleVariance:
