@@ -89,7 +89,7 @@ class CovarianceMatrix:
                 i, j = np.unravel_index(np.argmax(asym - tol), m.shape)
                 raise ValueError(
                     f"CovarianceMatrix: not symmetric at ({i},{j}): "
-                    f"{m[i, j]!r} vs {m[j, i]!r}"
+                    f"{float(m[i, j])!r} vs {float(m[j, i])!r}"
                 )
             # 0.5 a + 0.5 b cannot overflow; equal pairs stay as given, as halving
             # rounds odd subnormals

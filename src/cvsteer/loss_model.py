@@ -16,14 +16,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .criteria import _joint_variances
-from .gaussian import (
-    CovarianceMatrix,
-    SourceParams,
-    _moments,
-    _xp_entries,
-    build_epr_source,
-    is_physical,
-)
+from .gaussian import (CovarianceMatrix, SourceParams, _moments, _xp_entries, build_epr_source,
+                       is_physical)
 
 __all__ = [
     "forward_covariance",
@@ -37,10 +31,9 @@ __all__ = [
 ]
 
 # Profile search: a scan of xi, then a root search for the profile's slope to _XI_RTOL.
-_XI_SCAN = np.linspace(1e-6, 1.0, 41)
+_XI_SCAN = np.linspace(1e-6, 1.0, 41).tolist()
 _XI_RTOL = 1e-13
 _A_MAX = math.exp(20.0)  # a = exp(2r), r in [0, 10]
-_A_BOUNDS = np.array([1.0, _A_MAX])
 _ENTRY_MAX = math.sqrt(sys.float_info.max) / 8.0  # sums of squared entries stay finite
 
 
@@ -97,33 +90,40 @@ class LossFit:
         return asdict(self)
 
 
-def _profile(xi: np.ndarray, v_minus: np.ndarray, v_plus: np.ndarray):
-    """The fit objective at each xi, minimized over both sources' squeezing.
+def _profile(xi: float, v_minus, v_plus):
+    """The fit objective at xi, minimized over both sources' a = exp(2r) in [1, exp(20)].
 
-    For fixed xi a source's squared mismatch (xi/a - u)^2 + (xi a - w)^2, with
-    a = exp(2r), u = v_minus - 1 + xi and w = v_plus - 1 + xi, is stationary
-    at the roots of xi a^4 - w a^3 + u a - xi.  One batched eigvals of the
-    stacked companion matrices gives every root; the best of their real parts
-    clipped to [1, exp(20)] (r in [0, 10]) and the two bounds wins.  Returns
-    the profile (k,), the best a (k, 2) and the profile's slope in xi, which
-    by the envelope theorem is the partial derivative at the best a.
+    A source's squared mismatch (xi/a - u)^2 + (xi a - w)^2, u = v_minus - 1 + xi,
+    w = v_plus - 1 + xi, is stationary at the positive roots of p(a) = xi a^4 -
+    w a^3 + u a - xi: at most three (Descartes), the middle one a maximum.  With
+    three, the smallest is below 1, as the four roots multiply to -1 and their
+    pairwise products sum to 0; so the best a is the largest root or the bound 1.
+    Newton runs down to that root from past w/xi, where p > 0 is convex, or from
+    exp(20), where a root beyond stops it at once; it stops where p' <= 0 or a step
+    does not shrink a.  A largest root below w/(2 xi), where p is concave, is the
+    only root and lies below 1 (p(1) < 0 < p(w/(2 xi)) is impossible): the bound 1
+    wins.  Returns the profile, the best a per source and the slope in xi, by the
+    envelope theorem the partial derivative there.
     """
-    x = xi[:, None]
-    u = v_minus - 1.0 + x
-    w = v_plus - 1.0 + x
-    companion = np.zeros((len(xi), 2, 4, 4))
-    companion[..., 0, 0] = w / x
-    companion[..., 0, 2] = -u / x
-    companion[..., 0, 3] = companion[..., 1, 0] = companion[..., 2, 1] = companion[..., 3, 2] = 1.0
-    a = np.empty((len(xi), 2, 6))
-    a[..., :4] = np.clip(np.linalg.eigvals(companion).real, 1.0, _A_MAX)
-    a[..., 4:] = _A_BOUNDS
-    x, u, w = x[..., None], u[..., None], w[..., None]
-    a = np.take_along_axis(a, ((x / a - u) ** 2 + (x * a - w) ** 2).argmin(axis=-1)[..., None], -1)
-    miss_minus, miss_plus = x / a - u, x * a - w
-    profile = (miss_minus ** 2 + miss_plus ** 2).sum(axis=(1, 2))
-    slope = 2.0 * (miss_minus * (1.0 / a - 1.0) + miss_plus * (a - 1.0)).sum(axis=(1, 2))
-    return profile, a[..., 0], slope
+    profile = slope = 0.0
+    best = []
+    for vm, vp in zip(v_minus, v_plus):
+        u, w = vm - 1.0 + xi, vp - 1.0 + xi
+        m = max(w / xi, 1.0)  # p > 0 at the start, past w/xi, where p is convex
+        a, step = math.inf, min(m + (abs(u) + xi) / (xi * m * m), _A_MAX)
+        while step < a:
+            a = step
+            dp = (4.0 * xi * a - 3.0 * w) * a * a + u
+            step = a - (((xi * a - w) * a * a + u) * a - xi) / dp if dp > 0.0 else a
+        fit = math.inf
+        for c in (max(a, 1.0), 1.0):
+            miss_minus, miss_plus = xi / c - u, xi * c - w
+            if miss_minus * miss_minus + miss_plus * miss_plus < fit:
+                fit, a = miss_minus * miss_minus + miss_plus * miss_plus, c
+        profile += fit
+        slope += 2.0 * ((xi / a - u) * (1.0 / a - 1.0) + (xi * a - w) * (a - 1.0))
+        best.append(a)
+    return profile, best, slope
 
 
 def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
@@ -162,25 +162,25 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     # Half of Var(X_A - X_B), Var(P_A + P_B) and, with the covariances negated,
     # of Var(X_A + X_B), Var(P_A - P_B).
     xa, pa, xb, pb, cov_x, cov_p = measured = _moments(gamma_measured)
-    v_minus = 0.5 * np.array(_joint_variances(xa, pa, xb, pb, cov_x, cov_p))
-    v_plus = 0.5 * np.array(_joint_variances(xa, pa, xb, pb, -cov_x, -cov_p)[::-1])
-    scan, scan_a, scan_slope = _profile(_XI_SCAN, v_minus, v_plus)
+    v_minus = [0.5 * v for v in _joint_variances(xa, pa, xb, pb, cov_x, cov_p)]
+    v_plus = [0.5 * v for v in _joint_variances(xa, pa, xb, pb, -cov_x, -cov_p)[::-1]]
+    points = [_profile(x, v_minus, v_plus) for x in _XI_SCAN]
+    scan = np.array([p[0] for p in points])
     k = int(scan.argmin())
-    seen = {float(_XI_SCAN[i]): (scan[i], scan_a[i], scan_slope[i])
-            for i in range(max(k - 1, 0), min(k + 2, len(_XI_SCAN)))}
+    seen = {_XI_SCAN[i]: points[i] for i in range(max(k - 1, 0), min(k + 2, len(_XI_SCAN)))}
     scanned = len(seen)
 
     def slope(xi):
         if xi not in seen:
-            seen[xi] = tuple(p[0] for p in _profile(np.array([xi]), v_minus, v_plus))
+            seen[xi] = _profile(xi, v_minus, v_plus)
         return seen[xi][2]
 
     # The slope's sign at the best point picks the neighbour that brackets the
     # minimum with it.  On a scan bound it may point outward (or be 0): xi stands.
-    j = k + 1 if scan_slope[k] < 0 else k - 1
-    found = scan_slope[k] == 0 or not 0 <= j < len(_XI_SCAN)
-    if not found and np.sign(scan_slope[j]) != np.sign(scan_slope[k]):
-        lo, hi = sorted((float(_XI_SCAN[j]), float(_XI_SCAN[k])))
+    j = k + 1 if points[k][2] < 0 else k - 1
+    found = points[k][2] == 0 or not 0 <= j < len(_XI_SCAN)
+    if not found and np.sign(points[j][2]) != np.sign(points[k][2]):
+        lo, hi = sorted((_XI_SCAN[j], _XI_SCAN[k]))
         found = brentq(slope, lo, hi, xtol=_XI_RTOL * _XI_SCAN[0], rtol=_XI_RTOL,
                        full_output=True, disp=False)[1].converged
     xi = min(seen, key=lambda x: seen[x][0])
@@ -193,7 +193,7 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     basins = (scan <= padded[:-2]) & (scan <= padded[2:]) & (abs(np.arange(len(scan)) - k) > 1)
     unique = not np.any(scan[basins] + offset <= (best + offset) * (1.0 + 1e-9))
 
-    r1, r2 = (0.5 * np.log(a)).tolist()
+    r1, r2 = (0.5 * math.log(x) for x in a)
     model = _moments(build_epr_source(SourceParams(r1=r1, r2=r2, eta_prep=xi)))
     miss = [m - v for m, v in zip(model, measured)]
     # the eight nonzero entries: the diagonal, then each covariance twice

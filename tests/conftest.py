@@ -20,6 +20,7 @@ from cvsteer import (
     squeezer,
     vacuum_state,
 )
+from cvsteer.loss_model import _A_MAX
 from cvsteer.reference import REFERENCE_MEASUREMENTS, REID_B_GIVEN_A, reference_state
 from cvsteer.sampler import _sqrt_factor, canonical_settings
 
@@ -326,6 +327,37 @@ def reference_nelder_mead_fit(state):
                    options={"xatol": 1e-8, "fatol": 1e-16, "maxfev": 10_000})
     r1, r2, xi = res.x
     return float(xi), float(r1), float(r2), float(res.fun)
+
+
+def reference_profile(xi, v_minus, v_plus):
+    """The fit objective at each xi, minimized over both sources' squeezing,
+    with every root of the stationarity quartic from one batched eigvals.
+
+    Reference for :func:`cvsteer.loss_model._profile`, which finds the largest
+    root by Newton's method.  For fixed xi a source's squared mismatch
+    (xi/a - u)^2 + (xi a - w)^2, with a = exp(2r), u = v_minus - 1 + xi and
+    w = v_plus - 1 + xi, is stationary at the roots of xi a^4 - w a^3 + u a - xi,
+    the eigenvalues of its companion matrix; the best of their real parts
+    clipped to [1, exp(20)] and the two bounds wins.  Returns the profile (k,),
+    the best a (k, 2) and the profile's slope in xi (k,).
+    """
+    xi = np.asarray(xi, dtype=float)
+    x = xi[:, None]
+    u = np.asarray(v_minus) - 1.0 + x
+    w = np.asarray(v_plus) - 1.0 + x
+    companion = np.zeros((len(xi), 2, 4, 4))
+    companion[..., 0, 0] = w / x
+    companion[..., 0, 2] = -u / x
+    companion[..., 0, 3] = companion[..., 1, 0] = companion[..., 2, 1] = companion[..., 3, 2] = 1.0
+    a = np.empty((len(xi), 2, 6))
+    a[..., :4] = np.clip(np.linalg.eigvals(companion).real, 1.0, _A_MAX)
+    a[..., 4:] = [1.0, _A_MAX]
+    x, u, w = x[..., None], u[..., None], w[..., None]
+    a = np.take_along_axis(a, ((x / a - u) ** 2 + (x * a - w) ** 2).argmin(axis=-1)[..., None], -1)
+    miss_minus, miss_plus = x / a - u, x * a - w
+    profile = (miss_minus ** 2 + miss_plus ** 2).sum(axis=(1, 2))
+    slope = 2.0 * (miss_minus * (1.0 / a - 1.0) + miss_plus * (a - 1.0)).sum(axis=(1, 2))
+    return profile, a[..., 0], slope
 
 
 # Two-mode diagonals, with their physicality, whose closed-form spectrum would

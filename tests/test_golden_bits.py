@@ -1,4 +1,5 @@
-"""Exact bits of the reconstruct -> criteria_report path on four fixed sets.
+"""Exact bits of the reconstruct -> criteria_report path on four fixed sets, and
+of the loss fit on four fixed states.
 
 Every float is pinned by its repr, so any change to the arithmetic, its order
 or its checks that moves a last bit fails here; a deliberate change re-pins.
@@ -8,8 +9,9 @@ import warnings
 
 import pytest
 
-from cvsteer import MeasurementSet, criteria_report, reconstruct
-from cvsteer.reference import REFERENCE_MEASUREMENTS
+from cvsteer import (MeasurementSet, SourceParams, build_epr_source, criteria_report,
+                     fit_efficiency, reconstruct)
+from cvsteer.reference import REFERENCE_MEASUREMENTS, reference_state
 
 GOLDEN = {
     "reference": (
@@ -91,3 +93,40 @@ def test_reconstruct_and_report_bits(name):
     assert [str(w.message) for w in caught] == messages
     assert repr(state.entries.tolist()) == entries
     assert repr(criteria_report(state).to_dict()) == report
+
+
+# fit_efficiency(state).to_dict() by repr
+FIT_GOLDEN = {
+    "reference": (
+        reference_state,
+        "{'xi': 0.9149490432448453, 'r1': 2.168083187908934, 'r2': 1.8389723805851457, "
+        "'residual': 0.24489295057898208, 'iterations': 46, 'converged': True}",
+    ),
+    # a pure state: the minimum sits on the scan bound xi = 1
+    "pure": (
+        lambda: build_epr_source(SourceParams(r1=1.2, r2=1.0, eta_prep=1.0)),
+        "{'xi': 1.0, 'r1': 1.2, 'r2': 1.0, 'residual': 0.0, 'iterations': 41, 'converged': True}",
+    ),
+    "r_2.3": (
+        lambda: reconstruct(GOLDEN["r_2.3"][0]),
+        "{'xi': 0.9215000000000041, 'r1': 2.2999999999999976, 'r2': 2.2999999999999976, "
+        "'residual': 5.0242958677880805e-15, 'iterations': 45, 'converged': True}",
+    ),
+    # the campaign of r1 = 1.2, r2 = 1.1, eta_prep 0.9, each value jittered by about 1%
+    "jittered": (
+        lambda: reconstruct(MeasurementSet(4.221670119536361, 5.104852087829115,
+                                           4.064030095302689, 5.065599460491648,
+                                           0.3593765182470045, 0.40056046121774797,
+                                           relative_error=0.01)),
+        "{'xi': 0.902048041055972, 'r1': 1.196406383516334, 'r2': 1.0917674471533645, "
+        "'residual': 0.04061490002488878, 'iterations': 45, 'converged': True}",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIT_GOLDEN))
+def test_fit_bits(name):
+    state, fit = FIT_GOLDEN[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert repr(fit_efficiency(state()).to_dict()) == fit

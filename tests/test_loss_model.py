@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cvsteer import (
     CovarianceMatrix,
@@ -22,9 +23,9 @@ from cvsteer import (
     variance_to_db,
     vacuum_state,
 )
-from cvsteer.loss_model import LossFit
+from cvsteer.loss_model import _A_MAX, LossFit, _profile
 from cvsteer.reconstruction import PhysicalityWarning
-from conftest import FIT_ENTRIES, fit_objective, reference_nelder_mead_fit
+from conftest import FIT_ENTRIES, fit_objective, reference_nelder_mead_fit, reference_profile
 
 
 def uniform_xi_params(r1, r2, xi):
@@ -258,6 +259,68 @@ class TestProfiledFit:
         fit = fit_efficiency(CovarianceMatrix(2, np.eye(4)))
         assert fit.residual < 1e-12
         assert not fit.converged
+
+
+def assert_profile_matches_eigvals(xi, v_minus, v_plus):
+    """The scalar kernel's profile is never above the companion-matrix oracle's,
+    and where both pick the same a per source, their slopes in xi agree."""
+    eps = np.finfo(float).eps
+    profile, a, slope = _profile(xi, v_minus, v_plus)
+    ref_profile, ref_a, ref_slope = (p[0] for p in reference_profile([xi], v_minus, v_plus))
+    # Floor fixed before the comparison ran: four squared misses, each rounded to
+    # about 2 eps of the entry scale.
+    scale = max(1.0, *map(abs, v_minus + v_plus))
+    assert profile <= ref_profile * (1.0 + 1e-13) + 16.0 * (eps * scale) ** 2, (a, ref_a)
+    assert all(1.0 <= x <= _A_MAX for x in a)  # r in [0, 10]
+    if all(abs(x - y) <= 1e-9 * y for x, y in zip(a, ref_a)):
+        # the slope moves by 2 xi a^2 per unit relative change of a
+        size = abs(ref_slope) + sum(2.0 * xi * x * x for x in a) + scale
+        assert slope == pytest.approx(ref_slope, rel=0.0, abs=1e-12 * size)
+
+
+# Two sources (u, w) at xi whose largest root of p(a) = xi a^4 - w a^3 + u a - xi
+# lies below w/(2 xi), where p is concave: v_minus = u + 1 - xi, v_plus = w + 1 - xi.
+CONCAVE_LARGEST_ROOT = [
+    (1.0, (10.0, 3.0), (2.0, 1.5)),
+    (0.5, (20.0, 50.0), (3.0, 4.0)),
+    (1e-3, (1.0, 0.5), (1e-2, 5e-3)),
+    (1e-6, (1e-3, 1.0), (1.5e-6, 1e-5)),
+]
+
+
+class TestProfileKernel:
+    @settings(max_examples=600, deadline=None, database=None, derandomize=True)
+    @given(xi=st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e),
+           truth=st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e),
+           r=st.tuples(*[st.floats(0.0, 3.0)] * 2),
+           jitter=st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+           kind=st.sampled_from(["physical", "swapped", "u <= 0", "w <= 0", "r > 10"]),
+           t=st.floats(0.0, 1.0))
+    @example(xi=1.0, truth=1.0, r=(0.0, 0.0), jitter=(0.0,) * 4, kind="physical", t=0.0)
+    @example(xi=1e-6, truth=1e-6, r=(3.0, 0.0), jitter=(0.0,) * 4, kind="physical", t=0.0)
+    @example(xi=1e-6, truth=1.0, r=(0.0, 3.0), jitter=(1.0,) * 4, kind="swapped", t=1.0)
+    def test_never_above_the_eigvals_profile(self, xi, truth, r, jitter, kind, t):
+        # sources of efficiency `truth` with 5% jitter, profiled at another xi
+        if kind == "r > 10":
+            r = (10.0 + r[0] / 1.5, 10.0 + r[1] / 1.5)
+        v_minus = [detected_variance(x, truth) * (1.0 + 0.05 * z) for x, z in zip(r, jitter[:2])]
+        v_plus = [detected_variance(x, truth, antisqueezed=True) * (1.0 + 0.05 * z)
+                  for x, z in zip(r, jitter[2:])]
+        if kind == "swapped":
+            v_minus, v_plus = v_plus, v_minus
+        elif kind == "u <= 0":
+            v_minus = [t * (1.0 - xi)] * 2
+        elif kind == "w <= 0":
+            v_plus = [t * (1.0 - xi)] * 2
+        assert_profile_matches_eigvals(xi, v_minus, v_plus)
+
+    @pytest.mark.parametrize("xi, u, w", CONCAVE_LARGEST_ROOT)
+    def test_largest_root_where_p_is_concave(self, xi, u, w):
+        for ui, wi in zip(u, w):
+            roots = np.roots([xi, -wi, 0.0, ui, -xi])
+            largest = max(z.real for z in roots if abs(z.imag) < 1e-12 and z.real > 0)
+            assert largest < wi / (2.0 * xi)
+        assert_profile_matches_eigvals(xi, [x + 1.0 - xi for x in u], [x + 1.0 - xi for x in w])
 
 
 class TestEfficiencyDecomposition:
