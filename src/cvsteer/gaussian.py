@@ -280,22 +280,22 @@ def _moments(state: CovarianceMatrix) -> tuple[float, ...]:
     """The six second moments (Var X_A, Var P_A, Var X_B, Var P_B, Cov X, Cov P), as floats."""
     if state.n_modes != 2:
         raise ValueError(f"expected a two-mode state, got {state.n_modes} modes")
-    return _moments_of(state.entries.tolist())
+    return _moments_of(state.entries.ravel().tolist())
 
 
 def _moments_of(e: list) -> tuple[float, ...]:
-    """_moments of the nested list of a two-mode matrix's entries."""
-    return e[0][0], e[1][1], e[2][2], e[3][3], e[0][2], e[1][3]
+    """_moments of the 16 entries of a two-mode matrix, row by row."""
+    return e[0], e[5], e[10], e[15], e[2], e[7]
 
 
 def _xp_entries(state: CovarianceMatrix) -> tuple[float, ...]:
     """The four X-P entries (X_A P_A, X_A P_B, P_A X_B, X_B P_B) of a two-mode state."""
-    return _xp_of(state.entries.tolist())
+    return _xp_of(state.entries.ravel().tolist())
 
 
 def _xp_of(e: list) -> tuple[float, ...]:
-    """_xp_entries of the nested list of a two-mode matrix's entries."""
-    return e[0][1], e[0][3], e[1][2], e[2][3]
+    """_xp_entries of the 16 entries of a two-mode matrix, row by row."""
+    return e[1], e[3], e[6], e[11]
 
 
 def _from_moments(xa, pa, xb, pb, cx, cp) -> np.ndarray:
@@ -317,7 +317,7 @@ def _decoupled_nu_squared(state: CovarianceMatrix) -> tuple[float, float] | None
     """
     if state.n_modes != 2:
         return None
-    e = state.entries.tolist()
+    e = state.entries.ravel().tolist()
     if any(_xp_of(e)):
         return None
     xa, pa, xb, pb, cx, cp = _moments_of(e)
@@ -416,6 +416,38 @@ class SourceParams:
         return cls(**values)
 
 
+def _source_entries(p: SourceParams) -> list[float]:
+    """The 16 entries, row by row, of :func:`build_epr_source`, in float arithmetic.
+
+    Per source v-/+ = eta_prep e^(-/+2r) + 1 - eta_prep; source 2 is rotated by
+    (cos phi, sin phi), each taken as exactly 0 within the rounding of phi, so that
+    multiples of pi/2 are exact quarter turns with no X-P entries; the beamsplitter
+    mixes with T, 1 - T and sqrt(T) sqrt(1 - T); detection scales each arm by its
+    efficiency and adds 1 - eta_det + dark_noise on the diagonal.
+    """
+    q = 1.0 - p.eta_prep
+    a1, b1 = p.eta_prep * math.exp(-2.0 * p.r1) + q, p.eta_prep * math.exp(2.0 * p.r1) + q
+    a2, b2 = p.eta_prep * math.exp(-2.0 * p.r2) + q, p.eta_prep * math.exp(2.0 * p.r2) + q
+    phi = p.relative_phase
+    tol = math.ulp(1.0) * max(1.0, abs(phi))
+    c, s = (v if abs(v) > tol else 0.0 for v in (math.cos(phi), math.sin(phi)))
+    x2, p2 = c * c * a2 + s * s * b2, s * s * a2 + c * c * b2
+    xp2 = c * s * (b2 - a2) if c and s else 0.0  # no -0.0 at the quarter turns
+    t, u = p.transmittance, 1.0 - p.transmittance
+    tu = math.sqrt(t) * math.sqrt(u)
+    ea, eb = p.eta_det_a, p.eta_det_b
+    eab = math.sqrt(ea * eb)
+    da, db = 1.0 - ea + p.dark_noise, 1.0 - eb + p.dark_noise
+    xa, pa = ea * (t * a1 + u * x2) + da, ea * (t * b1 + u * p2) + da
+    xb, pb = eb * (u * a1 + t * x2) + db, eb * (u * b1 + t * p2) + db
+    cx, cp = eab * (tu * (x2 - a1)), eab * (tu * (p2 - b1))
+    xpa, xpb, xpab = ea * (u * xp2), eb * (t * xp2), eab * (tu * xp2)
+    return [xa, xpa, cx, xpab,
+            xpa, pa, xpab, cp,
+            cx, xpab, xb, xpb,
+            xpab, cp, xpb, pb]
+
+
 def build_epr_source(params: SourceParams) -> CovarianceMatrix:
     """Forward model of the entangled source chain, in closed form.
 
@@ -425,15 +457,10 @@ def build_epr_source(params: SourceParams) -> CovarianceMatrix:
     beamsplitter is wired (mode_a=1, mode_b=0) so that, at the defaults,
     X_A - X_B = -sqrt(2) X_source1 and P_A + P_B = sqrt(2) P_source2 are the
     squeezed combinations: lossless and symmetric, both have variance
-    2 exp(-2r).  Lossy sources stay diagonal (v-/+ = eta e^(-/+2r) + 1 - eta),
-    so the chain is S diag(v) S^T then one diagonal detection scaling; only
-    the result is checked.
+    2 exp(-2r).  The chain is evaluated in float arithmetic
+    (:func:`_source_entries`), with no symplectic matrix built; a relative
+    phase within rounding of a multiple of pi/2, such as the default
+    math.pi / 2, is an exact quarter turn, so the state has exactly zero X-P
+    entries.  Only the result is checked.
     """
-    p = params
-    v = np.exp([-2.0 * p.r1, 2.0 * p.r1, -2.0 * p.r2, 2.0 * p.r2])
-    v = p.eta_prep * v + (1.0 - p.eta_prep)
-    s = beamsplitter(p.transmittance, 1, 0, 2).matrix @ phase_shift(p.relative_phase, 1, 2).matrix
-    eta = np.repeat([p.eta_det_a, p.eta_det_b], 2)
-    gamma = np.einsum("ik,k,jk->ij", s, v, s) * np.sqrt(np.outer(eta, eta))
-    gamma += np.diag(1.0 - eta + p.dark_noise)
-    return CovarianceMatrix(n_modes=2, entries=gamma)
+    return CovarianceMatrix(n_modes=2, entries=np.array(_source_entries(params)).reshape(4, 4))

@@ -16,8 +16,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .criteria import _joint_variances
-from .gaussian import (CovarianceMatrix, SourceParams, _moments, _xp_entries, build_epr_source,
-                       is_physical)
+from .gaussian import (CovarianceMatrix, SourceParams, _moments, _moments_of, _source_entries,
+                       _xp_entries, build_epr_source, is_physical)
 
 __all__ = [
     "forward_covariance",
@@ -139,7 +139,9 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     a scan of xi over [1e-6, 1], then a root search for the profile's slope
     between the best scan point and the neighbour its slope points to, to a
     relative tolerance of _XI_RTOL; the best point evaluated wins.
-    The residual is the RMS entry mismatch of the forward model at the fit.
+    The residual is the RMS entry mismatch of the forward model at the fit,
+    read from its float entries unchecked: at the r = 10 cap with xi near 1
+    the model is too ill-conditioned for the CovarianceMatrix check.
     iterations counts profile evaluations; converged is False if the root
     search missed its tolerance, the slope kept its sign across an interior
     bracket, or a second, separated scan basin lies within 1e-9 relative of
@@ -194,7 +196,7 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     unique = not np.any(scan[basins] + offset <= (best + offset) * (1.0 + 1e-9))
 
     r1, r2 = (0.5 * math.log(x) for x in a)
-    model = _moments(build_epr_source(SourceParams(r1=r1, r2=r2, eta_prep=xi)))
+    model = _moments_of(_source_entries(SourceParams(r1=r1, r2=r2, eta_prep=xi)))
     miss = [m - v for m, v in zip(model, measured)]
     # the eight nonzero entries: the diagonal, then each covariance twice
     residual = math.sqrt(sum(e * e for e in miss[:4] + miss[4:5] * 2 + miss[5:] * 2) / 8)

@@ -337,6 +337,14 @@ class TestFit:
         code, _, err = run(capsys, "fit", "--in", str(p))
         assert_input_error(code, err, "expected an object")
 
+    def test_state_past_the_r_cap_fits_r_at_10(self, capsys, tmp_path):
+        cov = tmp_path / "cov.json"
+        assert run(capsys, "simulate", "--r1", "10.05", "--r2", "9.5", "--eta-prep", "0.999999",
+                   "--out", str(cov))[0] == 0
+        code, out, err = run(capsys, "fit", "--in", str(cov))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["r1"] == 10.0
+
     def test_pure_state_fits_unit_efficiency(self, capsys, tmp_path):
         cov = tmp_path / "cov.json"
         assert run(capsys, "simulate", "--r1", "1.2", "--r2", "1.2",

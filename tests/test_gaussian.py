@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cvsteer import gaussian
+from cvsteer import gaussian, sampler
 from cvsteer import (
     CovarianceMatrix,
     LossChannel,
+    MeasurementSetting,
     SourceParams,
     SymplecticTransform,
     apply_loss,
@@ -17,8 +18,10 @@ from cvsteer import (
     compose,
     criteria_report,
     is_physical,
+    measure_campaign,
     phase_shift,
     quadrature_variance,
+    sample_quadratures,
     squeezer,
     symplectic_eigenvalues,
     symplectic_eigenvalues_two_mode,
@@ -225,6 +228,7 @@ class TestSymplecticEigenvalues:
 
 
 XP_ENTRIES = ((0, 1), (0, 3), (1, 2), (2, 3))
+QUARTER_TURNS = (0.0, math.pi / 2, -math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi)
 
 
 def decoupled(state):
@@ -235,15 +239,17 @@ def decoupled(state):
     return CovarianceMatrix(2, m)
 
 
-def eigvals_spy(monkeypatch):
-    """Count the calls is_physical makes to the general eigvals route."""
+def eigvals_spy(monkeypatch, *modules):
+    """Count the calls is_physical, and any of the given modules, make to the
+    general eigvals route."""
     calls = []
     route = gaussian.symplectic_eigenvalues
 
     def spy(state):
         calls.append(state)
         return route(state)
-    monkeypatch.setattr(gaussian, "symplectic_eigenvalues", spy)
+    for module in (gaussian, *modules):
+        monkeypatch.setattr(module, "symplectic_eigenvalues", spy)
     return calls
 
 
@@ -269,6 +275,15 @@ class TestClosedFormPhysicality:
         calls = eigvals_spy(monkeypatch)
         assert is_physical(ref_state)
         assert not is_physical(CovarianceMatrix(2, np.diag([0.5, 1.0, 1.0, 1.0])))
+        assert calls == []
+
+    def test_forward_states_skip_eigvals(self, monkeypatch):
+        # the default relative phase math.pi / 2 is an exact quarter turn
+        state = build_epr_source(SourceParams(r1=1.2, r2=1.1, eta_prep=0.9, dark_noise=0.01))
+        calls = eigvals_spy(monkeypatch, sampler)
+        assert is_physical(state)
+        measure_campaign(state, 100, seed=3, dark_noise=0.01)
+        sample_quadratures(state, MeasurementSetting.joint(1.0, -1.0), 100, seed=3)
         assert calls == []
 
     @pytest.mark.parametrize("entry", XP_ENTRIES)
@@ -481,6 +496,36 @@ class TestBuildEprSource:
         np.testing.assert_allclose(build_epr_source(params).entries, expected,
                                    rtol=1e-13, atol=1e-15)
 
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(r=st.tuples(*[st.floats(0.0, 3.0)] * 2),
+           phase=st.one_of(st.floats(-10.0, 10.0), st.sampled_from(QUARTER_TURNS)),
+           transmittance=st.floats(0.0, 1.0),
+           eta=st.tuples(*[st.floats(0.0, 1.0, exclude_min=True)] * 3),
+           dark_noise=st.floats(0.0, 1.0))
+    @example(r=(3.0, 3.0), phase=math.pi / 2, transmittance=0.5, eta=(1.0, 1.0, 1.0),
+             dark_noise=0.0)
+    def test_physical_range_matches_the_chain(self, r, phase, transmittance, eta, dark_noise):
+        # past 20 dB (r = 2.3); lossless states from r of about 4 get a rounding
+        # verdict on physicality, so the range stops at 3
+        params = SourceParams(r1=r[0], r2=r[1], relative_phase=phase,
+                              transmittance=transmittance, eta_prep=eta[0],
+                              eta_det_a=eta[1], eta_det_b=eta[2], dark_noise=dark_noise)
+        state = build_epr_source(params)
+        assert np.linalg.eigvalsh(state.entries).min() > 0.0
+        assert is_physical(state)
+        expected = reference_epr_chain(params).entries
+        tol = 1e-13 * max(1.0, np.max(np.abs(expected)))
+        assert np.max(np.abs(state.entries - expected)) <= tol
+
+    @pytest.mark.parametrize("transmittance", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("phase", QUARTER_TURNS)
+    def test_quarter_turns_have_exactly_zero_xp_entries(self, phase, transmittance):
+        state = build_epr_source(SourceParams(r1=1.3, r2=0.7, relative_phase=phase,
+                                              transmittance=transmittance, eta_prep=0.9,
+                                              eta_det_a=0.8, dark_noise=0.01))
+        e = state.entries.tolist()
+        assert [repr(e[i][j]) for i, j in XP_ENTRIES] == ["0.0"] * 4  # not -0.0 either
+
     def test_builds_one_checked_matrix(self, monkeypatch):
         calls = []
         check = CovarianceMatrix.__post_init__
@@ -488,6 +533,14 @@ class TestBuildEprSource:
                             lambda self: calls.append(self) or check(self))
         build_epr_source(SourceParams(r1=1.0, r2=0.8, eta_prep=0.9, dark_noise=0.01))
         assert len(calls) == 1
+
+    def test_builds_no_symplectic_transform(self, monkeypatch):
+        calls = []
+        check = SymplecticTransform.__post_init__
+        monkeypatch.setattr(SymplecticTransform, "__post_init__",
+                            lambda self: calls.append(self) or check(self))
+        build_epr_source(SourceParams(r1=1.0, r2=0.8, relative_phase=0.3, transmittance=0.4))
+        assert calls == []
 
     def test_params_validation(self):
         with pytest.raises(ValueError, match="eta_prep"):

@@ -110,7 +110,7 @@ FIT_GOLDEN = {
     "r_2.3": (
         lambda: reconstruct(GOLDEN["r_2.3"][0]),
         "{'xi': 0.9215000000000041, 'r1': 2.2999999999999976, 'r2': 2.2999999999999976, "
-        "'residual': 5.0242958677880805e-15, 'iterations': 45, 'converged': True}",
+        "'residual': 7.105427357601002e-15, 'iterations': 45, 'converged': True}",
     ),
     # the campaign of r1 = 1.2, r2 = 1.1, eta_prep 0.9, each value jittered by about 1%
     "jittered": (

@@ -17,6 +17,7 @@ from cvsteer import (
     expected_measurements,
     fit_efficiency,
     forward_covariance,
+    is_physical,
     reconstruct,
     reid_product,
     symplectic_eigenvalues,
@@ -240,15 +241,24 @@ class TestProfiledFit:
         assert compared >= 180
 
     def test_reference_xi_matches_nelder_mead(self, ref_state):
-        # the Nelder-Mead fit of the reference state gave xi = 0.9149490426164827
-        assert reference_nelder_mead_fit(ref_state)[0] == 0.9149490426164827
+        # the Nelder-Mead fit of the reference state gives xi = 0.914949040039757
+        assert reference_nelder_mead_fit(ref_state)[0] == 0.914949040039757
         fit = fit_efficiency(ref_state)
-        assert fit.xi == pytest.approx(0.9149490426164827, abs=1e-8)
+        assert fit.xi == pytest.approx(0.914949040039757, abs=1e-8)
         assert fit.converged
 
     def test_squeezing_past_the_bound_fits_r_at_10(self):
         fit = fit_efficiency(forward_covariance(uniform_xi_params(10.5, 1.0, 0.9)))
         assert fit.r1 == 10.0
+
+    def test_fit_on_the_r_cap_reads_its_unchecked_model(self):
+        # the model at r1 = 10, xi ~ 1 is too ill-conditioned for a checked
+        # CovarianceMatrix; the residual reads the forward entries directly
+        state = forward_covariance(uniform_xi_params(10.05, 9.5, 0.999999))
+        assert is_physical(state)
+        fit = fit_efficiency(state)
+        assert fit.r1 == 10.0 and fit.xi == pytest.approx(1.0, abs=1e-5)
+        assert math.isfinite(fit.residual)
 
     def test_iterations_count_profile_evaluations(self, ref_state):
         # a 41-point scan, then the root search for the slope in the best bracket
