@@ -1,6 +1,7 @@
 """Command-line surface: simulate, analyze, sample, reconstruct, fit, repro.
 
-Exit codes: 0 on success, 1 on analysis or tolerance failures, 2 on input
+Exit codes: 0 on success, 1 on analysis or tolerance failures (among them an
+inconsistent measurement set and a fit refused as unphysical), 2 on input
 errors.  All JSON output uses Python's round-trip-exact float repr, so
 identical inputs and seeds give byte-identical files.
 """
@@ -16,7 +17,7 @@ import warnings
 
 from .criteria import GainPair, criteria_report, reid_product
 from .gaussian import CovarianceMatrix, SourceParams, build_epr_source
-from .loss_model import db_to_variance, fit_efficiency
+from .loss_model import UnphysicalStateError, db_to_variance, fit_efficiency
 from .reconstruction import (
     InconsistentDataError,
     MeasurementSet,
@@ -227,7 +228,7 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             code, error = args.func(args), None
-        except InconsistentDataError as exc:
+        except (InconsistentDataError, UnphysicalStateError) as exc:
             code, error = 1, exc
         except (ValueError, OSError, json.JSONDecodeError) as exc:
             code, error = 2, exc

@@ -66,6 +66,29 @@ def _as_checked_matrix(entries, n_modes: int, what: str) -> np.ndarray:
     return m
 
 
+def _checked_covariance(entries, n_modes: int) -> np.ndarray:
+    """The entries as a checked, symmetrised float array, by numpy."""
+    m = _as_checked_matrix(entries, n_modes, "CovarianceMatrix")
+    # an exactly symmetric matrix, (0.0, -0.0) pairs included, is kept as given
+    if not (m == m.T).all():
+        asym = np.abs(m - m.T)
+        tol = SYMMETRY_RTOL * np.maximum(1.0, np.abs(m))
+        if (asym > tol).any():
+            i, j = np.unravel_index(np.argmax(asym - tol), m.shape)
+            raise ValueError(
+                f"CovarianceMatrix: not symmetric at ({i},{j}): "
+                f"{float(m[i, j])!r} vs {float(m[j, i])!r}"
+            )
+        # 0.5 a + 0.5 b cannot overflow; equal pairs stay as given, as halving
+        # rounds odd subnormals
+        m = np.where(asym == 0.0, m, 0.5 * m + 0.5 * m.T)
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise ValueError("CovarianceMatrix: matrix is not positive definite") from None
+    return m
+
+
 @dataclass(frozen=True)
 class CovarianceMatrix:
     """Second moments of the quadratures of an n-mode zero-mean Gaussian state.
@@ -74,30 +97,23 @@ class CovarianceMatrix:
     vacuum is the identity.  Symmetry and positive definiteness are enforced at
     construction; physicality (symplectic eigenvalues >= 1) is checked on
     demand via :func:`is_physical`.
+
+    A finite, exactly symmetric two-mode matrix whose X-P entries are all zero,
+    as every reconstruction and every forward state at a quarter turn is, is
+    checked in floats (:func:`_decoupled_positive_definite`); every other
+    matrix by numpy, with a symmetry tolerance and np.linalg.cholesky.
     """
 
     n_modes: int
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _as_checked_matrix(self.entries, self.n_modes, "CovarianceMatrix")
-        # an exactly symmetric matrix, (0.0, -0.0) pairs included, is kept as given
-        if not (m == m.T).all():
-            asym = np.abs(m - m.T)
-            tol = SYMMETRY_RTOL * np.maximum(1.0, np.abs(m))
-            if (asym > tol).any():
-                i, j = np.unravel_index(np.argmax(asym - tol), m.shape)
-                raise ValueError(
-                    f"CovarianceMatrix: not symmetric at ({i},{j}): "
-                    f"{float(m[i, j])!r} vs {float(m[j, i])!r}"
-                )
-            # 0.5 a + 0.5 b cannot overflow; equal pairs stay as given, as halving
-            # rounds odd subnormals
-            m = np.where(asym == 0.0, m, 0.5 * m + 0.5 * m.T)
-        try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            raise ValueError("CovarianceMatrix: matrix is not positive definite") from None
+        m = np.array(self.entries, dtype=float)
+        positive = _decoupled_positive_definite(m) if self.n_modes == 2 else None
+        if positive is None:
+            m = _checked_covariance(m, self.n_modes)
+        elif not positive:
+            raise ValueError("CovarianceMatrix: matrix is not positive definite")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -304,6 +320,32 @@ def _from_moments(xa, pa, xb, pb, cx, cp) -> np.ndarray:
                      0.0, pa, 0.0, cp,
                      cx, 0.0, xb, 0.0,
                      0.0, cp, 0.0, pb]).reshape(4, 4)  # faster than nested lists
+
+
+def _decoupled_positive_definite(m: np.ndarray) -> bool | None:
+    """Whether a 4x4 float array is positive definite, decided in floats for a
+    finite, exactly symmetric matrix whose X-P entries are zero; None (use numpy)
+    for any other.
+
+    Such a matrix is the direct sum of Gamma_x and Gamma_p, so Cholesky takes one
+    step per 2x2 block, as LAPACK does: a pivot v1 > 0, l = c * (1 / sqrt(v1)),
+    then v2 - l * l > 0.  The reciprocal form agrees with np.linalg.cholesky
+    more often than c / sqrt(v1) or v1 v2 - c^2 at the bound |c| = sqrt(v1 v2);
+    l * l overflows to inf where l ** 2 would raise.
+    """
+    if m.shape != (4, 4):
+        return None
+    e = m.ravel().tolist()
+    if any(_xp_of(e)) or not all(map(math.isfinite, e)):
+        return None
+    if not (e[4] == e[1] and e[8] == e[2] and e[12] == e[3]
+            and e[9] == e[6] and e[13] == e[7] and e[14] == e[11]):
+        return None
+    xa, pa, xb, pb, cx, cp = _moments_of(e)
+    if not (xa > 0.0 and pa > 0.0):
+        return False
+    lx, lp = cx * (1.0 / math.sqrt(xa)), cp * (1.0 / math.sqrt(pa))
+    return xb - lx * lx > 0.0 and pb - lp * lp > 0.0
 
 
 def _decoupled_nu_squared(state: CovarianceMatrix) -> tuple[float, float] | None:

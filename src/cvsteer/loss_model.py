@@ -22,6 +22,7 @@ from .gaussian import (CovarianceMatrix, SourceParams, _moments, _moments_of, _s
 __all__ = [
     "forward_covariance",
     "LossFit",
+    "UnphysicalStateError",
     "fit_efficiency",
     "efficiency_decomposition",
     "budget_prep_efficiency",
@@ -56,6 +57,14 @@ def detected_variance(r: float, xi: float, antisqueezed: bool = False) -> float:
     """Detected variance of a squeezed input after uniform efficiency xi."""
     sign = 2.0 if antisqueezed else -2.0
     return xi * math.exp(sign * r) + (1.0 - xi)
+
+
+class UnphysicalStateError(ValueError):
+    """The fit's input state is below the physicality gate of :func:`is_physical`.
+
+    An analysis outcome, like a state that :func:`reconstruct` returned with a
+    PhysicalityWarning, not an input error.
+    """
 
 
 # The fit's model function is the source model itself.
@@ -151,7 +160,7 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     if gamma_measured.n_modes != 2:
         raise ValueError("fit_efficiency: state must have exactly 2 modes")
     if not is_physical(gamma_measured):
-        raise ValueError("fit_efficiency: input matrix is unphysical")
+        raise UnphysicalStateError("fit_efficiency: input matrix is unphysical")
     g = gamma_measured.entries
     if np.abs(g).max() > _ENTRY_MAX:
         raise ValueError(f"fit_efficiency: entries up to {np.abs(g).max():.3g} are too large; "

@@ -182,8 +182,9 @@ def reconstruct(ms: MeasurementSet) -> CovarianceMatrix:
         if not (math.isfinite(cov_x) and math.isfinite(cov_p)):
             raise
         # Inside the band, a covariance at or past its bound, or within rounding
-        # of it, leaves the matrix singular or indefinite; the Cholesky check in
-        # CovarianceMatrix decides exactly.  Name the more strongly correlated entry.
+        # of it, leaves the matrix singular or indefinite; CovarianceMatrix decides,
+        # by one float Cholesky step per block, which agrees with np.linalg.cholesky
+        # outside 4 ulps of the bound.  Name the more strongly correlated entry.
         raise InconsistentDataError(*max(
             (abs(cov) / math.sqrt(v1) / math.sqrt(v2), entry, cov, math.sqrt(v1) * math.sqrt(v2),
              _covariance_sigma(ms.relative_error, v1, v2, vj))

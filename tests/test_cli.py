@@ -312,6 +312,15 @@ class TestReconstruct:
         assert "sqrt(Var*Var) = 1.09545" in err and "error band 0.0390513" in err
         assert "not positive definite" in err and "by -" not in err
 
+    def test_covariance_exactly_on_its_bound_exits_1(self, capsys, tmp_path):
+        # Cov_x = -(1 - 1 - 4) / 2 = 2 = sqrt(1) * sqrt(4): a singular matrix
+        p = tmp_path / "ms.csv"
+        p.write_text(",".join(CSV_FIELDS) + "\n1,1,4,1,1,2\n")
+        code, out, err = run(capsys, "reconstruct", "--in", str(p))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: measurement set inconsistent: |Cov_x| = 2 reaches ")
+        assert "not positive definite" in err
+
 
 class TestFit:
     def test_reference_matrix(self, capsys, tmp_path):
@@ -344,6 +353,17 @@ class TestFit:
         code, out, err = run(capsys, "fit", "--in", str(cov))
         assert (code, err) == (0, "")
         assert json.loads(out)["r1"] == 10.0
+
+    def test_warned_reconstruction_is_refused_with_exit_1(self, capsys, tmp_path):
+        # reconstruct only warns that this set is unphysical; the fit refuses it,
+        # an analysis outcome (exit 2, an input error, before)
+        ms, cov = tmp_path / "ms.json", tmp_path / "cov.json"
+        ms.write_text(json.dumps({"var_xa": 1, "var_pa": 1, "var_xb": 1, "var_pb": 1,
+                                  "var_x_diff": 0.5, "var_p_sum": 0.5}))
+        assert run(capsys, "reconstruct", "--in", str(ms), "--out", str(cov))[0] == 0
+        code, out, err = run(capsys, "fit", "--in", str(cov))
+        assert (code, out) == (1, "")
+        assert err == "error: fit_efficiency: input matrix is unphysical\n"
 
     def test_pure_state_fits_unit_efficiency(self, capsys, tmp_path):
         cov = tmp_path / "cov.json"

@@ -21,6 +21,7 @@ from cvsteer import (
     measure_campaign,
     phase_shift,
     quadrature_variance,
+    reconstruct,
     sample_quadratures,
     squeezer,
     symplectic_eigenvalues,
@@ -28,6 +29,7 @@ from cvsteer import (
     symplectic_form,
     vacuum_state,
 )
+from cvsteer.reference import REFERENCE_MEASUREMENTS
 from conftest import (
     TRAP_DIAGONALS,
     random_physical_state,
@@ -450,6 +452,117 @@ class TestCovarianceMatrixType:
     def test_entries_are_read_only(self, ref_state):
         with pytest.raises(ValueError):
             ref_state.entries[0, 0] = 99.0
+
+
+def cholesky_accepts(m) -> bool:
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def constructs(m) -> bool:
+    """Whether CovarianceMatrix accepts the two-mode matrix m."""
+    try:
+        CovarianceMatrix(2, m)
+    except ValueError as exc:
+        assert "not positive definite" in str(exc)
+        return False
+    return True
+
+
+def cholesky_spy(monkeypatch):
+    """Record the matrices handed to np.linalg.cholesky."""
+    calls = []
+    route = np.linalg.cholesky
+
+    def spy(m):
+        calls.append(m)
+        return route(m)
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    return calls
+
+
+def step_ulps(x: float, k: int) -> float:
+    """x moved |k| ulps away from 0 (k > 0) or towards it (k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else 0.0)
+    return x
+
+
+# Fixed before the comparison ran: the float verdict may differ from LAPACK's only
+# for a covariance within this many ulps of its bound sqrt(v1) sqrt(v2).
+BOUND_BAND_ULPS = 4
+
+
+def near_bound(v1: float, v2: float, c: float) -> bool:
+    if not (v1 > 0.0 and v2 > 0.0):
+        return False
+    bound = math.sqrt(v1) * math.sqrt(v2)
+    return abs(abs(c) - bound) <= BOUND_BAND_ULPS * math.ulp(bound)
+
+
+class TestFloatPositiveDefiniteness:
+    """The float route of CovarianceMatrix against np.linalg.cholesky."""
+
+    @settings(max_examples=3000, deadline=None, database=None, derandomize=True)
+    @given(v=st.tuples(*[st.floats(-1.0, 1e300)] * 4),
+           rho=st.tuples(*[st.floats(-1.5, 1.5)] * 2))
+    @example(v=(1.0, 1.0, 1.0, 1.0), rho=(1.0, -1.0))
+    @example(v=(5e-324, 1.0, 5e-324, 1.0), rho=(0.5, 0.0))
+    @example(v=(1e300, 1e300, 1e300, 1e-300), rho=(0.999, 0.999))
+    def test_random_decoupled_matrices_match_cholesky(self, v, rho):
+        xa, pa, xb, pb = v
+        cx = rho[0] * math.sqrt(abs(xa)) * math.sqrt(abs(xb))
+        cp = rho[1] * math.sqrt(abs(pa)) * math.sqrt(abs(pb))
+        m = gaussian._from_moments(xa, pa, xb, pb, cx, cp)
+        verdict = gaussian._decoupled_positive_definite(m)
+        assert verdict is not None and constructs(m) == verdict
+        if not (near_bound(xa, xb, cx) or near_bound(pa, pb, cp)):
+            assert verdict == cholesky_accepts(m)
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(v=st.tuples(*[st.floats(1e-300, 1e300)] * 4), sign=st.sampled_from([-1.0, 1.0]),
+           blocks=st.sampled_from(["x", "p", "xp"]), rho=st.floats(-0.999, 0.999))
+    @example(v=(1.0, 1.0, 1.2, 1.0), sign=-1.0, blocks="x", rho=0.5)
+    def test_covariances_stepped_across_the_bound(self, v, sign, blocks, rho):
+        xa, pa, xb, pb = v
+        bound_x, bound_p = math.sqrt(xa) * math.sqrt(xb), math.sqrt(pa) * math.sqrt(pb)
+        for k in range(-2 * BOUND_BAND_ULPS, 2 * BOUND_BAND_ULPS + 1):
+            cx = sign * step_ulps(bound_x, k) if "x" in blocks else rho * bound_x
+            cp = -sign * step_ulps(bound_p, k) if "p" in blocks else rho * bound_p
+            m = gaussian._from_moments(xa, pa, xb, pb, cx, cp)
+            verdict = gaussian._decoupled_positive_definite(m)
+            assert constructs(m) == verdict
+            if abs(k) > BOUND_BAND_ULPS:
+                assert verdict == (k < 0) == cholesky_accepts(m), k
+
+    def test_decoupled_states_skip_cholesky(self, monkeypatch):
+        params = SourceParams(r1=1.2, r2=1.1, eta_prep=0.9, dark_noise=0.01)
+        calls = cholesky_spy(monkeypatch)
+        state = reconstruct(REFERENCE_MEASUREMENTS)
+        CovarianceMatrix.from_dict(state.to_dict())
+        build_epr_source(params)  # the default relative phase is an exact quarter turn
+        assert calls == []
+        build_epr_source(SourceParams(r1=1.2, r2=1.1, relative_phase=0.3))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("entry", XP_ENTRIES)
+    def test_one_xp_entry_takes_the_cholesky_route(self, monkeypatch, ref_state, entry):
+        m = ref_state.entries.copy()
+        m[entry] = m[entry[::-1]] = 1e-300
+        calls = cholesky_spy(monkeypatch)
+        CovarianceMatrix(2, m)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 2), (3, 1)])
+    def test_non_finite_entries_keep_their_message(self, ref_state, bad, entry):
+        m = ref_state.entries.copy()
+        m[entry] = bad
+        with pytest.raises(ValueError, match="CovarianceMatrix: entries must be finite"):
+            CovarianceMatrix(2, m)
 
 
 class TestBuildEprSource:

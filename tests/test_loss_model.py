@@ -9,6 +9,7 @@ from cvsteer import (
     CovarianceMatrix,
     MeasurementSet,
     SourceParams,
+    UnphysicalStateError,
     budget_prep_efficiency,
     criteria_report,
     db_to_variance,
@@ -25,7 +26,7 @@ from cvsteer import (
     vacuum_state,
 )
 from cvsteer.loss_model import _A_MAX, LossFit, _profile
-from cvsteer.reconstruction import PhysicalityWarning
+from cvsteer.reconstruction import InconsistentDataError, PhysicalityWarning
 from conftest import FIT_ENTRIES, fit_objective, reference_nelder_mead_fit, reference_profile
 
 
@@ -147,6 +148,14 @@ class TestFitEfficiency:
             fit_efficiency(CovarianceMatrix(2, 1e160 * np.eye(4)))
         with pytest.raises(ValueError, match="entries up to 1.7e\\+308 are too large"):
             fit_efficiency(CovarianceMatrix(2, np.diag([1.7e308, 1.0, 1.0, 1.0])))
+
+    def test_unphysical_input_is_its_own_value_error(self):
+        # below the physicality gate, not past the Cauchy-Schwarz bound
+        state = CovarianceMatrix(2, np.diag([0.5, 1.0, 1.0, 1.0]))
+        with pytest.raises(UnphysicalStateError, match="input matrix is unphysical") as info:
+            fit_efficiency(state)
+        assert isinstance(info.value, ValueError)
+        assert not isinstance(info.value, InconsistentDataError)
 
     def test_rejects_wrong_mode_count(self):
         with pytest.raises(ValueError):
