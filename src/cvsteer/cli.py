@@ -1,8 +1,8 @@
 """Command-line surface: simulate, analyze, sample, reconstruct, fit, repro.
 
 Exit codes: 0 on success, 1 on analysis or tolerance failures (among them an
-inconsistent measurement set and a fit refused as unphysical), 2 on input
-errors.  All JSON output uses Python's round-trip-exact float repr, so
+inconsistent measurement set and a fit or campaign refused as unphysical), 2
+on input errors.  All JSON output uses Python's round-trip-exact float repr, so
 identical inputs and seeds give byte-identical files.
 """
 
@@ -16,8 +16,8 @@ import sys
 import warnings
 
 from .criteria import GainPair, criteria_report, reid_product
-from .gaussian import CovarianceMatrix, SourceParams, build_epr_source
-from .loss_model import UnphysicalStateError, db_to_variance, fit_efficiency
+from .gaussian import CovarianceMatrix, SourceParams, UnphysicalStateError, build_epr_source
+from .loss_model import db_to_variance, fit_efficiency
 from .reconstruction import (
     InconsistentDataError,
     MeasurementSet,

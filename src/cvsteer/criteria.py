@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .gaussian import CovarianceMatrix, _moments
 
 REID_BOUND = 1.0
@@ -141,7 +139,7 @@ def criteria_report(state: CovarianceMatrix) -> CriteriaReport:
     (see _steers), so a product state whose product rounds to just below 1
     does not steer; the Duan flag is the strict sum < 4.  The conditional
     uncertainty ratio is the geometric mean of the two B|A conditional
-    variances, i.e. sqrt(reid_b_given_a).
+    variances, i.e. sqrt(reid_b_given_a), 0 for a product rounded below 0.
     """
     m = _moments(state)
     xba, pba = _conditional(m, ("x", "b|a")), _conditional(m, ("p", "b|a"))
@@ -161,7 +159,7 @@ def criteria_report(state: CovarianceMatrix) -> CriteriaReport:
         steering_b_given_a=_steers(m, "b|a", xba, pba),
         steering_a_given_b=_steers(m, "a|b", xab, pab),
         duan_inseparable=duan < DUAN_BOUND,
-        # math.sqrt would raise on a product rounded below 0, where np.sqrt gives nan
-        conditional_uncertainty_ratio=(math.sqrt(reid_ba) if reid_ba >= 0.0
-                                       else float(np.sqrt(reid_ba))),
+        # a product rounded below 0 at the Cauchy-Schwarz bound is clamped, as in
+        # gaussian._decoupled_nu_squared
+        conditional_uncertainty_ratio=math.sqrt(max(reid_ba, 0.0)),
     )

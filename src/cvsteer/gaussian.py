@@ -304,13 +304,9 @@ def _moments_of(e: list) -> tuple[float, ...]:
     return e[0], e[5], e[10], e[15], e[2], e[7]
 
 
-def _xp_entries(state: CovarianceMatrix) -> tuple[float, ...]:
-    """The four X-P entries (X_A P_A, X_A P_B, P_A X_B, X_B P_B) of a two-mode state."""
-    return _xp_of(state.entries.ravel().tolist())
-
-
 def _xp_of(e: list) -> tuple[float, ...]:
-    """_xp_entries of the 16 entries of a two-mode matrix, row by row."""
+    """The four X-P entries (X_A P_A, X_A P_B, P_A X_B, X_B P_B) of the 16 entries
+    of a two-mode matrix, row by row."""
     return e[1], e[3], e[6], e[11]
 
 
@@ -384,6 +380,15 @@ def symplectic_eigenvalues_two_mode(state: CovarianceMatrix) -> np.ndarray:
         raise ValueError("symplectic_eigenvalues_two_mode: state must have exactly 2 modes")
     nu2 = _decoupled_nu_squared(state)
     return symplectic_eigenvalues(state) if nu2 is None else np.sqrt(nu2)
+
+
+class UnphysicalStateError(ValueError):
+    """A state below the physicality gate of :func:`is_physical`, refused by the
+    loss fit or the sampler.
+
+    An analysis outcome, like a state that :func:`reconstruct` returned with a
+    PhysicalityWarning, not an input error.
+    """
 
 
 def is_physical(state: CovarianceMatrix, atol: float = PHYSICALITY_ATOL) -> bool:

@@ -16,8 +16,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .criteria import _joint_variances
-from .gaussian import (CovarianceMatrix, SourceParams, _moments, _moments_of, _source_entries,
-                       _xp_entries, build_epr_source, is_physical)
+from .gaussian import (CovarianceMatrix, SourceParams, UnphysicalStateError, _moments_of,
+                       _source_entries, _xp_of, build_epr_source, is_physical)
 
 __all__ = [
     "forward_covariance",
@@ -57,14 +57,6 @@ def detected_variance(r: float, xi: float, antisqueezed: bool = False) -> float:
     """Detected variance of a squeezed input after uniform efficiency xi."""
     sign = 2.0 if antisqueezed else -2.0
     return xi * math.exp(sign * r) + (1.0 - xi)
-
-
-class UnphysicalStateError(ValueError):
-    """The fit's input state is below the physicality gate of :func:`is_physical`.
-
-    An analysis outcome, like a state that :func:`reconstruct` returned with a
-    PhysicalityWarning, not an input error.
-    """
 
 
 # The fit's model function is the source model itself.
@@ -161,18 +153,19 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
         raise ValueError("fit_efficiency: state must have exactly 2 modes")
     if not is_physical(gamma_measured):
         raise UnphysicalStateError("fit_efficiency: input matrix is unphysical")
-    g = gamma_measured.entries
-    if np.abs(g).max() > _ENTRY_MAX:
-        raise ValueError(f"fit_efficiency: entries up to {np.abs(g).max():.3g} are too large; "
+    e = gamma_measured.entries.ravel().tolist()
+    largest = max(map(abs, e))
+    if largest > _ENTRY_MAX:
+        raise ValueError(f"fit_efficiency: entries up to {largest:.3g} are too large; "
                          f"the fit squares them (at most {_ENTRY_MAX:.3g})")
-    cross = max(map(abs, _xp_entries(gamma_measured)))
-    if cross > 1e-9 * max(1.0, g.diagonal().max()):
+    xa, pa, xb, pb, cov_x, cov_p = measured = _moments_of(e)
+    cross = max(map(abs, _xp_of(e)))
+    if cross > 1e-9 * max(1.0, xa, pa, xb, pb):
         raise ValueError("fit_efficiency: expected zero X-P cross terms "
                          f"(reconstruction output shape), found {cross:.3g}")
 
     # Half of Var(X_A - X_B), Var(P_A + P_B) and, with the covariances negated,
     # of Var(X_A + X_B), Var(P_A - P_B).
-    xa, pa, xb, pb, cov_x, cov_p = measured = _moments(gamma_measured)
     v_minus = [0.5 * v for v in _joint_variances(xa, pa, xb, pb, cov_x, cov_p)]
     v_plus = [0.5 * v for v in _joint_variances(xa, pa, xb, pb, -cov_x, -cov_p)[::-1]]
     points = [_profile(x, v_minus, v_plus) for x in _XI_SCAN]

@@ -25,11 +25,12 @@ CSV_FIELDS = ("var_xa", "var_pa", "var_xb", "var_pb", "var_x_diff", "var_p_sum")
 
 
 class InconsistentDataError(ValueError):
-    """A reconstructed covariance breaks its Cauchy-Schwarz bound.
+    """A reconstructed covariance breaks its Cauchy-Schwarz bound, so that the
+    reconstructed matrix is not positive definite.
 
-    Either it exceeds the bound beyond the error band (excess > 0), or it
-    reaches the bound, or comes within rounding of it, inside the band, so
-    that the reconstructed matrix is not positive definite (excess <= 0).
+    The error band only words the error: the covariance either exceeds the
+    bound beyond the band (excess > 0), or reaches the bound, or comes within
+    rounding of it, inside the band (excess <= 0).
     """
 
     def __init__(self, entry: str, value: float, bound: float, band: float):
@@ -159,36 +160,27 @@ def reconstruct(ms: MeasurementSet) -> CovarianceMatrix:
 
     Diagonal from the four single variances; Cov(X_A, X_B) from the measured
     difference (sign handled here), Cov(P_A, P_B) from the measured sum; all
-    X-P cross terms set to zero.  Covariances breaching the Cauchy-Schwarz
-    bound beyond the propagated error band, or reaching it inside the band so
-    that the matrix is not positive definite, raise InconsistentDataError;
-    matrices that are merely below the symplectic physicality boundary emit a
-    PhysicalityWarning but are returned.
+    X-P cross terms set to zero.  A matrix that CovarianceMatrix refuses as not
+    positive definite, a covariance being at or past its Cauchy-Schwarz bound,
+    raises InconsistentDataError; it names the entry past its propagated error
+    band, otherwise the more strongly correlated one.  Matrices that are merely
+    below the symplectic physicality boundary emit a PhysicalityWarning but
+    are returned.
     """
     xa, pa, xb, pb, x_diff, p_sum = ms.values()
     cov_x, cov_p = _covariances(xa, pa, xb, pb, x_diff, p_sum)
-    checks = (("x", cov_x, xa, xb, x_diff), ("p", cov_p, pa, pb, p_sum))
-    for entry, cov, v1, v2, vj in checks:
-        bound = math.sqrt(v1) * math.sqrt(v2)
-        # The band is >= 0, so only a covariance past its bound needs it; an
-        # overflowed covariance is an input error, raised by CovarianceMatrix below.
-        if bound < abs(cov) < math.inf:
-            band = _covariance_sigma(ms.relative_error, v1, v2, vj)
-            if abs(cov) > bound + band:
-                raise InconsistentDataError(entry, cov, bound, band)
     try:
         state = CovarianceMatrix(n_modes=2, entries=_from_moments(xa, pa, xb, pb, cov_x, cov_p))
     except ValueError:
         if not (math.isfinite(cov_x) and math.isfinite(cov_p)):
             raise
-        # Inside the band, a covariance at or past its bound, or within rounding
-        # of it, leaves the matrix singular or indefinite; CovarianceMatrix decides,
-        # by one float Cholesky step per block, which agrees with np.linalg.cholesky
-        # outside 4 ulps of the bound.  Name the more strongly correlated entry.
-        raise InconsistentDataError(*max(
-            (abs(cov) / math.sqrt(v1) / math.sqrt(v2), entry, cov, math.sqrt(v1) * math.sqrt(v2),
-             _covariance_sigma(ms.relative_error, v1, v2, vj))
-            for entry, cov, v1, v2, vj in checks)[1:]) from None
+        # CovarianceMatrix decided, by one float Cholesky step per block; the
+        # error band only chooses the wording.
+        errors = [InconsistentDataError(entry, cov, math.sqrt(v1) * math.sqrt(v2),
+                                        _covariance_sigma(ms.relative_error, v1, v2, vj))
+                  for entry, cov, v1, v2, vj in (("x", cov_x, xa, xb, x_diff),
+                                                 ("p", cov_p, pa, pb, p_sum))]
+        raise max(errors, key=lambda e: (e.excess > 0, abs(e.value) / e.bound)) from None
     if not is_physical(state):
         warnings.warn(
             PhysicalityWarning(

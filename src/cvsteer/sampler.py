@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import CovarianceMatrix, is_physical, symplectic_eigenvalues
+from .gaussian import CovarianceMatrix, UnphysicalStateError, is_physical, symplectic_eigenvalues
 from .reconstruction import MeasurementSet
 
 # Rows drawn per campaign chunk: small enough that the draw buffers stay in
@@ -137,7 +137,8 @@ def _check_sampleable(state: CovarianceMatrix):
         raise ValueError("sampler: state must have exactly 2 modes")
     if not is_physical(state):
         nus = symplectic_eigenvalues(state)
-        raise ValueError(f"sampler: state is unphysical (symplectic eigenvalues {nus.tolist()})")
+        raise UnphysicalStateError(
+            f"sampler: state is unphysical (symplectic eigenvalues {nus.tolist()})")
 
 
 def sample_quadratures(state: CovarianceMatrix, setting: MeasurementSetting,

@@ -144,6 +144,17 @@ class TestAnalyze:
             assert out == ""
         assert not out_path.exists()
 
+    def test_state_at_the_cauchy_schwarz_bound_exits_0(self, capsys, tmp_path):
+        # the X B|A conditional variance of this accepted state rounds to -1.4e-14;
+        # its square root no longer turns the report into nan (exit 2 before)
+        p = tmp_path / "at_bound.json"
+        p.write_text(json.dumps({"n_modes": 2, "entries": [
+            [35.37985501855342, 0, -39.07527374549702, 0], [0, 1, 0, 0],
+            [-39.07527374549702, 0, 43.156678213769524, 0], [0, 0, 0, 1]]}))
+        code, out, err = run(capsys, "analyze", "--in", str(p))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["conditional_uncertainty_ratio"] == 0.0
+
     @pytest.mark.parametrize("n_modes", [2.7, True, "2"])
     def test_non_integer_n_modes_exits_2(self, capsys, tmp_path, n_modes):
         p = tmp_path / "cov.json"
@@ -227,6 +238,21 @@ class TestSample:
         assert_input_error(code, err, "overflow", "largest state entry 1.7e+308",
                            "dark-noise variance 0")
         assert out == "" and err.count("\n") == 1 and "warning:" not in err
+
+
+    def test_warned_reconstruction_is_refused_with_exit_1(self, capsys, tmp_path):
+        # reconstruct only warns that this set is unphysical; the sampler refuses it,
+        # an analysis outcome (exit 2, an input error, before)
+        ms, cov = tmp_path / "ms.json", tmp_path / "cov.json"
+        ms.write_text(json.dumps({"var_xa": 1, "var_pa": 1, "var_xb": 1, "var_pb": 1,
+                                  "var_x_diff": 0.5, "var_p_sum": 0.5}))
+        assert run(capsys, "reconstruct", "--in", str(ms), "--out", str(cov))[0] == 0
+        for fmt in ("json", "csv"):
+            code, out, err = run(capsys, "sample", "--in", str(cov), "--n", "10",
+                                 "--format", fmt)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: sampler: state is unphysical (symplectic eigenvalues [")
+            assert err.count("\n") == 1
 
 
 class TestReconstruct:

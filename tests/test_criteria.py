@@ -117,6 +117,17 @@ class TestCriteriaReport:
         assert not rep.steering_a_given_b
         assert not rep.duan_inseparable  # sum is exactly 4, strict inequality
 
+    def test_product_rounded_below_zero_gives_a_zero_ratio(self):
+        # CovarianceMatrix accepts this X block at its Cauchy-Schwarz bound, but
+        # the X B|A conditional variance rounds to -1.4e-14
+        state = CovarianceMatrix(2, [[35.37985501855342, 0.0, -39.07527374549702, 0.0],
+                                     [0.0, 1.0, 0.0, 0.0],
+                                     [-39.07527374549702, 0.0, 43.156678213769524, 0.0],
+                                     [0.0, 0.0, 0.0, 1.0]])
+        rep = criteria_report(state)
+        assert rep.conditional_variances["x_b_given_a"] < 0.0 and rep.reid_b_given_a < 0.0
+        assert rep.conditional_uncertainty_ratio == 0.0
+
     def test_product_rounded_below_one_is_not_steering(self):
         # a lossless product state: each factor is a pure state's e^{-2r} e^{2r} = 1,
         # which rounds to 1 - eps / 2, inside the product's rounding bound

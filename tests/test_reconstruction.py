@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cvsteer import (
     CovarianceMatrix,
@@ -180,6 +180,94 @@ class TestPhysicalityDecision:
         assert gaussian._decoupled_nu_squared(state) is None
         assert is_physical(state) == physical
         assert [w.category for w in caught] == [PhysicalityWarning] * (not physical)
+
+
+def step_ulps(x: float, k: int) -> float:
+    """x moved |k| ulps away from 0 (k > 0) or towards it (k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else 0.0)
+    return x
+
+
+def expected_naming(ms, cov_x, cov_p):
+    """(entry, value, bound, band) that the InconsistentDataError of ms names: the
+    larger (past its band, |cov| / bound), X on a tie."""
+    rel, best = ms.relative_error, None
+    for entry, cov, v1, v2, vj in (("x", cov_x, ms.var_xa, ms.var_xb, ms.var_x_diff),
+                                   ("p", cov_p, ms.var_pa, ms.var_pb, ms.var_p_sum)):
+        bound = math.sqrt(v1) * math.sqrt(v2)
+        band = 0.5 * math.sqrt((rel * v1) ** 2 + (rel * v2) ** 2 + (rel * vj) ** 2)
+        key = (abs(cov) - (bound + band) > 0, abs(cov) / bound)
+        if best is None or key > best[0]:
+            best = key, (entry, cov, bound, band)
+    return best[1]
+
+
+class TestConsistencyVerdict:
+    """reconstruct makes no Cauchy-Schwarz comparison of its own: it raises
+    InconsistentDataError exactly when CovarianceMatrix refuses the matrix, and
+    the error band only chooses the entry the error names."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(v=st.tuples(*[st.floats(1e-3, 1e3)] * 4),
+           signs=st.tuples(*[st.sampled_from([-1.0, 1.0])] * 2),
+           blocks=st.sampled_from(["x", "p", "xp"]), rho=st.floats(-0.999, 0.999),
+           relative_error=st.sampled_from([0.0, 1e-3, 0.05]))
+    @example(v=(1.0, 1.0, 1.2, 1.0), signs=(1.0, 1.0), blocks="x", rho=0.5, relative_error=0.05)
+    @example(v=(2.0, 3.0, 5.0, 7.0), signs=(-1.0, 1.0), blocks="xp", rho=0.0, relative_error=0.0)
+    def test_raises_exactly_when_covariance_matrix_refuses(self, v, signs, blocks, rho,
+                                                           relative_error):
+        xa, pa, xb, pb = v
+        bound_x, bound_p = math.sqrt(xa) * math.sqrt(xb), math.sqrt(pa) * math.sqrt(pb)
+        for k in range(-6, 7):
+            cx = signs[0] * step_ulps(bound_x, k) if "x" in blocks else rho * bound_x
+            cp = signs[1] * step_ulps(bound_p, -k) if "p" in blocks else rho * bound_p
+            try:
+                ms = MeasurementSet(xa, pa, xb, pb, xa + xb - 2.0 * cx, pa + pb + 2.0 * cp,
+                                    relative_error=relative_error)
+            except ValueError:
+                continue  # a joint variance rounded to <= 0: not a valid set
+            cov_x = -covariance_from_sum(ms.var_x_diff, xa, xb)
+            cov_p = covariance_from_sum(ms.var_p_sum, pa, pb)
+            try:
+                CovarianceMatrix(2, gaussian._from_moments(xa, pa, xb, pb, cov_x, cov_p))
+                refused = False
+            except ValueError:
+                refused = True
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PhysicalityWarning)
+                try:
+                    reconstruct(ms)
+                    raised = None
+                except InconsistentDataError as exc:
+                    raised = exc
+            assert (raised is not None) == refused, k
+            if raised is not None:
+                named = (raised.entry, raised.value, raised.bound, raised.band)
+                assert named == expected_naming(ms, cov_x, cov_p), k
+
+    def test_both_covariances_past_their_bands_name_the_more_correlated(self):
+        # |Cov_x| = 39 and |Cov_p| = 49 at unit variances; X was named first before
+        for x_diff, p_sum, entry in ((80.0, 100.0, "p"), (100.0, 80.0, "x")):
+            with pytest.raises(InconsistentDataError, match=f"Cov_{entry}") as exc:
+                reconstruct(MeasurementSet(1.0, 1.0, 1.0, 1.0, x_diff, p_sum))
+            assert exc.value.entry == entry and exc.value.excess > 0
+
+    def test_a_covariance_past_its_band_is_named_before_a_stronger_one_inside(self):
+        # Cov_p / bound = 2 lies inside its wide band (Var P_A >> Var P_B);
+        # Cov_x / bound = 1.5 is past its band
+        ms = MeasurementSet(1.0, 1e4, 1.0, 1e-2, 5.0, 1e4 + 1e-2 + 40.0)
+        with pytest.raises(InconsistentDataError) as exc:
+            reconstruct(ms)
+        assert exc.value.entry == "x" and exc.value.excess > 0
+
+    def test_covariance_within_rounding_of_a_zero_band_may_reconstruct(self):
+        # with relative_error = 0, |Cov_x| is 1 ulp past its rounded bound, but the
+        # float Cholesky step accepts the block: a warned state, not an error
+        ms = MeasurementSet(0.647, 1.0, 0.303, 1.0, 1.8355303495645985, 2.0, relative_error=0.0)
+        with pytest.warns(PhysicalityWarning):
+            state = reconstruct(ms)
+        assert abs(state.entries[0, 2]) > math.sqrt(0.647) * math.sqrt(0.303)
 
 
 class TestPropagateErrors:
