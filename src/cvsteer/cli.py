@@ -16,7 +16,8 @@ import sys
 import warnings
 
 from .criteria import GainPair, criteria_report, reid_product
-from .gaussian import CovarianceMatrix, SourceParams, UnphysicalStateError, build_epr_source
+from .gaussian import (CovarianceMatrix, SourceParams, UnphysicalStateError, build_epr_source,
+                       is_physical, symplectic_eigenvalues)
 from .loss_model import db_to_variance, fit_efficiency
 from .reconstruction import (
     InconsistentDataError,
@@ -91,6 +92,9 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     gains = None if args.gains is None else _parse_gains(args.gains)
     state = _load_state(args.in_path)
+    if not is_physical(state):  # checked here, not in criteria_report: a batch hot path
+        warnings.warn(PhysicalityWarning(f"analyze: state is unphysical (symplectic "
+                                         f"eigenvalues {symplectic_eigenvalues(state).tolist()})"))
     report = criteria_report(state)
     _write_json(report.to_dict(), args.out_path)
     if gains is not None:

@@ -33,6 +33,7 @@ __all__ = [
 
 # Profile search: a scan of xi, then a root search for the profile's slope to _XI_RTOL.
 _XI_SCAN = np.linspace(1e-6, 1.0, 41).tolist()
+_XI_LANES = np.repeat(_XI_SCAN, 2).reshape(-1, 2)  # (xi, source) lanes, one row per xi
 _XI_RTOL = 1e-13
 _A_MAX = math.exp(20.0)  # a = exp(2r), r in [0, 10]
 _ENTRY_MAX = math.sqrt(sys.float_info.max) / 8.0  # sums of squared entries stay finite
@@ -127,6 +128,39 @@ def _profile(xi: float, v_minus, v_plus):
     return profile, best, slope
 
 
+def _scan(v_minus, v_plus):
+    """:func:`_profile` at every _XI_SCAN point, as one numpy pass over (xi, source) lanes.
+
+    Returns the profiles (41,), best a values (41, 2) and slopes (41,), bit for
+    bit those of the scalar kernel: the same products in the same order, and a
+    lane moves only while its Newton step has dp > 0 and shrinks a.  A stopped
+    lane recomputes the same verdict, so the pass ends when no lane moves.
+    """
+    # Silent like float arithmetic: large variances overflow, stopped lanes divide by dp <= 0.
+    with np.errstate(all="ignore"):
+        xi = _XI_LANES
+        u, w = np.asarray(v_minus) - 1.0 + xi, np.asarray(v_plus) - 1.0 + xi
+        m = np.maximum(w / xi, 1.0)
+        a = np.minimum(m + (np.abs(u) + xi) / (xi * m * m), _A_MAX)
+        xi4, w3 = 4.0 * xi, 3.0 * w
+        while True:
+            dp = (xi4 * a - w3) * a * a + u
+            step = a - (((xi * a - w) * a * a + u) * a - xi) / dp
+            move = (dp > 0.0) & (step < a)
+            if not np.count_nonzero(move):
+                break
+            np.copyto(a, step, where=move)
+        fit = np.inf
+        for c in (np.maximum(a, 1.0), 1.0):
+            miss_minus, miss_plus = xi / c - u, xi * c - w
+            sq = miss_minus * miss_minus + miss_plus * miss_plus
+            better = sq < fit
+            fit, a = np.where(better, sq, fit), np.where(better, c, a)
+        slope = 2.0 * ((xi / a - u) * (1.0 / a - 1.0) + (xi * a - w) * (a - 1.0))
+    # summed from 0.0 as in the scalar kernel, so a -0.0 slope sums to 0.0
+    return 0.0 + fit[:, 0] + fit[:, 1], a, 0.0 + slope[:, 0] + slope[:, 1]
+
+
 def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     """Fit the three-parameter loss model to a reconstructed covariance matrix.
 
@@ -136,8 +170,8 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     an orthonormal linear map of the four effective source variances, so the
     sum splits into the squared distance of the model variances from
     v = (v1-, v1+, v2-, v2+), read off the matrix, plus a constant.  The fit
-    profiles out r1 and r2 exactly (:func:`_profile`) and searches xi alone:
-    a scan of xi over [1e-6, 1], then a root search for the profile's slope
+    profiles out r1 and r2 exactly and searches xi alone: a scan of xi over
+    [1e-6, 1] (:func:`_scan`), then a root search for the profile's slope
     between the best scan point and the neighbour its slope points to, to a
     relative tolerance of _XI_RTOL; the best point evaluated wins.
     The residual is the RMS entry mismatch of the forward model at the fit,
@@ -168,10 +202,10 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     # of Var(X_A + X_B), Var(P_A - P_B).
     v_minus = [0.5 * v for v in _joint_variances(xa, pa, xb, pb, cov_x, cov_p)]
     v_plus = [0.5 * v for v in _joint_variances(xa, pa, xb, pb, -cov_x, -cov_p)[::-1]]
-    points = [_profile(x, v_minus, v_plus) for x in _XI_SCAN]
-    scan = np.array([p[0] for p in points])
+    scan, best_a, slopes = _scan(v_minus, v_plus)
     k = int(scan.argmin())
-    seen = {_XI_SCAN[i]: points[i] for i in range(max(k - 1, 0), min(k + 2, len(_XI_SCAN)))}
+    seen = {_XI_SCAN[i]: (scan[i], best_a[i], slopes[i])
+            for i in range(max(k - 1, 0), min(k + 2, len(_XI_SCAN)))}
     scanned = len(seen)
 
     def slope(xi):
@@ -181,9 +215,9 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
 
     # The slope's sign at the best point picks the neighbour that brackets the
     # minimum with it.  On a scan bound it may point outward (or be 0): xi stands.
-    j = k + 1 if points[k][2] < 0 else k - 1
-    found = points[k][2] == 0 or not 0 <= j < len(_XI_SCAN)
-    if not found and np.sign(points[j][2]) != np.sign(points[k][2]):
+    j = k + 1 if slopes[k] < 0 else k - 1
+    found = slopes[k] == 0 or not 0 <= j < len(_XI_SCAN)
+    if not found and np.sign(slopes[j]) != np.sign(slopes[k]):
         lo, hi = sorted((_XI_SCAN[j], _XI_SCAN[k]))
         found = brentq(slope, lo, hi, xtol=_XI_RTOL * _XI_SCAN[0], rtol=_XI_RTOL,
                        full_output=True, disp=False)[1].converged

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cvsteer.reference
-from cvsteer import SourceParams, build_epr_source, criteria_report
+from cvsteer import (CovarianceMatrix, SourceParams, build_epr_source, criteria_report,
+                     symplectic_eigenvalues)
 from cvsteer.cli import main, perturbation_study
 from cvsteer.reconstruction import CSV_FIELDS
 from cvsteer.reference import REFERENCE_MEASUREMENTS
@@ -95,8 +96,8 @@ class TestSimulate:
 
 class TestAnalyze:
     def test_reference_values(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "analyze", "--in", write_reference_cov(tmp_path))
-        assert code == 0
+        code, out, err = run(capsys, "analyze", "--in", write_reference_cov(tmp_path))
+        assert (code, err) == (0, "")  # a physical state: no warning line
         d = json.loads(out)
         assert d["reid_b_given_a"] == pytest.approx(0.039, abs=1e-3)
         assert d["reid_a_given_b"] == pytest.approx(0.041, abs=1e-3)
@@ -146,14 +147,20 @@ class TestAnalyze:
 
     def test_state_at_the_cauchy_schwarz_bound_exits_0(self, capsys, tmp_path):
         # the X B|A conditional variance of this accepted state rounds to -1.4e-14;
-        # its square root no longer turns the report into nan (exit 2 before)
-        p = tmp_path / "at_bound.json"
-        p.write_text(json.dumps({"n_modes": 2, "entries": [
+        # its square root no longer turns the report into nan (exit 2 before).  The
+        # state is below the physicality gate, which one warning line names.
+        state = {"n_modes": 2, "entries": [
             [35.37985501855342, 0, -39.07527374549702, 0], [0, 1, 0, 0],
-            [-39.07527374549702, 0, 43.156678213769524, 0], [0, 0, 0, 1]]}))
+            [-39.07527374549702, 0, 43.156678213769524, 0], [0, 0, 0, 1]]}
+        p = tmp_path / "at_bound.json"
+        p.write_text(json.dumps(state))
         code, out, err = run(capsys, "analyze", "--in", str(p))
-        assert (code, err) == (0, "")
+        nus = symplectic_eigenvalues(CovarianceMatrix.from_dict(state)).tolist()
+        assert nus == pytest.approx([8.862, 5.8e-08], rel=1e-3)
+        assert (code, err) == (0, f"warning: analyze: state is unphysical "
+                                  f"(symplectic eigenvalues {nus})\n")
         assert json.loads(out)["conditional_uncertainty_ratio"] == 0.0
+        assert json.loads(out) == criteria_report(CovarianceMatrix.from_dict(state)).to_dict()
 
     @pytest.mark.parametrize("n_modes", [2.7, True, "2"])
     def test_non_integer_n_modes_exits_2(self, capsys, tmp_path, n_modes):
@@ -238,7 +245,6 @@ class TestSample:
         assert_input_error(code, err, "overflow", "largest state entry 1.7e+308",
                            "dark-noise variance 0")
         assert out == "" and err.count("\n") == 1 and "warning:" not in err
-
 
     def test_warned_reconstruction_is_refused_with_exit_1(self, capsys, tmp_path):
         # reconstruct only warns that this set is unphysical; the sampler refuses it,
@@ -379,6 +385,14 @@ class TestFit:
         code, out, err = run(capsys, "fit", "--in", str(cov))
         assert (code, err) == (0, "")
         assert json.loads(out)["r1"] == 10.0
+
+    def test_variances_that_overflow_the_scan_leak_no_warning(self, capsys, tmp_path):
+        # at xi = 1e-6 the scan's start (xi m) m, m = w / xi, passes the float range
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps({"n_modes": 2, "entries": np.diag([1e152, 1, 1e152, 1]).tolist()}))
+        code, out, err = run(capsys, "fit", "--in", str(p))
+        assert (code, err) == (1, "")
+        assert json.loads(out)["converged"] is False
 
     def test_warned_reconstruction_is_refused_with_exit_1(self, capsys, tmp_path):
         # reconstruct only warns that this set is unphysical; the fit refuses it,

@@ -25,7 +25,8 @@ from cvsteer import (
     variance_to_db,
     vacuum_state,
 )
-from cvsteer.loss_model import _A_MAX, LossFit, _profile
+from cvsteer import loss_model
+from cvsteer.loss_model import _A_MAX, _ENTRY_MAX, _XI_SCAN, LossFit, _profile, _scan
 from cvsteer.reconstruction import InconsistentDataError, PhysicalityWarning
 from conftest import FIT_ENTRIES, fit_objective, reference_nelder_mead_fit, reference_profile
 
@@ -273,6 +274,36 @@ class TestProfiledFit:
         # a 41-point scan, then the root search for the slope in the best bracket
         assert 41 < fit_efficiency(ref_state).iterations < 41 + 30
 
+    def test_scan_runs_once_and_no_scan_point_twice(self, monkeypatch, comparison_states):
+        calls = {"scan": 0, "profile": []}
+
+        def scan(v_minus, v_plus):
+            calls["scan"] += 1
+            return _scan(v_minus, v_plus)
+
+        def profile(xi, v_minus, v_plus):
+            calls["profile"].append(xi)
+            return _profile(xi, v_minus, v_plus)
+
+        monkeypatch.setattr(loss_model, "_scan", scan)
+        monkeypatch.setattr(loss_model, "_profile", profile)
+        states = [CovarianceMatrix(2, np.eye(4)),  # every xi fits: no refinement
+                  forward_covariance(uniform_xi_params(1.2, 1.0, 1.0)),  # on the bound xi = 1
+                  forward_covariance(uniform_xi_params(1.9, 1.4, 1e-6)),
+                  *comparison_states[:40]]
+        refined = 0
+        for state in states:
+            calls["scan"], calls["profile"] = 0, []
+            try:
+                fit = fit_efficiency(state)
+            except UnphysicalStateError:
+                continue
+            xs = calls["profile"]
+            assert calls["scan"] == 1 and len(xs) == fit.iterations - len(_XI_SCAN)
+            assert len(set(xs)) == len(xs) and not set(xs) & set(_XI_SCAN)
+            refined += bool(xs)
+        assert refined >= 30
+
     def test_unidentifiable_efficiency_is_not_converged(self):
         # without squeezing every xi fits vacuum exactly
         fit = fit_efficiency(CovarianceMatrix(2, np.eye(4)))
@@ -307,7 +338,10 @@ CONCAVE_LARGEST_ROOT = [
 ]
 
 
-class TestProfileKernel:
+def profile_kernel_cases(test):
+    """Run `test(self, xi, v_minus, v_plus)` on 600 derandomized sources: of
+    efficiency `truth` with 5% jitter, profiled at another xi, or swapped, or
+    with u <= 0, w <= 0 or r > 10."""
     @settings(max_examples=600, deadline=None, database=None, derandomize=True)
     @given(xi=st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e),
            truth=st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e),
@@ -318,8 +352,7 @@ class TestProfileKernel:
     @example(xi=1.0, truth=1.0, r=(0.0, 0.0), jitter=(0.0,) * 4, kind="physical", t=0.0)
     @example(xi=1e-6, truth=1e-6, r=(3.0, 0.0), jitter=(0.0,) * 4, kind="physical", t=0.0)
     @example(xi=1e-6, truth=1.0, r=(0.0, 3.0), jitter=(1.0,) * 4, kind="swapped", t=1.0)
-    def test_never_above_the_eigvals_profile(self, xi, truth, r, jitter, kind, t):
-        # sources of efficiency `truth` with 5% jitter, profiled at another xi
+    def cases(self, xi, truth, r, jitter, kind, t):
         if kind == "r > 10":
             r = (10.0 + r[0] / 1.5, 10.0 + r[1] / 1.5)
         v_minus = [detected_variance(x, truth) * (1.0 + 0.05 * z) for x, z in zip(r, jitter[:2])]
@@ -331,6 +364,13 @@ class TestProfileKernel:
             v_minus = [t * (1.0 - xi)] * 2
         elif kind == "w <= 0":
             v_plus = [t * (1.0 - xi)] * 2
+        test(self, xi, v_minus, v_plus)
+    return cases
+
+
+class TestProfileKernel:
+    @profile_kernel_cases
+    def test_never_above_the_eigvals_profile(self, xi, v_minus, v_plus):
         assert_profile_matches_eigvals(xi, v_minus, v_plus)
 
     @pytest.mark.parametrize("xi, u, w", CONCAVE_LARGEST_ROOT)
@@ -340,6 +380,36 @@ class TestProfileKernel:
             largest = max(z.real for z in roots if abs(z.imag) < 1e-12 and z.real > 0)
             assert largest < wi / (2.0 * xi)
         assert_profile_matches_eigvals(xi, [x + 1.0 - xi for x in u], [x + 1.0 - xi for x in w])
+
+
+def assert_scan_matches_profile(v_minus, v_plus):
+    """The batched scan gives the scalar kernel's profiles, best a values and
+    slopes at every scan point, bit for bit (compared as hex, so -0.0 != 0.0)."""
+    profiles, best, slopes = _scan(v_minus, v_plus)
+    points = [_profile(xi, v_minus, v_plus) for xi in _XI_SCAN]
+    hexed = lambda values: [float(v).hex() for v in values]
+    assert hexed(profiles) == hexed(p for p, _, _ in points)
+    assert [hexed(a) for a in best] == [hexed(a) for _, a, _ in points]
+    assert hexed(slopes) == hexed(s for _, _, s in points)
+
+
+@pytest.mark.filterwarnings("error")  # the scan's numpy warnings stay inside it
+class TestScanKernel:
+    @profile_kernel_cases
+    def test_matches_the_scalar_kernel(self, xi, v_minus, v_plus):
+        assert_scan_matches_profile(v_minus, v_plus)
+
+    @pytest.mark.parametrize("xi, u, w", CONCAVE_LARGEST_ROOT)
+    def test_largest_root_where_p_is_concave(self, xi, u, w):
+        assert_scan_matches_profile([x + 1.0 - xi for x in u], [x + 1.0 - xi for x in w])
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(exponents=st.tuples(*[st.floats(-8.0, math.log10(_ENTRY_MAX))] * 4))
+    @example(exponents=(math.log10(_ENTRY_MAX),) * 4)
+    @example(exponents=(-8.0, math.log10(_ENTRY_MAX), math.log10(_ENTRY_MAX), -8.0))
+    def test_variances_up_to_the_entry_bound(self, exponents):
+        v = [min(10.0 ** e, _ENTRY_MAX) for e in exponents]
+        assert_scan_matches_profile(v[:2], v[2:])
 
 
 class TestEfficiencyDecomposition:
