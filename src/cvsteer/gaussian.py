@@ -9,6 +9,7 @@ loss as a vacuum admixture channel.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -41,14 +42,14 @@ def _json_object(d, what: str, fields=None):
         raise ValueError(f"{what} JSON: unknown field(s) {sorted(unknown)}")
 
 
-def _no_bools(value):
-    """value, unless a JSON boolean, which float() and numpy read as 0 or 1, is in it
-    at any depth: then the TypeError of a non-numeric field."""
+def _no_bools_or_strings(value):
+    """value, unless a JSON boolean or string is in it at any depth (float() and numpy
+    read booleans as 0 or 1 and parse strings): then the TypeError of a non-numeric field."""
     stack = [value]
     while stack:
         v = stack.pop()
-        if isinstance(v, bool):
-            raise TypeError(f"{str(v).lower()} is not a number")
+        if isinstance(v, (bool, str)):
+            raise TypeError(f"{json.dumps(v)} is not a number")
         stack.extend(v if isinstance(v, list) else ())
     return value
 
@@ -131,14 +132,17 @@ class CovarianceMatrix:
         if ordering != "x1p1x2p2":
             raise ValueError(f"CovarianceMatrix JSON: unsupported ordering {ordering!r}")
         try:
-            n_modes, entries = d["n_modes"], np.array(_no_bools(d["entries"]), dtype=float)
-            if isinstance(n_modes, (bool, str)) or isinstance(n_modes, float) and not n_modes.is_integer():
-                raise ValueError(f"CovarianceMatrix JSON: n_modes must be an integer, got {n_modes!r}")
-            n_modes = int(n_modes)
+            n_modes, entries = d["n_modes"], d["entries"]
         except KeyError as exc:
             raise ValueError(f"CovarianceMatrix JSON: missing field {exc}") from None
+        if isinstance(n_modes, (bool, str)) or isinstance(n_modes, float) and not n_modes.is_integer():
+            raise ValueError(f"CovarianceMatrix JSON: n_modes must be an integer, got {n_modes!r}")
+        try:
+            n_modes, entries = int(n_modes), np.array(_no_bools_or_strings(entries), dtype=float)
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"CovarianceMatrix JSON: non-numeric field ({exc})") from None
+        except ValueError:  # numpy's, for nested lists of unequal lengths
+            raise ValueError("CovarianceMatrix JSON: ragged entries, not a matrix") from None
         return cls(n_modes=n_modes, entries=entries)
 
 
@@ -384,7 +388,7 @@ def symplectic_eigenvalues_two_mode(state: CovarianceMatrix) -> np.ndarray:
 
 class UnphysicalStateError(ValueError):
     """A state below the physicality gate of :func:`is_physical`, refused by the
-    loss fit or the sampler.
+    loss fit or the sampler with the message of :func:`_unphysical`.
 
     An analysis outcome, like a state that :func:`reconstruct` returned with a
     PhysicalityWarning, not an input error.
@@ -401,6 +405,14 @@ def is_physical(state: CovarianceMatrix, atol: float = PHYSICALITY_ATOL) -> bool
     if nu2 is None:
         return bool(np.min(symplectic_eigenvalues(state)) >= 1.0 - atol)
     return math.sqrt(nu2[1]) >= 1.0 - atol
+
+
+def _unphysical(state: CovarianceMatrix, who: str) -> str | None:
+    """None for a state that passes :func:`is_physical`, else the one message, naming `who`,
+    of every warning (reconstruct, analyze) and refusal (sampler, fit) of the state."""
+    if is_physical(state):
+        return None
+    return f"{who}: state is unphysical (symplectic eigenvalues {symplectic_eigenvalues(state).tolist()})"
 
 
 def quadrature_variance(state: CovarianceMatrix, mode: int, angle: float) -> float:
@@ -457,7 +469,7 @@ class SourceParams:
     def from_dict(cls, d: dict) -> "SourceParams":
         _json_object(d, "SourceParams", cls.__dataclass_fields__)
         try:
-            values = {k: float(_no_bools(v)) for k, v in d.items()}
+            values = {k: float(_no_bools_or_strings(v)) for k, v in d.items()}
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"SourceParams JSON: non-numeric field ({exc})") from None
         return cls(**values)

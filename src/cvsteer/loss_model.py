@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 
 from .criteria import _joint_variances
 from .gaussian import (CovarianceMatrix, SourceParams, UnphysicalStateError, _moments_of,
-                       _source_entries, _xp_of, build_epr_source, is_physical)
+                       _source_entries, _unphysical, _xp_of, build_epr_source)
 
 __all__ = [
     "forward_covariance",
@@ -185,8 +185,8 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     """
     if gamma_measured.n_modes != 2:
         raise ValueError("fit_efficiency: state must have exactly 2 modes")
-    if not is_physical(gamma_measured):
-        raise UnphysicalStateError("fit_efficiency: input matrix is unphysical")
+    if message := _unphysical(gamma_measured, "fit_efficiency"):
+        raise UnphysicalStateError(message)
     e = gamma_measured.entries.ravel().tolist()
     largest = max(map(abs, e))
     if largest > _ENTRY_MAX:

@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .criteria import _joint_variances
-from .gaussian import (CovarianceMatrix, _from_moments, _json_object, _moments, _no_bools,
-                       is_physical, symplectic_eigenvalues)
+from .gaussian import (CovarianceMatrix, _from_moments, _json_object, _moments,
+                       _no_bools_or_strings, _unphysical)
 
 CSV_FIELDS = ("var_xa", "var_pa", "var_xb", "var_pb", "var_x_diff", "var_p_sum")
 
@@ -49,7 +49,7 @@ class InconsistentDataError(ValueError):
 
 
 class PhysicalityWarning(UserWarning):
-    """Reconstructed matrix has a symplectic eigenvalue below 1 (rounding-level)."""
+    """Reconstructed matrix has a symplectic eigenvalue below 1."""
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,8 @@ class MeasurementSet:
             raise ValueError("MeasurementSet JSON: metadata must be an object, "
                              f"got {type(metadata).__name__}")
         try:
-            values = {name: float(_no_bools(d[name])) for name in CSV_FIELDS}
-            relative_error = float(_no_bools(d.get("relative_error", 0.05)))
+            values = {name: float(_no_bools_or_strings(d[name])) for name in CSV_FIELDS}
+            relative_error = float(_no_bools_or_strings(d.get("relative_error", 0.05)))
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"MeasurementSet JSON: non-numeric field ({exc})") from None
         return cls(**values, relative_error=relative_error, metadata=dict(metadata))
@@ -181,14 +181,8 @@ def reconstruct(ms: MeasurementSet) -> CovarianceMatrix:
                   for entry, cov, v1, v2, vj in (("x", cov_x, xa, xb, x_diff),
                                                  ("p", cov_p, pa, pb, p_sum))]
         raise max(errors, key=lambda e: (e.excess > 0, abs(e.value) / e.bound)) from None
-    if not is_physical(state):
-        warnings.warn(
-            PhysicalityWarning(
-                f"reconstructed matrix is slightly unphysical: symplectic "
-                f"eigenvalues {symplectic_eigenvalues(state).tolist()}"
-            ),
-            stacklevel=2,
-        )
+    if message := _unphysical(state, "reconstruct"):
+        warnings.warn(PhysicalityWarning(message), stacklevel=2)
     return state
 
 

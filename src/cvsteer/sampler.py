@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import CovarianceMatrix, UnphysicalStateError, is_physical, symplectic_eigenvalues
+from .gaussian import CovarianceMatrix, UnphysicalStateError, _unphysical
 from .reconstruction import MeasurementSet
 
 # Rows drawn per campaign chunk: small enough that the draw buffers stay in
@@ -132,15 +132,6 @@ def _sqrt_factor(state: CovarianceMatrix) -> np.ndarray:
     return q @ np.diag(np.sqrt(lam)) @ q.T
 
 
-def _check_sampleable(state: CovarianceMatrix):
-    if state.n_modes != 2:
-        raise ValueError("sampler: state must have exactly 2 modes")
-    if not is_physical(state):
-        nus = symplectic_eigenvalues(state)
-        raise UnphysicalStateError(
-            f"sampler: state is unphysical (symplectic eigenvalues {nus.tolist()})")
-
-
 def sample_quadratures(state: CovarianceMatrix, setting: MeasurementSetting,
                        n: int, seed: int, dark_noise: float = 0.0) -> SampleBatch:
     """Draw n independent scalar samples of the setting's linear form.
@@ -167,7 +158,10 @@ def sample_variance(batch: SampleBatch) -> float:
 def _campaign_projection(state: CovarianceMatrix, settings: list[MeasurementSetting],
                          dark_noise: float):
     """Weights W (4 x k) and dark scales a (k,): setting i samples z @ W[:, i] + a[i] * d[i]."""
-    _check_sampleable(state)
+    if state.n_modes != 2:
+        raise ValueError("sampler: state must have exactly 2 modes")
+    if message := _unphysical(state, "sampler"):
+        raise UnphysicalStateError(message)
     if not 0.0 <= dark_noise < math.inf:
         raise ValueError(f"sampler: dark_noise must be >= 0, got {dark_noise} (finite values only)")
     sq = _sqrt_factor(state)

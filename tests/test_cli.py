@@ -76,6 +76,14 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--dark-noise-db=-inf")
         assert_input_error(code, err, "dark_noise")
 
+    @pytest.mark.parametrize("value", ["1", "abc"])
+    def test_string_numbers_exit_2(self, capsys, tmp_path, value):
+        p = tmp_path / "params.json"
+        p.write_text(json.dumps({"r1": value}))
+        code, out, err = run(capsys, "simulate", "--in", str(p))
+        assert_input_error(code, err, f'SourceParams JSON: non-numeric field ("{value}" is not a number)')
+        assert out == ""
+
     def test_json_list_params_exit_2(self, capsys, tmp_path):
         p = tmp_path / "list.json"
         p.write_text("[0.5, 0.5]")
@@ -161,6 +169,17 @@ class TestAnalyze:
                                   f"(symplectic eigenvalues {nus})\n")
         assert json.loads(out)["conditional_uncertainty_ratio"] == 0.0
         assert json.loads(out) == criteria_report(CovarianceMatrix.from_dict(state)).to_dict()
+
+    @pytest.mark.parametrize("row, needle", [
+        (["1", 0, 0, 0], 'CovarianceMatrix JSON: non-numeric field ("1" is not a number)'),
+        ([1, 0, 0], "CovarianceMatrix JSON: ragged entries"),
+    ])
+    def test_string_or_ragged_entries_exit_2(self, capsys, tmp_path, row, needle):
+        p = tmp_path / "cov.json"
+        p.write_text(json.dumps({"n_modes": 2, "entries": [row] + np.eye(4)[1:].tolist()}))
+        code, out, err = run(capsys, "analyze", "--in", str(p))
+        assert_input_error(code, err, needle)
+        assert out == ""
 
     @pytest.mark.parametrize("n_modes", [2.7, True, "2"])
     def test_non_integer_n_modes_exits_2(self, capsys, tmp_path, n_modes):
@@ -402,8 +421,9 @@ class TestFit:
                                   "var_x_diff": 0.5, "var_p_sum": 0.5}))
         assert run(capsys, "reconstruct", "--in", str(ms), "--out", str(cov))[0] == 0
         code, out, err = run(capsys, "fit", "--in", str(cov))
+        nus = symplectic_eigenvalues(CovarianceMatrix.from_dict(json.loads(cov.read_text()))).tolist()
         assert (code, out) == (1, "")
-        assert err == "error: fit_efficiency: input matrix is unphysical\n"
+        assert err == f"error: fit_efficiency: state is unphysical (symplectic eigenvalues {nus})\n"
 
     def test_pure_state_fits_unit_efficiency(self, capsys, tmp_path):
         cov = tmp_path / "cov.json"
@@ -512,6 +532,27 @@ class TestRepro:
         assert perturbation_study is cvsteer.reference.perturbation_study
 
 
+def test_every_command_words_a_state_below_the_gate_alike(capsys, tmp_path):
+    # reconstruct and analyze warn of the CI's warned set, sample and fit refuse it,
+    # each naming itself and the same symplectic eigenvalues
+    ms, cov = tmp_path / "ms.json", tmp_path / "cov.json"
+    ms.write_text(json.dumps({"var_xa": 1, "var_pa": 1, "var_xb": 1, "var_pb": 1,
+                              "var_x_diff": 0.5, "var_p_sum": 0.5}))
+    assert run(capsys, "reconstruct", "--in", str(ms), "--out", str(cov)) == (0, "", "")
+    payload = json.loads(cov.read_text())
+    nus = symplectic_eigenvalues(CovarianceMatrix.from_dict(payload)).tolist()
+    assert max(nus) < 1.0
+
+    def said(who):
+        return f"{who}: state is unphysical (symplectic eigenvalues {nus})"
+    assert payload["warnings"] == [said("reconstruct")]
+    assert run(capsys, "analyze", "--in", str(cov))[::2] == (0, f"warning: {said('analyze')}\n")
+    for fmt in ("json", "csv"):
+        assert run(capsys, "sample", "--in", str(cov), "--n", "10", "--format", fmt) == (
+            1, "", f"error: {said('sampler')}\n")
+    assert run(capsys, "fit", "--in", str(cov)) == (1, "", f"error: {said('fit_efficiency')}\n")
+
+
 _DARK_NOISE_COMMANDS = {
     "simulate": lambda cov: ["simulate"],
     "sample-json": lambda cov: ["sample", "--in", cov, "--n", "10"],
@@ -609,6 +650,15 @@ class TestExitContractFuzz:
     @example(dark_db=-4000.0)
     def test_simulate(self, dark_db):
         assert_exit_contract(["simulate", f"--dark-noise-db={dark_db!r}"])
+
+    @_FUZZ
+    @given(doc=st.fixed_dictionaries({}, optional={name: _POSITIVE | _JSON_FIELD
+                                                   for name in SourceParams.__dataclass_fields__}))
+    @example(doc={"r1": "1"})
+    def test_simulate_file(self, fuzz_dir, doc):
+        path = fuzz_dir / "params.json"
+        path.write_text(json.dumps(doc))
+        assert_exit_contract(["simulate", "--in", str(path)])
 
     @_FUZZ
     @given(doc=st.fixed_dictionaries({"n_modes": st.just(2) | _JSON_FIELD,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cvsteer import gaussian, sampler
+from cvsteer import gaussian
 from cvsteer import (
     CovarianceMatrix,
     LossChannel,
@@ -241,17 +241,16 @@ def decoupled(state):
     return CovarianceMatrix(2, m)
 
 
-def eigvals_spy(monkeypatch, *modules):
-    """Count the calls is_physical, and any of the given modules, make to the
-    general eigvals route."""
+def eigvals_spy(monkeypatch):
+    """Count the calls gaussian makes to the general eigvals route; the physicality
+    gate of every other module is gaussian's."""
     calls = []
     route = gaussian.symplectic_eigenvalues
 
     def spy(state):
         calls.append(state)
         return route(state)
-    for module in (gaussian, *modules):
-        monkeypatch.setattr(module, "symplectic_eigenvalues", spy)
+    monkeypatch.setattr(gaussian, "symplectic_eigenvalues", spy)
     return calls
 
 
@@ -282,7 +281,7 @@ class TestClosedFormPhysicality:
     def test_forward_states_skip_eigvals(self, monkeypatch):
         # the default relative phase math.pi / 2 is an exact quarter turn
         state = build_epr_source(SourceParams(r1=1.2, r2=1.1, eta_prep=0.9, dark_noise=0.01))
-        calls = eigvals_spy(monkeypatch, sampler)
+        calls = eigvals_spy(monkeypatch)
         assert is_physical(state)
         measure_campaign(state, 100, seed=3, dark_noise=0.01)
         sample_quadratures(state, MeasurementSetting.joint(1.0, -1.0), 100, seed=3)
@@ -438,6 +437,13 @@ class TestCovarianceMatrixType:
         ({"n_modes": 2, "entries": [[10 ** 400, 0, 0, 0]] + np.eye(4)[1:].tolist()}, "too large"),
         ({"n_modes": 2, "entries": [[True, 0, 0, 0]] + np.eye(4)[1:].tolist()}, "non-numeric"),
         ({"n_modes": 2, "entries": True}, "non-numeric"),
+        ({"n_modes": 2, "entries": [["1", 0, 0, 0]] + np.eye(4)[1:].tolist()},
+         'non-numeric field \\("1" is not a number\\)'),
+        ({"n_modes": 2, "entries": "abc"}, 'non-numeric field \\("abc" is not a number\\)'),
+        ({"n_modes": 2, "entries": [[1, 0, 0, 0], [0, 1, 0]] + np.eye(4)[2:].tolist()},
+         "CovarianceMatrix JSON: ragged entries"),
+        ({"n_modes": 2, "entries": [[1, 0, 0, 0], [0, 1, 0, [0]]] + np.eye(4)[2:].tolist()},
+         "CovarianceMatrix JSON: ragged entries"),
     ])
     def test_badly_shaped_json_rejected(self, payload, match):
         with pytest.raises(ValueError, match=match):
@@ -692,6 +698,10 @@ class TestBuildEprSource:
             SourceParams.from_dict({"r1": [1.0]})
         with pytest.raises(ValueError, match="non-numeric field \\(true is not a number\\)"):
             SourceParams.from_dict({"eta_prep": True})
+        with pytest.raises(ValueError, match='non-numeric field \\("1" is not a number\\)'):
+            SourceParams.from_dict({"r1": "1"})
+        with pytest.raises(ValueError, match='non-numeric field \\("abc" is not a number\\)'):
+            SourceParams.from_dict({"r1": "abc"})
 
     def test_params_json_rejects_ints_past_the_float_range(self):
         with pytest.raises(ValueError, match="too large"):

@@ -32,8 +32,8 @@ GOLDEN = {
     # below the symplectic boundary: reconstructed with a PhysicalityWarning
     "warned": (
         MeasurementSet(1.0, 1.0, 1.0, 1.0, 0.5, 0.5),
-        ["reconstructed matrix is slightly unphysical: symplectic eigenvalues "
-         "[0.661437827766148, 0.6614378277661473]"],
+        ["reconstruct: state is unphysical (symplectic eigenvalues "
+         "[0.661437827766148, 0.6614378277661473])"],
         "[[1.0, 0.0, 0.75, 0.0], [0.0, 1.0, 0.0, -0.75], "
         "[0.75, 0.0, 1.0, 0.0], [0.0, -0.75, 0.0, 1.0]]",
         "{'reid_b_given_a': 0.19140625, 'reid_a_given_b': 0.19140625, 'duan_sum': 1.0, "
@@ -48,8 +48,8 @@ GOLDEN = {
     # error band, and the Cholesky check passes
     "near_bound": (
         MeasurementSet(1.004522916136638, 1.0, 3.228692473583337, 1.0, 0.6313849779030343, 2.0),
-        ["reconstructed matrix is slightly unphysical: symplectic eigenvalues "
-         "[2.05747791961906, 1.4380688298107121e-08]"],
+        ["reconstruct: state is unphysical (symplectic eigenvalues "
+         "[2.05747791961906, 1.4380688298107121e-08])"],
         "[[1.004522916136638, 0.0, 1.8009152059084705, 0.0], [0.0, 1.0, 0.0, 0.0], "
         "[1.8009152059084705, 0.0, 3.228692473583337, 0.0], [0.0, 0.0, 0.0, 1.0]]",
         "{'reid_b_given_a': 0.0, 'reid_a_given_b': -4.440892098500626e-16, "

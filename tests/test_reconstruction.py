@@ -165,8 +165,11 @@ class TestPhysicalityDecision:
         # Cholesky passes, but the factored det Gamma_x rounds to -8.9e-16
         ms = MeasurementSet(1.696568256280103, 1.0, 3.717006778866605, 1.0,
                             0.39116298140080374, 2.0)
-        with pytest.warns(PhysicalityWarning, match="slightly unphysical"):
+        with pytest.warns(PhysicalityWarning) as record:
             state = reconstruct(ms)
+        nus = symplectic_eigenvalues(state).tolist()
+        assert [str(w.message) for w in record] == [
+            f"reconstruct: state is unphysical (symplectic eigenvalues {nus})"]
         g = state.entries
         assert g[0, 0] * g[2, 2] - g[0, 2] * g[0, 2] < 0.0
         assert not is_physical(state)
@@ -326,6 +329,8 @@ class TestMeasurementSetIO:
         pytest.param("var_xa", 10 ** 400, "too large", id="var_xa-10**400-too large"),
         ("var_xa", True, "non-numeric"),
         ("relative_error", True, "non-numeric"),
+        ("var_xa", "18.41", 'non-numeric field \\("18.41" is not a number\\)'),
+        ("relative_error", ["0.05"], 'non-numeric field \\("0.05" is not a number\\)'),
         ("relative_eror", 0.5, "unknown field\\(s\\) \\['relative_eror'\\]"),
     ])
     def test_json_badly_typed_fields(self, ref_ms, field, value, match):
