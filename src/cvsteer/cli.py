@@ -51,21 +51,21 @@ def _write_json(obj, out_path: str | None):
     _write_text(_json_text(obj), out_path)
 
 
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _load_state(path: str) -> CovarianceMatrix:
-    return CovarianceMatrix.from_dict(_load_json(path))
+def _load_json(path: str, text: str | None = None):
+    if text is None:
+        with open(path) as fh:
+            text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:  # the decoder's, for arrays or objects nested past its limit
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_measurements(path: str) -> MeasurementSet:
     with open(path) as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return MeasurementSet.from_dict(json.loads(text))
+    if text.lstrip().startswith("{"):
+        return MeasurementSet.from_dict(_load_json(path, text))
     return MeasurementSet.from_csv(text)
 
 
@@ -91,7 +91,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     gains = None if args.gains is None else _parse_gains(args.gains)
-    state = _load_state(args.in_path)
+    state = CovarianceMatrix.from_dict(_load_json(args.in_path))
     if message := _unphysical(state, "analyze"):  # here, not in criteria_report: a batch hot path
         warnings.warn(PhysicalityWarning(message))
     report = criteria_report(state)
@@ -104,7 +104,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    state = _load_state(args.in_path)
+    state = CovarianceMatrix.from_dict(_load_json(args.in_path))
     dark = db_to_variance(args.dark_noise_db) if args.dark_noise_db is not None else 0.0
     if args.format == "csv":
         batches = campaign_batches(state, args.n, args.seed, dark)
@@ -132,7 +132,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    state = _load_state(args.in_path)
+    state = CovarianceMatrix.from_dict(_load_json(args.in_path))
     fit = fit_efficiency(state)
     _write_json(fit.to_dict(), args.out_path)
     return 0 if fit.converged else 1
@@ -233,7 +233,7 @@ def main(argv=None) -> int:
             code, error = args.func(args), None
         except (InconsistentDataError, UnphysicalStateError) as exc:
             code, error = 1, exc
-        except (ValueError, OSError, json.JSONDecodeError) as exc:
+        except (ValueError, OSError) as exc:
             code, error = 2, exc
     # The outcome first, then one line per library warning met on the way.
     if error is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -42,16 +43,17 @@ def _json_object(d, what: str, fields=None):
         raise ValueError(f"{what} JSON: unknown field(s) {sorted(unknown)}")
 
 
-def _no_bools_or_strings(value):
-    """value, unless a JSON boolean or string is in it at any depth (float() and numpy
-    read booleans as 0 or 1 and parse strings): then the TypeError of a non-numeric field."""
-    stack = [value]
-    while stack:
-        v = stack.pop()
-        if isinstance(v, (bool, str)):
-            raise TypeError(f"{json.dumps(v)} is not a number")
-        stack.extend(v if isinstance(v, list) else ())
-    return value
+def _number(v, what: str) -> float:
+    """v as a float if a real number other than a bool (float() reads true as 1), else the
+    ValueError of a non-numeric field: a JSON scalar shown as JSON, an array or object named."""
+    if isinstance(v, numbers.Real) and not isinstance(v, bool):
+        try:
+            return float(v)
+        except OverflowError as exc:  # an int past the float range
+            raise ValueError(f"{what} JSON: non-numeric field ({exc})") from None
+    shown = ("an array" if isinstance(v, list) else "an object" if isinstance(v, dict)
+             else json.dumps(v) if v is None or isinstance(v, (bool, str)) else repr(v))
+    raise ValueError(f"{what} JSON: non-numeric field ({shown} is not a number)")
 
 
 def _as_checked_matrix(entries, n_modes: int, what: str) -> np.ndarray:
@@ -137,13 +139,12 @@ class CovarianceMatrix:
             raise ValueError(f"CovarianceMatrix JSON: missing field {exc}") from None
         if isinstance(n_modes, (bool, str)) or isinstance(n_modes, float) and not n_modes.is_integer():
             raise ValueError(f"CovarianceMatrix JSON: n_modes must be an integer, got {n_modes!r}")
-        try:
-            n_modes, entries = int(n_modes), np.array(_no_bools_or_strings(entries), dtype=float)
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"CovarianceMatrix JSON: non-numeric field ({exc})") from None
-        except ValueError:  # numpy's, for nested lists of unequal lengths
-            raise ValueError("CovarianceMatrix JSON: ragged entries, not a matrix") from None
-        return cls(n_modes=n_modes, entries=entries)
+        n_modes = int(n_modes if isinstance(n_modes, int) else _number(n_modes, "CovarianceMatrix"))
+        # a scalar in place of the rows is a non-numeric field or, if a number, no matrix
+        rows = entries if isinstance(entries, list) else [_number(entries, "CovarianceMatrix")]
+        if not all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows):
+            raise ValueError("CovarianceMatrix JSON: ragged entries, not a matrix")
+        return cls(n_modes, [[_number(v, "CovarianceMatrix") for v in row] for row in rows])
 
 
 @dataclass(frozen=True)
@@ -468,11 +469,7 @@ class SourceParams:
     @classmethod
     def from_dict(cls, d: dict) -> "SourceParams":
         _json_object(d, "SourceParams", cls.__dataclass_fields__)
-        try:
-            values = {k: float(_no_bools_or_strings(v)) for k, v in d.items()}
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"SourceParams JSON: non-numeric field ({exc})") from None
-        return cls(**values)
+        return cls(**{k: _number(v, "SourceParams") for k, v in d.items()})
 
 
 def _source_entries(p: SourceParams) -> list[float]:

@@ -9,6 +9,7 @@ underestimate the correlations actually present.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -18,10 +19,17 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .criteria import _joint_variances
-from .gaussian import (CovarianceMatrix, _from_moments, _json_object, _moments,
-                       _no_bools_or_strings, _unphysical)
+from .gaussian import (CovarianceMatrix, _from_moments, _json_object, _moments, _number,
+                       _unphysical)
 
 CSV_FIELDS = ("var_xa", "var_pa", "var_xb", "var_pb", "var_x_diff", "var_p_sum")
+
+
+def _csv_number(name: str, cell: str) -> float:
+    if "_" not in cell:  # float() reads 18_41 as 1841
+        with contextlib.suppress(ValueError):
+            return float(cell)
+    raise ValueError(f"MeasurementSet CSV: non-numeric field {name} ({cell!r} is not a number)")
 
 
 class InconsistentDataError(ValueError):
@@ -96,11 +104,8 @@ class MeasurementSet:
         if not isinstance(metadata, dict):
             raise ValueError("MeasurementSet JSON: metadata must be an object, "
                              f"got {type(metadata).__name__}")
-        try:
-            values = {name: float(_no_bools_or_strings(d[name])) for name in CSV_FIELDS}
-            relative_error = float(_no_bools_or_strings(d.get("relative_error", 0.05)))
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"MeasurementSet JSON: non-numeric field ({exc})") from None
+        values = {name: _number(d[name], "MeasurementSet") for name in CSV_FIELDS}
+        relative_error = _number(d.get("relative_error", 0.05), "MeasurementSet")
         return cls(**values, relative_error=relative_error, metadata=dict(metadata))
 
     def to_csv(self) -> str:
@@ -112,13 +117,16 @@ class MeasurementSet:
 
     @classmethod
     def from_csv(cls, text: str, relative_error: float = 0.05) -> "MeasurementSet":
-        rows = [r for r in csv.reader(io.StringIO(text)) if r and any(cell.strip() for cell in r)]
+        """The set in :meth:`to_csv` form: a header, one row of float() cells without underscores."""
+        try:
+            rows = [r for r in csv.reader(io.StringIO(text)) if r and any(c.strip() for c in r)]
+        except csv.Error as exc:  # e.g. a field past the csv module's size limit
+            raise ValueError(f"MeasurementSet CSV: {exc}") from None
         if (len(rows) != 2 or tuple(h.strip() for h in rows[0]) != CSV_FIELDS
                 or len(rows[1]) != len(CSV_FIELDS)):
             raise ValueError(f"MeasurementSet CSV: expected header {','.join(CSV_FIELDS)} "
                              f"and one data row of {len(CSV_FIELDS)} values")
-        vals = [float(cell) for cell in rows[1]]
-        return cls(*vals, relative_error=relative_error)
+        return cls(*map(_csv_number, CSV_FIELDS, rows[1]), relative_error=relative_error)
 
 
 def covariance_from_sum(var_sum: float, var_1: float, var_2: float) -> float:

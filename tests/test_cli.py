@@ -343,6 +343,14 @@ class TestReconstruct:
         assert_input_error(code, err, "one data row of 6 values")
         assert out == ""
 
+    def test_underscore_cell_exits_2(self, capsys, tmp_path):
+        # float() reads "18_41" as 1841, which made this an inconsistent set (exit 1)
+        p = tmp_path / "ms.csv"
+        p.write_text(REFERENCE_MEASUREMENTS.to_csv().replace("18.41", "18_41"))
+        code, out, err = run(capsys, "reconstruct", "--in", str(p))
+        assert (code, out) == (2, "")
+        assert err == "error: MeasurementSet CSV: non-numeric field var_xa ('18_41' is not a number)\n"
+
     def test_near_boundary_warning_is_reported(self, capsys, tmp_path):
         p = tmp_path / "ms.json"
         p.write_text(json.dumps({"var_xa": 1, "var_pa": 1, "var_xb": 1, "var_pb": 1,
@@ -553,6 +561,21 @@ def test_every_command_words_a_state_below_the_gate_alike(capsys, tmp_path):
     assert run(capsys, "fit", "--in", str(cov)) == (1, "", f"error: {said('fit_efficiency')}\n")
 
 
+# a JSON object whose one field nests arrays past the decoder's recursion limit
+_NESTED_JSON = '{"x": ' + "[" * 100_000 + "]" * 100_000 + "}"
+_IN_COMMANDS = {
+    "analyze": [], "fit": [], "sample": ["--n", "10"], "simulate": [], "reconstruct": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_IN_COMMANDS))
+def test_deeply_nested_json_exits_2(capsys, tmp_path, command):
+    p = tmp_path / "nested.json"
+    p.write_text(_NESTED_JSON)
+    code, out, err = run(capsys, command, "--in", str(p), *_IN_COMMANDS[command])
+    assert (code, out, err) == (2, "", f"error: {p}: JSON nested too deeply\n")
+
+
 _DARK_NOISE_COMMANDS = {
     "simulate": lambda cov: ["simulate"],
     "sample-json": lambda cov: ["sample", "--in", cov, "--n", "10"],
@@ -690,6 +713,9 @@ class TestExitContractFuzz:
     @example(text=",".join(CSV_FIELDS) + "\n1,1,1,1,2\n")
     @example(text=",".join(CSV_FIELDS) + "\n1,1,1,1,2,2,0.5\n")
     @example(text=json.dumps({name: 10 ** 400 for name in CSV_FIELDS}))
+    @example(text=_NESTED_JSON)
+    @example(text=REFERENCE_MEASUREMENTS.to_csv().replace("18.41", "18_41"))
+    @example(text="[" * 200_000)
     def test_reconstruct_file(self, fuzz_dir, text):
         path = fuzz_dir / "measurements"
         path.write_text(text)

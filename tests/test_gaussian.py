@@ -443,7 +443,9 @@ class TestCovarianceMatrixType:
         ({"n_modes": 2, "entries": [[1, 0, 0, 0], [0, 1, 0]] + np.eye(4)[2:].tolist()},
          "CovarianceMatrix JSON: ragged entries"),
         ({"n_modes": 2, "entries": [[1, 0, 0, 0], [0, 1, 0, [0]]] + np.eye(4)[2:].tolist()},
-         "CovarianceMatrix JSON: ragged entries"),
+         "^CovarianceMatrix JSON: non-numeric field \\(an array is not a number\\)$"),
+        ({"n_modes": 2, "entries": [[None, 0, 0, 0]] + np.eye(4)[1:].tolist()},
+         "^CovarianceMatrix JSON: non-numeric field \\(null is not a number\\)$"),
     ])
     def test_badly_shaped_json_rejected(self, payload, match):
         with pytest.raises(ValueError, match=match):
@@ -702,6 +704,9 @@ class TestBuildEprSource:
             SourceParams.from_dict({"r1": "1"})
         with pytest.raises(ValueError, match='non-numeric field \\("abc" is not a number\\)'):
             SourceParams.from_dict({"r1": "abc"})
+        with pytest.raises(ValueError,
+                           match="^SourceParams JSON: non-numeric field \\(null is not a number\\)$"):
+            SourceParams.from_dict({"r1": None})
 
     def test_params_json_rejects_ints_past_the_float_range(self):
         with pytest.raises(ValueError, match="too large"):

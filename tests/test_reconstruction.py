@@ -330,7 +330,8 @@ class TestMeasurementSetIO:
         ("var_xa", True, "non-numeric"),
         ("relative_error", True, "non-numeric"),
         ("var_xa", "18.41", 'non-numeric field \\("18.41" is not a number\\)'),
-        ("relative_error", ["0.05"], 'non-numeric field \\("0.05" is not a number\\)'),
+        ("relative_error", ["0.05"],
+         "^MeasurementSet JSON: non-numeric field \\(an array is not a number\\)$"),
         ("relative_eror", 0.5, "unknown field\\(s\\) \\['relative_eror'\\]"),
     ])
     def test_json_badly_typed_fields(self, ref_ms, field, value, match):
@@ -352,6 +353,21 @@ class TestMeasurementSetIO:
         text = ",".join(CSV_FIELDS) + "\n" + ",".join(["1.0"] * n_cells) + "\n"
         with pytest.raises(ValueError, match="one data row of 6 values"):
             MeasurementSet.from_csv(text)
+
+    @pytest.mark.parametrize("cell, match", [
+        ("18_41", "^MeasurementSet CSV: non-numeric field var_xa \\('18_41' is not a number\\)$"),
+        ("abc", "^MeasurementSet CSV: non-numeric field var_xa \\('abc' is not a number\\)$"),
+        pytest.param("1" * 200_000, "^MeasurementSet CSV: field larger than field limit \\(131072\\)$",
+                     id="oversized-field"),
+    ])
+    def test_csv_rejects_bad_cells(self, cell, match):
+        text = ",".join(CSV_FIELDS) + "\n" + cell + ",35.49,17.98,34.61,0.21,0.20\n"
+        with pytest.raises(ValueError, match=match):
+            MeasurementSet.from_csv(text)
+
+    def test_csv_reads_float_grammar(self):
+        text = ",".join(CSV_FIELDS) + "\n.5, +1,1e-05,1E2 ,2.,3\n"
+        assert MeasurementSet.from_csv(text).values() == (0.5, 1.0, 1e-05, 100.0, 2.0, 3.0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="var_xb"):
