@@ -2,7 +2,10 @@
 
 Exit codes: 0 on success, 1 on analysis or tolerance failures (among them an
 inconsistent measurement set and a fit or campaign refused as unphysical), 2
-on input errors.  All JSON output uses Python's round-trip-exact float repr, so
+on input errors.  Every refused input, argparse's refusals of a flag or command
+included, is one ``error: ...`` line on stderr and nothing on stdout; ``-h``
+still prints help.  Number flags are read by ``gaussian._number_text``, as CSV
+cells are.  All JSON output uses Python's round-trip-exact float repr, so
 identical inputs and seeds give byte-identical files.
 """
 
@@ -16,8 +19,8 @@ import sys
 import warnings
 
 from .criteria import GainPair, criteria_report, reid_product
-from .gaussian import (CovarianceMatrix, SourceParams, UnphysicalStateError, _unphysical,
-                       build_epr_source)
+from .gaussian import (CovarianceMatrix, SourceParams, UnphysicalStateError, _number_text,
+                       _unphysical, build_epr_source)
 from .loss_model import db_to_variance, fit_efficiency
 from .reconstruction import (
     InconsistentDataError,
@@ -33,6 +36,25 @@ from .reference import perturbation_study  # re-exported: callers import it from
 
 # SourceParams fields settable by a simulate flag of the same name; dark noise is set in dB.
 _SIMULATE_FLAGS = [f.name for f in dataclasses.fields(SourceParams) if f.name != "dark_noise"]
+
+
+def _flag_type(kind):
+    """The argparse type of a number flag: `_number_text` for kind, under kind's name, from
+    which argparse words a refusal (`argument --r1: invalid float value: '1_0'`)."""
+    def read(text: str):
+        return _number_text(text, kind.__name__, kind)
+    read.__name__ = kind.__name__
+    return read
+
+
+_FLOAT, _INT = _flag_type(float), _flag_type(int)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's refusals as a ValueError, which main words as one error: line."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _write_text(text: str, out_path: str | None):
@@ -73,7 +95,7 @@ def _parse_gains(text: str) -> GainPair | str:
     if text == "optimal":
         return "optimal"
     try:
-        return GainPair(*map(float, text.split(",")))
+        return GainPair(*(_number_text(t, "--gains") for t in text.split(",")))
     except (TypeError, ValueError):
         raise ValueError(f"--gains expects two finite numbers 'gx,gp' or 'optimal', "
                          f"got {text!r}") from None
@@ -167,7 +189,7 @@ def cmd_repro(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cvsteer",
         description="Simulate, analyze and reproduce two-mode Gaussian steering experiments.",
     )
@@ -182,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="forward-model a source into a covariance matrix")
     add_io(p)
     for name in _SIMULATE_FLAGS:
-        p.add_argument(f"--{name.replace('_', '-')}", type=float, default=None)
-    p.add_argument("--dark-noise-db", type=float, default=None,
+        p.add_argument(f"--{name.replace('_', '-')}", type=_FLOAT, default=None)
+    p.add_argument("--dark-noise-db", type=_FLOAT, default=None,
                    help="dark-noise clearance in dB below vacuum")
     p.set_defaults(func=cmd_simulate)
 
@@ -195,10 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="run a seeded sampling campaign on a state")
     add_io(p, need_in=True)
-    p.add_argument("--n", type=int, required=True,
+    p.add_argument("--n", type=_INT, required=True,
                    help="samples per setting (at least 3; at least 2 with --format csv)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dark-noise-db", type=float, default=None)
+    p.add_argument("--seed", type=_INT, default=0)
+    p.add_argument("--dark-noise-db", type=_FLOAT, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="json: campaign variances; csv: raw samples")
     p.set_defaults(func=cmd_sample)
@@ -213,13 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro", help="re-derive the built-in reference results")
     add_io(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--seed", type=_INT, default=0)
+    p.add_argument("--n", type=_INT, default=None,
                    help="also run a sampled rerun with this many samples per setting "
                         "(at least 3)")
-    p.add_argument("--dark-noise-db", type=float, default=None,
+    p.add_argument("--dark-noise-db", type=_FLOAT, default=None,
                    help="add detector dark noise to the sampled rerun")
-    p.add_argument("--perturb", type=float, default=None, metavar="REL",
+    p.add_argument("--perturb", type=_FLOAT, default=None, metavar="REL",
                    help="Monte Carlo input-jitter study at this relative error")
     p.set_defaults(func=cmd_repro)
 
@@ -227,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         try:
+            args = build_parser().parse_args(argv)
             code, error = args.func(args), None
         except (InconsistentDataError, UnphysicalStateError) as exc:
             code, error = 1, exc

@@ -8,6 +8,7 @@ loss as a vacuum admixture channel.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -54,6 +55,16 @@ def _number(v, what: str) -> float:
     shown = ("an array" if isinstance(v, list) else "an object" if isinstance(v, dict)
              else json.dumps(v) if v is None or isinstance(v, (bool, str)) else repr(v))
     raise ValueError(f"{what} JSON: non-numeric field ({shown} is not a number)")
+
+
+def _number_text(text: str, what: str, kind: type = float):
+    """kind(text) for kind float or int, but a text with `_`, which both read as a digit
+    separator (`18_41` as 1841), is refused: "<what> (<text!r> is not a number)", a ValueError.
+    Every number read from text, a CSV cell or a CLI flag, is read by this rule."""
+    if "_" not in text:
+        with contextlib.suppress(ValueError):
+            return kind(text)
+    raise ValueError(f"{what} ({text!r} is not a number)")
 
 
 def _as_checked_matrix(entries, n_modes: int, what: str) -> np.ndarray:

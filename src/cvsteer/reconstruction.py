@@ -9,7 +9,6 @@ underestimate the correlations actually present.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import math
@@ -20,16 +19,9 @@ import numpy as np
 
 from .criteria import _joint_variances
 from .gaussian import (CovarianceMatrix, _from_moments, _json_object, _moments, _number,
-                       _unphysical)
+                       _number_text, _unphysical)
 
 CSV_FIELDS = ("var_xa", "var_pa", "var_xb", "var_pb", "var_x_diff", "var_p_sum")
-
-
-def _csv_number(name: str, cell: str) -> float:
-    if "_" not in cell:  # float() reads 18_41 as 1841
-        with contextlib.suppress(ValueError):
-            return float(cell)
-    raise ValueError(f"MeasurementSet CSV: non-numeric field {name} ({cell!r} is not a number)")
 
 
 class InconsistentDataError(ValueError):
@@ -117,7 +109,7 @@ class MeasurementSet:
 
     @classmethod
     def from_csv(cls, text: str, relative_error: float = 0.05) -> "MeasurementSet":
-        """The set in :meth:`to_csv` form: a header, one row of float() cells without underscores."""
+        """The set in :meth:`to_csv` form: a header, one row of cells read by `_number_text`."""
         try:
             rows = [r for r in csv.reader(io.StringIO(text)) if r and any(c.strip() for c in r)]
         except csv.Error as exc:  # e.g. a field past the csv module's size limit
@@ -126,7 +118,8 @@ class MeasurementSet:
                 or len(rows[1]) != len(CSV_FIELDS)):
             raise ValueError(f"MeasurementSet CSV: expected header {','.join(CSV_FIELDS)} "
                              f"and one data row of {len(CSV_FIELDS)} values")
-        return cls(*map(_csv_number, CSV_FIELDS, rows[1]), relative_error=relative_error)
+        return cls(*(_number_text(cell, f"MeasurementSet CSV: non-numeric field {name}")
+                     for name, cell in zip(CSV_FIELDS, rows[1])), relative_error=relative_error)
 
 
 def covariance_from_sum(var_sum: float, var_1: float, var_2: float) -> float:

@@ -32,6 +32,11 @@ def assert_input_error(code, err, *needles):
         assert needle in err
 
 
+def assert_one_error_line(code, out, err, line):
+    """An input error: exit 2, nothing on stdout, and stderr exactly the line `error: <line>`."""
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
 def write_reference_cov(tmp_path):
     from cvsteer import reconstruct
     path = tmp_path / "cov.json"
@@ -236,9 +241,9 @@ class TestSample:
         assert d["relative_error"] == pytest.approx(0.05)
 
     def test_missing_n_exits_2(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["sample", "--in", write_reference_cov(tmp_path)])
-        assert exc.value.code == 2
+        code, out, err = run(capsys, "sample", "--in", write_reference_cov(tmp_path))
+        assert_one_error_line(code, out, err,
+                              "cvsteer sample: the following arguments are required: --n")
 
     def test_csv_raw_samples(self, capsys, tmp_path):
         cov = write_reference_cov(tmp_path)
@@ -608,6 +613,65 @@ def test_negative_seed_exits_2_naming_the_seed(capsys, tmp_path, command):
     assert out == ""
 
 
+# every number flag: (command, flag, the kind argparse names, other arguments the command needs)
+_NUMBER_FLAGS = (
+    [("simulate", f"--{name.replace('_', '-')}", "float", [])
+     for name in SourceParams.__dataclass_fields__ if name != "dark_noise"]
+    + [("simulate", "--dark-noise-db", "float", []),
+       ("sample", "--dark-noise-db", "float", ["--n", "10"]),
+       ("sample", "--n", "int", []),
+       ("sample", "--seed", "int", ["--n", "10"]),
+       ("repro", "--dark-noise-db", "float", []),
+       ("repro", "--perturb", "float", []),
+       ("repro", "--n", "int", []),
+       ("repro", "--seed", "int", [])])
+
+
+@pytest.mark.parametrize("command, flag, kind, others", _NUMBER_FLAGS,
+                         ids=[f"{c}{f}" for c, f, _, _ in _NUMBER_FLAGS])
+def test_underscore_in_a_number_flag_is_one_error_line(capsys, tmp_path, command, flag, kind,
+                                                       others):
+    # int() and float() read 1_0 as 10; no number flag does
+    in_args = ["--in", write_reference_cov(tmp_path)] if command == "sample" else []
+    code, out, err = run(capsys, command, *in_args, *others, f"{flag}=1_0")
+    assert_one_error_line(code, out, err,
+                          f"cvsteer {command}: argument {flag}: invalid {kind} value: '1_0'")
+
+
+def test_underscore_in_gains_is_one_error_line(capsys, tmp_path):
+    code, out, err = run(capsys, "analyze", "--in", write_reference_cov(tmp_path),
+                         "--gains=1_0,1")
+    assert_one_error_line(code, out, err, "--gains expects two finite numbers 'gx,gp' or "
+                                          "'optimal', got '1_0,1'")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["simulate", "--r1", "abc"], "cvsteer simulate: argument --r1: invalid float value: 'abc'"),
+    (["simulate", "--r1"], "cvsteer simulate: argument --r1: expected one argument"),
+    (["simulate", "--bogus"], "cvsteer: unrecognized arguments: --bogus"),
+    ([], "cvsteer: the following arguments are required: command"),
+    (["repro", "--n", "1e6"], "cvsteer repro: argument --n: invalid int value: '1e6'"),
+])
+def test_argparse_refusals_are_one_error_line(capsys, argv, line):
+    assert_one_error_line(*run(capsys, *argv), line)
+
+
+def test_unknown_command_is_one_error_line(capsys):
+    code, out, err = run(capsys, "nosuch")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cvsteer: argument command: invalid choice: 'nosuch'")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["simulate", "-h"], ["sample", "--help"]])
+def test_help_still_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.out.startswith("usage: cvsteer") and captured.err == ""
+
+
 _ANY_FLOAT = st.floats()  # includes nan, +-inf and magnitudes up to the float maximum
 _FUZZ = settings(max_examples=50, deadline=None, database=None, derandomize=True)
 
@@ -637,7 +701,7 @@ _FIT_MATRIX = st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0), st.floats(1e-3
 _CSV_CELL = _ANY_FLOAT.map(repr) | st.integers(-3, 3).map(str) | st.text("0123456789.e-x ", max_size=4)
 
 
-def assert_exit_contract(argv):
+def assert_exit_contract(argv) -> int:
     """main returns 0, 1 or 2 without raising; an input error writes nothing to stdout."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -646,6 +710,34 @@ def assert_exit_contract(argv):
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error:")
+    return code
+
+
+# flag texts: float reprs, those of [0, 2] (in range of every float flag), small ints and
+# texts of float()'s characters
+_FLAG_TEXT = (_ANY_FLOAT.map(repr) | st.floats(0.0, 2.0).map(repr) | st.integers(-99, 99).map(str)
+              | st.text("0123456789_.e+-inf ", max_size=6))
+# --n and --seed texts of at most 4 digits, so that no case samples a large campaign
+_COUNT_TEXT = st.text("0123456789_+- .e", max_size=6).filter(
+    lambda t: sum(c.isdigit() for c in t) <= 4)
+
+
+def with_underscore(texts):
+    """texts, and each with a `_` put in it"""
+    return texts | st.tuples(texts, st.integers(0, 6)).map(
+        lambda p: p[0][:p[1]] + "_" + p[0][p[1]:])
+
+
+# flag: (the command before it, its texts)
+_FLAG_TEXTS = {
+    "--r1": (lambda cov: ["simulate"], _FLAG_TEXT),
+    "--dark-noise-db": (lambda cov: ["simulate"], _FLAG_TEXT),
+    "--perturb": (lambda cov: ["repro"], _FLAG_TEXT),
+    "--gains": (lambda cov: ["analyze", "--in", cov],
+                st.lists(_FLAG_TEXT, max_size=3).map(",".join)),
+    "--n": (lambda cov: ["sample", "--in", cov], _COUNT_TEXT),
+    "--seed": (lambda cov: ["sample", "--in", cov, "--n", "10"], _COUNT_TEXT),
+}
 
 
 class TestExitContractFuzz:
@@ -667,6 +759,16 @@ class TestExitContractFuzz:
     def test_sample(self, reference_cov_file, dark_db, fmt):
         assert_exit_contract(["sample", "--in", reference_cov_file, "--n", "10",
                               f"--format={fmt}", f"--dark-noise-db={dark_db!r}"])
+
+    @pytest.mark.parametrize("flag", sorted(_FLAG_TEXTS))
+    @_FUZZ
+    @given(data=st.data())
+    def test_flag_text(self, reference_cov_file, flag, data):
+        command, texts = _FLAG_TEXTS[flag]
+        text = data.draw(with_underscore(texts), label="text")
+        code = assert_exit_contract([*command(reference_cov_file), f"{flag}={text}"])
+        if "_" in text:
+            assert code == 2
 
     @_FUZZ
     @given(dark_db=_ANY_FLOAT)
@@ -745,10 +847,14 @@ class TestInstalledEntryPoint:
         assert ".py:" not in proc.stderr
         assert proc.stdout == run(capsys, "repro", "--n", "3", "--seed", "1")[1]
 
-    @pytest.mark.parametrize("argv", [["simulate", "--r1", "800"], ["repro", "--perturb=-1"]])
+    @pytest.mark.parametrize("argv", [["simulate", "--r1", "800"], ["repro", "--perturb=-1"],
+                                      ["simulate", "--r1", "abc"], ["simulate", "--bogus"],
+                                      ["nosuch"], [], ["simulate", "--r1"],
+                                      ["simulate", "--r1=1_0"]])
     def test_input_errors_exit_2_without_traceback(self, argv):
         proc = run_module(*argv)
         assert_input_error(proc.returncode, proc.stderr)
+        assert proc.stdout == "" and proc.stderr.count("\n") == 1
 
 
 class TestPerturbationStudy:

@@ -761,3 +761,35 @@ class TestInvariantProperties:
     def test_physicality_flag(self, ref_state):
         assert is_physical(ref_state)
         assert is_physical(vacuum_state(2))
+
+
+# number-like texts: float and int reprs, their grammar's characters, any text, and each of
+# these with a `_` put somewhere in it
+_NUMBER_LIKE_TEXT = (st.floats().map(repr) | st.integers().map(str)
+                     | st.text("0123456789_.eE+-infatyINF \t", max_size=10) | st.text(max_size=6))
+_TEXT = _NUMBER_LIKE_TEXT | st.tuples(_NUMBER_LIKE_TEXT, st.integers(0, 10)).map(
+    lambda p: p[0][:p[1]] + "_" + p[0][p[1]:])
+
+
+class TestNumberText:
+    @settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+    @given(text=_TEXT, kind=st.sampled_from([float, int]))
+    @example(text="1_0", kind=float)
+    @example(text="1_0", kind=int)
+    @example(text="18.41", kind=float)
+    @example(text=" -7\n", kind=int)
+    @example(text="1e6", kind=int)
+    @example(text="nan", kind=float)
+    def test_is_the_kinds_grammar_without_underscores(self, text, kind):
+        try:
+            expected = kind(text)
+        except ValueError:
+            expected = None
+        if "_" in text or expected is None:
+            with pytest.raises(ValueError) as exc:
+                gaussian._number_text(text, "field x", kind)
+            assert str(exc.value) == f"field x ({text!r} is not a number)"
+        else:
+            got = gaussian._number_text(text, "field x", kind)
+            assert type(got) is kind
+            assert got == expected or (math.isnan(got) and math.isnan(expected))
