@@ -6,7 +6,8 @@ on input errors.  Every refused input, argparse's refusals of a flag or command
 included, is one ``error: ...`` line on stderr and nothing on stdout; ``-h``
 still prints help.  Number flags are read by ``gaussian._number_text``, as CSV
 cells are.  All JSON output uses Python's round-trip-exact float repr, so
-identical inputs and seeds give byte-identical files.
+identical inputs and seeds give byte-identical files, those of ``sample`` and
+``repro --n`` per numpy build and BLAS kernel, which rounds their sampled sums.
 """
 
 from __future__ import annotations

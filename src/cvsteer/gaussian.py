@@ -389,8 +389,8 @@ def symplectic_eigenvalues_two_mode(state: CovarianceMatrix) -> np.ndarray:
     """Two-mode symplectic eigenvalues [nu_hi, nu_lo].
 
     States without X-P cross terms use the closed form that :func:`is_physical`
-    decides them by, an independent cross-check of :func:`symplectic_eigenvalues`;
-    every other two-mode state takes that eigvals route.
+    decides them by and :func:`_unphysical` words them by, an independent cross-check
+    of :func:`symplectic_eigenvalues`; every other two-mode state takes that route.
     """
     if state.n_modes != 2:
         raise ValueError("symplectic_eigenvalues_two_mode: state must have exactly 2 modes")
@@ -407,24 +407,28 @@ class UnphysicalStateError(ValueError):
     """
 
 
-def is_physical(state: CovarianceMatrix, atol: float = PHYSICALITY_ATOL) -> bool:
-    """Whether all symplectic eigenvalues satisfy nu >= 1 - atol (vacuum units).
-
-    Two-mode states with no X-P cross terms (every reconstruction) are decided
-    from the closed-form smallest root; all others from :func:`symplectic_eigenvalues`.
-    """
+def _below_gate(state: CovarianceMatrix, atol: float) -> list[float] | None:
+    """None if is_physical(state, atol), else its symplectic eigenvalues by the deciding kernel."""
     nu2 = _decoupled_nu_squared(state)
     if nu2 is None:
-        return bool(np.min(symplectic_eigenvalues(state)) >= 1.0 - atol)
-    return math.sqrt(nu2[1]) >= 1.0 - atol
+        nus = symplectic_eigenvalues(state)
+        return None if np.min(nus) >= 1.0 - atol else nus.tolist()
+    return None if math.sqrt(nu2[1]) >= 1.0 - atol else [math.sqrt(nu2[0]), math.sqrt(nu2[1])]
+
+
+def is_physical(state: CovarianceMatrix, atol: float = PHYSICALITY_ATOL) -> bool:
+    """Whether all symplectic eigenvalues satisfy nu >= 1 - atol (vacuum units), decided
+    by the closed form for a two-mode state with no X-P cross terms (every reconstruction),
+    by :func:`symplectic_eigenvalues` for every other state."""
+    return _below_gate(state, atol) is None
 
 
 def _unphysical(state: CovarianceMatrix, who: str) -> str | None:
     """None for a state that passes :func:`is_physical`, else the one message, naming `who`,
-    of every warning (reconstruct, analyze) and refusal (sampler, fit) of the state."""
-    if is_physical(state):
-        return None
-    return f"{who}: state is unphysical (symplectic eigenvalues {symplectic_eigenvalues(state).tolist()})"
+    of every warning (reconstruct, analyze) and refusal (sampler, fit) of the state, with the
+    eigenvalues of the deciding kernel: :func:`symplectic_eigenvalues_two_mode`'s if decoupled."""
+    nus = _below_gate(state, PHYSICALITY_ATOL)
+    return None if nus is None else f"{who}: state is unphysical (symplectic eigenvalues {nus})"
 
 
 def quadrature_variance(state: CovarianceMatrix, mode: int, angle: float) -> float:

@@ -8,15 +8,19 @@ from cvsteer import gaussian
 from cvsteer import (
     CovarianceMatrix,
     LossChannel,
+    MeasurementSet,
     MeasurementSetting,
+    PhysicalityWarning,
     SourceParams,
     SymplecticTransform,
+    UnphysicalStateError,
     apply_loss,
     apply_symplectic,
     beamsplitter,
     build_epr_source,
     compose,
     criteria_report,
+    fit_efficiency,
     is_physical,
     measure_campaign,
     phase_shift,
@@ -220,8 +224,10 @@ class TestSymplecticEigenvalues:
             symplectic_eigenvalues_two_mode(vacuum_state(1))
 
     def test_coupled_states_take_the_eigvals_route(self):
+        # X-P entries nonzero by construction, from float arithmetic off the quarter
+        # turns, not rounding residue of BLAS products, which the BLAS kernel decides
         rng = np.random.default_rng(14)
-        states = [random_physical_state(rng) for _ in range(100)]
+        states = [build_epr_source(random_source_params(rng)) for _ in range(100)]
         coupled = [state for state in states if any(gaussian._xp_of(state.entries.ravel().tolist()))]
         assert len(coupled) >= 50
         for state in coupled:
@@ -285,6 +291,24 @@ class TestClosedFormPhysicality:
         assert is_physical(state)
         measure_campaign(state, 100, seed=3, dark_noise=0.01)
         sample_quadratures(state, MeasurementSetting.joint(1.0, -1.0), 100, seed=3)
+        assert calls == []
+
+    def test_decoupled_states_below_the_gate_are_worded_without_eigvals(self, monkeypatch):
+        # the closed form that decides the verdict also words it, on every BLAS kernel
+        at_bound = [[35.37985501855342, 0, -39.07527374549702, 0], [0, 1, 0, 0],
+                    [-39.07527374549702, 0, 43.156678213769524, 0], [0, 0, 0, 1]]
+        states = [CovarianceMatrix(2, np.diag([0.5, 1.0, 1.0, 1.0])), CovarianceMatrix(2, at_bound)]
+        calls = eigvals_spy(monkeypatch)
+        words = [gaussian._unphysical(state, "who") for state in states]
+        assert words == [f"who: state is unphysical (symplectic eigenvalues "
+                         f"{symplectic_eigenvalues_two_mode(state).tolist()})" for state in states]
+        assert words[1] == "who: state is unphysical (symplectic eigenvalues [8.862084023090897, 0.0])"
+        with pytest.warns(PhysicalityWarning, match="unphysical"):
+            state = reconstruct(MeasurementSet(1.0, 1.0, 1.0, 1.0, 0.5, 0.5))
+        with pytest.raises(UnphysicalStateError):
+            measure_campaign(state, 10, seed=3)
+        with pytest.raises(UnphysicalStateError):
+            fit_efficiency(state)
         assert calls == []
 
     @pytest.mark.parametrize("entry", XP_ENTRIES)

@@ -29,11 +29,12 @@ GOLDEN = {
         "'steering_a_given_b': True, 'duan_inseparable': True, "
         "'conditional_uncertainty_ratio': 0.19800964251779796}",
     ),
-    # below the symplectic boundary: reconstructed with a PhysicalityWarning
+    # below the symplectic boundary: reconstructed with a PhysicalityWarning that names
+    # the closed form's eigenvalues, sqrt(0.4375) each
     "warned": (
         MeasurementSet(1.0, 1.0, 1.0, 1.0, 0.5, 0.5),
         ["reconstruct: state is unphysical (symplectic eigenvalues "
-         "[0.661437827766148, 0.6614378277661473])"],
+         "[0.6614378277661477, 0.6614378277661477])"],
         "[[1.0, 0.0, 0.75, 0.0], [0.0, 1.0, 0.0, -0.75], "
         "[0.75, 0.0, 1.0, 0.0], [0.0, -0.75, 0.0, 1.0]]",
         "{'reid_b_given_a': 0.19140625, 'reid_a_given_b': 0.19140625, 'duan_sum': 1.0, "
@@ -45,11 +46,11 @@ GOLDEN = {
         "'conditional_uncertainty_ratio': 0.4375}",
     ),
     # |Cov_x| is past its rounded bound sqrt(Var X_A) sqrt(Var X_B) but inside its
-    # error band, and the Cholesky check passes
+    # error band, and the Cholesky check passes; the closed form clamps nu_lo^2 at 0
     "near_bound": (
         MeasurementSet(1.004522916136638, 1.0, 3.228692473583337, 1.0, 0.6313849779030343, 2.0),
         ["reconstruct: state is unphysical (symplectic eigenvalues "
-         "[2.05747791961906, 1.4380688298107121e-08])"],
+         "[2.05747791961906, 0.0])"],
         "[[1.004522916136638, 0.0, 1.8009152059084705, 0.0], [0.0, 1.0, 0.0, 0.0], "
         "[1.8009152059084705, 0.0, 3.228692473583337, 0.0], [0.0, 0.0, 0.0, 1.0]]",
         "{'reid_b_given_a': 0.0, 'reid_a_given_b': -4.440892098500626e-16, "

@@ -22,6 +22,7 @@ from cvsteer import (
     reconstruct,
     reid_product,
     symplectic_eigenvalues,
+    symplectic_eigenvalues_two_mode,
     variance_to_db,
     vacuum_state,
 )
@@ -155,7 +156,7 @@ class TestFitEfficiency:
         state = CovarianceMatrix(2, np.diag([0.5, 1.0, 1.0, 1.0]))
         with pytest.raises(UnphysicalStateError) as info:
             fit_efficiency(state)
-        nus = symplectic_eigenvalues(state).tolist()
+        nus = symplectic_eigenvalues_two_mode(state).tolist()
         assert str(info.value) == f"fit_efficiency: state is unphysical (symplectic eigenvalues {nus})"
         assert isinstance(info.value, ValueError)
         assert not isinstance(info.value, InconsistentDataError)

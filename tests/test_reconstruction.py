@@ -167,7 +167,7 @@ class TestPhysicalityDecision:
                             0.39116298140080374, 2.0)
         with pytest.warns(PhysicalityWarning) as record:
             state = reconstruct(ms)
-        nus = symplectic_eigenvalues(state).tolist()
+        nus = symplectic_eigenvalues_two_mode(state).tolist()
         assert [str(w.message) for w in record] == [
             f"reconstruct: state is unphysical (symplectic eigenvalues {nus})"]
         g = state.entries
