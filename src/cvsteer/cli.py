@@ -117,10 +117,12 @@ def cmd_analyze(args) -> int:
     state = CovarianceMatrix.from_dict(_load_json(args.in_path))
     if message := _unphysical(state, "analyze"):  # here, not in criteria_report: a batch hot path
         warnings.warn(PhysicalityWarning(message))
-    report = criteria_report(state)
-    _write_json(report.to_dict(), args.out_path)
+    value = None if gains is None else reid_product(state, "b|a", gains)
+    if value is not None and not math.isfinite(value):  # refused before anything is written
+        raise ValueError(f"--gains {args.gains}: the reid product B|A at these gains is "
+                         f"{value!r}, not a finite number")
+    _write_json(criteria_report(state).to_dict(), args.out_path)
     if gains is not None:
-        value = reid_product(state, "b|a", gains)
         label = "optimal" if gains == "optimal" else f"({gains.g_x:g}, {gains.g_p:g})"
         print(f"# reid product B|A at gains {label}: {value!r}", file=sys.stderr)
     return 0

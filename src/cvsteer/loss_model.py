@@ -16,8 +16,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .criteria import _joint_variances
-from .gaussian import (CovarianceMatrix, SourceParams, UnphysicalStateError, _moments_of,
-                       _source_entries, _unphysical, _xp_of, build_epr_source)
+from .gaussian import (CovarianceMatrix, UnphysicalStateError, _moments_of, _unphysical, _xp_of,
+                       build_epr_source)
 
 __all__ = [
     "forward_covariance",
@@ -131,8 +131,8 @@ def _profile(xi: float, v_minus, v_plus):
 def _scan(v_minus, v_plus):
     """:func:`_profile` at every _XI_SCAN point, as one numpy pass over (xi, source) lanes.
 
-    Returns the profiles (41,), best a values (41, 2) and slopes (41,), bit for
-    bit those of the scalar kernel: the same products in the same order, and a
+    Returns the profiles, best a pairs and slopes as float lists, bit for bit
+    those of the scalar kernel: the same products in the same order, and a
     lane moves only while its Newton step has dp > 0 and shrinks a.  A stopped
     lane recomputes the same verdict, so the pass ends when no lane moves.
     """
@@ -158,7 +158,8 @@ def _scan(v_minus, v_plus):
             fit, a = np.where(better, sq, fit), np.where(better, c, a)
         slope = 2.0 * ((xi / a - u) * (1.0 / a - 1.0) + (xi * a - w) * (a - 1.0))
     # summed from 0.0 as in the scalar kernel, so a -0.0 slope sums to 0.0
-    return 0.0 + fit[:, 0] + fit[:, 1], a, 0.0 + slope[:, 0] + slope[:, 1]
+    return ((0.0 + fit[:, 0] + fit[:, 1]).tolist(), a.tolist(),
+            (0.0 + slope[:, 0] + slope[:, 1]).tolist())
 
 
 def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
@@ -174,9 +175,8 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     [1e-6, 1] (:func:`_scan`), then a root search for the profile's slope
     between the best scan point and the neighbour its slope points to, to a
     relative tolerance of _XI_RTOL; the best point evaluated wins.
-    The residual is the RMS entry mismatch of the forward model at the fit,
-    read from its float entries unchecked: at the r = 10 cap with xi near 1
-    the model is too ill-conditioned for the CovarianceMatrix check.
+    The residual is the RMS mismatch of the eight entries at the fit, by that
+    split sqrt((profile + constant) / 8).
     iterations counts profile evaluations; converged is False if the root
     search missed its tolerance, the slope kept its sign across an interior
     bracket, or a second, separated scan basin lies within 1e-9 relative of
@@ -192,7 +192,7 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     if largest > _ENTRY_MAX:
         raise ValueError(f"fit_efficiency: entries up to {largest:.3g} are too large; "
                          f"the fit squares them (at most {_ENTRY_MAX:.3g})")
-    xa, pa, xb, pb, cov_x, cov_p = measured = _moments_of(e)
+    xa, pa, xb, pb, cov_x, cov_p = _moments_of(e)
     cross = max(map(abs, _xp_of(e)))
     if cross > 1e-9 * max(1.0, xa, pa, xb, pb):
         raise ValueError("fit_efficiency: expected zero X-P cross terms "
@@ -203,7 +203,7 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     v_minus = [0.5 * v for v in _joint_variances(xa, pa, xb, pb, cov_x, cov_p)]
     v_plus = [0.5 * v for v in _joint_variances(xa, pa, xb, pb, -cov_x, -cov_p)[::-1]]
     scan, best_a, slopes = _scan(v_minus, v_plus)
-    k = int(scan.argmin())
+    k = min(range(len(scan)), key=scan.__getitem__)
     seen = {_XI_SCAN[i]: (scan[i], best_a[i], slopes[i])
             for i in range(max(k - 1, 0), min(k + 2, len(_XI_SCAN)))}
     scanned = len(seen)
@@ -217,7 +217,7 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     # minimum with it.  On a scan bound it may point outward (or be 0): xi stands.
     j = k + 1 if slopes[k] < 0 else k - 1
     found = slopes[k] == 0 or not 0 <= j < len(_XI_SCAN)
-    if not found and np.sign(slopes[j]) != np.sign(slopes[k]):
+    if not found and not (slopes[j] > 0 < slopes[k] or slopes[j] < 0 > slopes[k]):
         lo, hi = sorted((_XI_SCAN[j], _XI_SCAN[k]))
         found = brentq(slope, lo, hi, xtol=_XI_RTOL * _XI_SCAN[0], rtol=_XI_RTOL,
                        full_output=True, disp=False)[1].converged
@@ -227,22 +227,19 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     # The entry sum is the profile plus the part of g that no model reaches.  A
     # second scan basin, apart from the best one, that ties it leaves xi ambiguous.
     offset = 0.5 * ((xa - xb) ** 2 + (pa - pb) ** 2)
-    padded = np.concatenate(([np.inf], scan, [np.inf]))
-    basins = (scan <= padded[:-2]) & (scan <= padded[2:]) & (abs(np.arange(len(scan)) - k) > 1)
-    unique = not np.any(scan[basins] + offset <= (best + offset) * (1.0 + 1e-9))
+    tie = (best + offset) * (1.0 + 1e-9)
+    padded = [math.inf, *scan, math.inf]
+    unique = not any(p <= padded[i] and p <= padded[i + 2] and p + offset <= tie
+                     for i, p in enumerate(scan) if abs(i - k) > 1)
 
     r1, r2 = (0.5 * math.log(x) for x in a)
-    model = _moments_of(_source_entries(SourceParams(r1=r1, r2=r2, eta_prep=xi)))
-    miss = [m - v for m, v in zip(model, measured)]
-    # the eight nonzero entries: the diagonal, then each covariance twice
-    residual = math.sqrt(sum(e * e for e in miss[:4] + miss[4:5] * 2 + miss[5:] * 2) / 8)
     return LossFit(
         xi=xi,
         r1=r1,
         r2=r2,
-        residual=residual,
+        residual=math.sqrt((best + offset) / 8),
         iterations=len(_XI_SCAN) + len(seen) - scanned,
-        converged=bool(found) and unique,
+        converged=found and unique,
     )
 
 

@@ -3,8 +3,8 @@
 Four single-quadrature variances plus the two joint combinations
 Var(X_A - X_B) and Var(P_A + P_B) determine the diagonal and the (X_A, X_B)
 and (P_A, P_B) covariances of a two-mode state.  The remaining X-P cross
-terms are not measured and are set to zero; that convention can only
-underestimate the correlations actually present.
+terms are not measured and are set to zero: the most physical, least entangled
+and least steerable completion of the data.  Reid and Duan do not depend on it.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cvsteer.reference
-from cvsteer import (CovarianceMatrix, SourceParams, build_epr_source, criteria_report,
-                     symplectic_eigenvalues_two_mode)
+from cvsteer import (CovarianceMatrix, SourceParams, apply_symplectic, build_epr_source,
+                     criteria_report, gaussian, phase_shift, symplectic_eigenvalues_two_mode)
 from cvsteer.cli import main, perturbation_study
 from cvsteer.reconstruction import CSV_FIELDS
 from cvsteer.reference import REFERENCE_MEASUREMENTS
@@ -210,6 +210,18 @@ class TestAnalyze:
                                  "--gains", gains, *out_flags)
             assert_input_error(code, err, "--gains expects", repr(gains))
             assert out == ""
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("gains, value", [("1e308,1e308", "nan"), ("1e200,1", "inf")])
+    def test_gains_whose_product_is_not_finite_exit_2_before_any_output(self, capsys, tmp_path,
+                                                                       gains, value):
+        # at 1e308 both g^2 Var and 2 g Cov overflow, and inf - inf is nan; at 1e200 only g^2 Var
+        out_path = tmp_path / "report.json"
+        for out_flags in ([], ["--out", str(out_path)]):
+            code, out, err = run(capsys, "analyze", "--in", write_reference_cov(tmp_path),
+                                 "--gains", gains, *out_flags)
+            assert_one_error_line(code, out, err, f"--gains {gains}: the reid product B|A at "
+                                                  f"these gains is {value}, not a finite number")
         assert not out_path.exists()
 
     def test_optimal_gains_note_is_the_report_product(self, capsys, tmp_path):
@@ -548,20 +560,28 @@ class TestRepro:
         assert perturbation_study is cvsteer.reference.perturbation_study
 
 
-def test_every_command_words_a_state_below_the_gate_alike(capsys, tmp_path):
+@pytest.mark.parametrize("coupled", [False, True], ids=["decoupled", "coupled"])
+def test_every_command_words_a_state_below_the_gate_alike(capsys, tmp_path, coupled):
     # reconstruct and analyze warn of the CI's warned set, sample and fit refuse it,
-    # each naming itself and the same symplectic eigenvalues
+    # each naming itself and the same symplectic eigenvalues.  Turned by a phase
+    # shift of mode B, its X-P entries are nonzero and eigvals decides and words it.
     ms, cov = tmp_path / "ms.json", tmp_path / "cov.json"
     ms.write_text(json.dumps({"var_xa": 1, "var_pa": 1, "var_xb": 1, "var_pb": 1,
                               "var_x_diff": 0.5, "var_p_sum": 0.5}))
     assert run(capsys, "reconstruct", "--in", str(ms), "--out", str(cov)) == (0, "", "")
     payload = json.loads(cov.read_text())
-    nus = symplectic_eigenvalues_two_mode(CovarianceMatrix.from_dict(payload)).tolist()
+    state = CovarianceMatrix.from_dict(payload)
+    if coupled:
+        state = apply_symplectic(state, phase_shift(0.3, 1, 2))
+        assert gaussian._decoupled_nu_squared(state) is None
+        cov.write_text(json.dumps(state.to_dict()))
+    nus = symplectic_eigenvalues_two_mode(state).tolist()
     assert max(nus) < 1.0
 
     def said(who):
         return f"{who}: state is unphysical (symplectic eigenvalues {nus})"
-    assert payload["warnings"] == [said("reconstruct")]
+    if not coupled:
+        assert payload["warnings"] == [said("reconstruct")]
     assert run(capsys, "analyze", "--in", str(cov))[::2] == (0, f"warning: {said('analyze')}\n")
     for fmt in ("json", "csv"):
         assert run(capsys, "sample", "--in", str(cov), "--n", "10", "--format", fmt) == (

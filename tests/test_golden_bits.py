@@ -106,12 +106,12 @@ FIT_GOLDEN = {
     # a pure state: the minimum sits on the scan bound xi = 1
     "pure": (
         lambda: build_epr_source(SourceParams(r1=1.2, r2=1.0, eta_prep=1.0)),
-        "{'xi': 1.0, 'r1': 1.2, 'r2': 1.0, 'residual': 0.0, 'iterations': 41, 'converged': True}",
+        "{'xi': 1.0, 'r1': 1.2, 'r2': 1.0, 'residual': 5.379321278230016e-16, 'iterations': 41, 'converged': True}",
     ),
     "r_2.3": (
         lambda: reconstruct(GOLDEN["r_2.3"][0]),
         "{'xi': 0.9215000000000041, 'r1': 2.2999999999999976, 'r2': 2.2999999999999976, "
-        "'residual': 7.105427357601002e-15, 'iterations': 45, 'converged': True}",
+        "'residual': 3.5197539327569416e-15, 'iterations': 45, 'converged': True}",
     ),
     # the campaign of r1 = 1.2, r2 = 1.1, eta_prep 0.9, each value jittered by about 1%
     "jittered": (

@@ -247,8 +247,12 @@ class TestProfiledFit:
             g = state.entries
             xi, r1, r2, nelder_mead = reference_nelder_mead_fit(state)
             profiled = fit_objective(g, fit.r1, fit.r2, fit.xi)
-            assert profiled == pytest.approx(8.0 * fit.residual ** 2, rel=1e-12, abs=1e-300)
             floor = 8.0 * (64.0 * eps * np.abs(g).max()) ** 2
+            # the residual is the profile's objective; below the floor both are rounding
+            if profiled > floor:
+                assert profiled == pytest.approx(8.0 * fit.residual ** 2, rel=1e-12)
+            else:
+                assert 8.0 * fit.residual ** 2 <= floor
             assert profiled <= nelder_mead * (1.0 + 1e-9) + floor, (fit, xi, r1, r2)
             compared += 1
         assert compared >= 180
@@ -264,9 +268,9 @@ class TestProfiledFit:
         fit = fit_efficiency(forward_covariance(uniform_xi_params(10.5, 1.0, 0.9)))
         assert fit.r1 == 10.0
 
-    def test_fit_on_the_r_cap_reads_its_unchecked_model(self):
+    def test_fit_on_the_r_cap_has_a_finite_residual(self):
         # the model at r1 = 10, xi ~ 1 is too ill-conditioned for a checked
-        # CovarianceMatrix; the residual reads the forward entries directly
+        # CovarianceMatrix; the residual comes from the profile, not from that model
         state = forward_covariance(uniform_xi_params(10.05, 9.5, 0.999999))
         assert is_physical(state)
         fit = fit_efficiency(state)

@@ -13,6 +13,7 @@ from cvsteer import (
     SourceParams,
     build_epr_source,
     covariance_from_sum,
+    criteria_report,
     expected_measurements,
     is_physical,
     optimal_gain,
@@ -376,6 +377,9 @@ class TestMeasurementSetIO:
             MeasurementSet(*VACUUM_SET.values(), relative_error=1.0)
 
 
+XP_ENTRIES = ((0, 1), (0, 3), (1, 2), (2, 3))
+
+
 def _min_two_gain_variance(entries, target, g1_idx, g2_idx):
     """Brute-force minimum of Var(O_t - g1 O_1 - g2 O_2) by nested grid search."""
     g = entries
@@ -427,6 +431,57 @@ class TestZeroCompletionNeverOverestimates:
             multi_vp = _min_two_gain_variance(completed.entries, target=3, g1_idx=1, g2_idx=0)
             assert zero_vx >= multi_vx - 1e-9
             assert zero_vp >= multi_vp - 1e-9
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(r=st.tuples(*[st.floats(0.0, 3.0)] * 2), eta=st.tuples(*[st.floats(0.05, 1.0)] * 3),
+           dark_noise=st.floats(0.0, 0.1), transmittance=st.floats(0.0, 1.0),
+           phase=st.sampled_from([math.pi / 2, -math.pi / 2, math.pi, 0.0]),
+           level=st.sampled_from([None, 0.0, 0.01, 0.05]), z=st.tuples(*[st.floats(-3.0, 3.0)] * 6),
+           completions=st.lists(st.tuples(st.floats(0.01, 5.0),
+                                          st.tuples(*[st.floats(-1.0, 1.0)] * 4)),
+                                min_size=1, max_size=8))
+    def test_zero_completion_is_most_physical_least_entangled_least_steerable(
+            self, r, eta, dark_noise, transmittance, phase, level, z, completions):
+        # lambda_min(G_c + iK) is concave and even in the X-P entries c, so c = 0
+        # maximizes it for K = Omega (physicality), the partial transpose's form
+        # (PPT) and 0_A + Omega_B (Wiseman-Jones-Doherty steering of B by A)
+        source = build_epr_source(SourceParams(r1=r[0], r2=r[1], relative_phase=phase,
+                                               transmittance=transmittance, eta_prep=eta[0],
+                                               eta_det_a=eta[1], eta_det_b=eta[2],
+                                               dark_noise=dark_noise))
+        state = source  # a quarter-turn forward state
+        if level is not None:
+            values = [v * (1.0 + level * zi)
+                      for v, zi in zip(expected_measurements(source).values(), z)]
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", PhysicalityWarning)
+                    state = reconstruct(MeasurementSet(*values, relative_error=level))
+            except ValueError:
+                return  # the jitter broke a Cauchy-Schwarz bound
+        g0 = state.entries
+        assert gaussian._xp_of(g0.ravel().tolist()) == (0.0,) * 4
+        omega = gaussian.symplectic_form(2)
+        forms = (omega, np.diag([1.0, 1.0, 1.0, -1.0]) @ omega @ np.diag([1.0, 1.0, 1.0, -1.0]),
+                 np.diag([0.0, 0.0, 1.0, 1.0]) @ omega)
+        zero = [np.linalg.eigvalsh(g0 + 1j * k).min() for k in forms]
+        report = criteria_report(state).to_dict()
+        eps = np.finfo(float).eps
+        for scale, u in completions:
+            g = g0.copy()
+            for (i, j), ui in zip(XP_ENTRIES, u):
+                g[i, j] = g[j, i] = scale * ui * math.sqrt(g0[i, i] * g0[j, j])
+            try:
+                completed = CovarianceMatrix(2, g)
+            except ValueError:
+                continue  # not positive definite
+            # Allowance fixed before the run: 64 eps of the largest entry.
+            allowance = 64.0 * eps * max(1.0, np.abs(g).max())
+            for k, at_zero in zip(forms, zero):
+                assert np.linalg.eigvalsh(g + 1j * k).min() <= at_zero + allowance
+            completed_report = criteria_report(completed).to_dict()
+            for key in ("reid_b_given_a", "reid_a_given_b", "duan_sum"):
+                assert completed_report[key] == report[key]
 
 
 class TestCorrelationMonotonicity:
