@@ -121,7 +121,12 @@ def cmd_analyze(args) -> int:
     if value is not None and not math.isfinite(value):  # refused before anything is written
         raise ValueError(f"--gains {args.gains}: the reid product B|A at these gains is "
                          f"{value!r}, not a finite number")
-    _write_json(criteria_report(state).to_dict(), args.out_path)
+    report = criteria_report(state).to_dict()
+    numbers = {**report, **report["conditional_variances"]}
+    if overflowed := [k for k, v in numbers.items() if isinstance(v, float) and not math.isfinite(v)]:
+        raise ValueError(f"analyze: {', '.join(overflowed)} overflow the float range; "
+                         "JSON cannot hold them")
+    _write_json(report, args.out_path)
     if gains is not None:
         label = "optimal" if gains == "optimal" else f"({gains.g_x:g}, {gains.g_p:g})"
         print(f"# reid product B|A at gains {label}: {value!r}", file=sys.stderr)

@@ -114,22 +114,47 @@ class CovarianceMatrix:
 
     A finite, exactly symmetric two-mode matrix whose X-P entries are all zero,
     as every reconstruction and every forward state at a quarter turn is, is
-    checked in floats (:func:`_decoupled_positive_definite`); every other
-    matrix by numpy, with a symmetry tolerance and np.linalg.cholesky.
+    its six moments (:func:`_decoupled_moments`), checked in floats
+    (:func:`_decoupled_positive_definite`); every other matrix by numpy, with a
+    symmetry tolerance and np.linalg.cholesky.  A state decoupled once checked
+    records its six moments, which the two-mode readers take;
+    :meth:`_of_moments` builds one from them with no 4x4 round trip.
     """
 
     n_modes: int
     entries: np.ndarray
+    _six = None  # the recorded moments, else None; not a field (no annotation)
 
     def __post_init__(self):
         m = np.array(self.entries, dtype=float)
-        positive = _decoupled_positive_definite(m) if self.n_modes == 2 else None
-        if positive is None:
+        six = _decoupled_moments(m) if self.n_modes == 2 else None
+        if six is None:
             m = _checked_covariance(m, self.n_modes)
-        elif not positive:
+            six = _decoupled_moments(m) if self.n_modes == 2 else None
+        elif not _decoupled_positive_definite(*six):
             raise ValueError("CovarianceMatrix: matrix is not positive definite")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "_six", six)
+
+    @classmethod
+    def _of_moments(cls, xa, pa, xb, pb, cx, cp) -> "CovarianceMatrix":
+        """CovarianceMatrix(2, _from_moments(xa, pa, xb, pb, cx, cp)): for six finite
+        numbers only the float verdict and one read-only array, with no copy or re-read;
+        any other goes through the constructor, which words its refusal."""
+        six = tuple(map(float, (xa, pa, xb, pb, cx, cp)))
+        if not all(map(math.isfinite, six)):
+            return cls(2, _from_moments(*six))
+        if not _decoupled_positive_definite(*six):
+            raise ValueError("CovarianceMatrix: matrix is not positive definite")
+        m = _from_moments(*six)
+        m.setflags(write=False)
+        state = object.__new__(cls)
+        state.__dict__.update(n_modes=2, entries=m, _six=six)  # frozen: no __setattr__
+        return state
+
+    def __reduce__(self):  # copies and pickles are constructed: read-only, moments recorded
+        return type(self), (self.n_modes, self.entries)
 
     def to_dict(self) -> dict:
         return {
@@ -309,10 +334,11 @@ def symplectic_eigenvalues(state: CovarianceMatrix) -> np.ndarray:
 
 
 def _moments(state: CovarianceMatrix) -> tuple[float, ...]:
-    """The six second moments (Var X_A, Var P_A, Var X_B, Var P_B, Cov X, Cov P), as floats."""
+    """The six second moments (Var X_A, Var P_A, Var X_B, Var P_B, Cov X, Cov P), as floats:
+    those recorded at construction, else read from the entries."""
     if state.n_modes != 2:
         raise ValueError(f"expected a two-mode state, got {state.n_modes} modes")
-    return _moments_of(state.entries.ravel().tolist())
+    return _moments_of(state.entries.ravel().tolist()) if state._six is None else state._six
 
 
 def _moments_of(e: list) -> tuple[float, ...]:
@@ -334,17 +360,9 @@ def _from_moments(xa, pa, xb, pb, cx, cp) -> np.ndarray:
                      0.0, cp, 0.0, pb]).reshape(4, 4)  # faster than nested lists
 
 
-def _decoupled_positive_definite(m: np.ndarray) -> bool | None:
-    """Whether a 4x4 float array is positive definite, decided in floats for a
-    finite, exactly symmetric matrix whose X-P entries are zero; None (use numpy)
-    for any other.
-
-    Such a matrix is the direct sum of Gamma_x and Gamma_p, so Cholesky takes one
-    step per 2x2 block, as LAPACK does: a pivot v1 > 0, l = c * (1 / sqrt(v1)),
-    then v2 - l * l > 0.  The reciprocal form agrees with np.linalg.cholesky
-    more often than c / sqrt(v1) or v1 v2 - c^2 at the bound |c| = sqrt(v1 v2);
-    l * l overflows to inf where l ** 2 would raise.
-    """
+def _decoupled_moments(m: np.ndarray) -> tuple[float, ...] | None:
+    """The six moments, as floats, of a finite, exactly symmetric 4x4 float array whose
+    X-P entries are zero; None (use numpy) for any other array."""
     if m.shape != (4, 4):
         return None
     e = m.ravel().tolist()
@@ -353,7 +371,19 @@ def _decoupled_positive_definite(m: np.ndarray) -> bool | None:
     if not (e[4] == e[1] and e[8] == e[2] and e[12] == e[3]
             and e[9] == e[6] and e[13] == e[7] and e[14] == e[11]):
         return None
-    xa, pa, xb, pb, cx, cp = _moments_of(e)
+    return _moments_of(e)
+
+
+def _decoupled_positive_definite(xa, pa, xb, pb, cx, cp) -> bool:
+    """Whether the two-mode matrix of six finite moments with zero X-P entries is
+    positive definite.
+
+    Such a matrix is the direct sum of Gamma_x and Gamma_p, so Cholesky takes one
+    step per 2x2 block, as LAPACK does: a pivot v1 > 0, l = c * (1 / sqrt(v1)),
+    then v2 - l * l > 0.  The reciprocal form agrees with np.linalg.cholesky
+    more often than c / sqrt(v1) or v1 v2 - c^2 at the bound |c| = sqrt(v1 v2);
+    l * l overflows to inf where l ** 2 would raise.
+    """
     if not (xa > 0.0 and pa > 0.0):
         return False
     lx, lp = cx * (1.0 / math.sqrt(xa)), cp * (1.0 / math.sqrt(pa))
@@ -362,19 +392,17 @@ def _decoupled_positive_definite(m: np.ndarray) -> bool | None:
 
 def _decoupled_nu_squared(state: CovarianceMatrix) -> tuple[float, float] | None:
     """(nu_hi^2, nu_lo^2), the eigenvalues of M = Gamma_x Gamma_p (trace t, det d),
-    for a two-mode state whose X-P entries are exactly zero; None (use eigvals)
-    for any other state, or when t underflows to 0 or a product overflows.
+    from the moments recorded for a two-mode state whose X-P entries are exactly
+    zero; None (use eigvals) for a state with none recorded, or when t underflows
+    to 0 or a product overflows.
 
     The discriminant is (M11 - M22)^2 + 4 M12 M21: t^2 - 4 d would lose sqrt(eps)
     at a degenerate spectrum, e.g. near vacuum.  nu_lo^2 = d / nu_hi^2, clamped at
     0 for a d rounded below 0 at the Cauchy-Schwarz bound.
     """
-    if state.n_modes != 2:
+    if state._six is None:
         return None
-    e = state.entries.ravel().tolist()
-    if any(_xp_of(e)):
-        return None
-    xa, pa, xb, pb, cx, cp = _moments_of(e)
+    xa, pa, xb, pb, cx, cp = state._six
     t = xa * pa + xb * pb + 2.0 * cx * cp
     d = (xa * xb - cx * cx) * (pa * pb - cp * cp)
     half_gap = 0.5 * (xa * pa - xb * pb)

@@ -161,9 +161,12 @@ def reconstruct(ms: MeasurementSet) -> CovarianceMatrix:
 
     Diagonal from the four single variances; Cov(X_A, X_B) from the measured
     difference (sign handled here), Cov(P_A, P_B) from the measured sum; all
-    X-P cross terms set to zero.  A matrix that CovarianceMatrix refuses as not
-    positive definite, a covariance being at or past its Cauchy-Schwarz bound,
-    raises InconsistentDataError; it names the entry past its propagated error
+    X-P cross terms set to zero.  The state is built from these six moments
+    (CovarianceMatrix._of_moments: the float Cholesky verdict, no 4x4 round
+    trip), which it records for the criteria and the physicality gate to read.
+    A matrix that CovarianceMatrix refuses as not positive definite, a
+    covariance being at or past its Cauchy-Schwarz bound, raises
+    InconsistentDataError; it names the entry past its propagated error
     band, otherwise the more strongly correlated one.  Matrices that are merely
     below the symplectic physicality boundary emit a PhysicalityWarning but
     are returned.
@@ -171,7 +174,7 @@ def reconstruct(ms: MeasurementSet) -> CovarianceMatrix:
     xa, pa, xb, pb, x_diff, p_sum = ms.values()
     cov_x, cov_p = _covariances(xa, pa, xb, pb, x_diff, p_sum)
     try:
-        state = CovarianceMatrix(n_modes=2, entries=_from_moments(xa, pa, xb, pb, cov_x, cov_p))
+        state = CovarianceMatrix._of_moments(xa, pa, xb, pb, cov_x, cov_p)
     except ValueError:
         if not (math.isfinite(cov_x) and math.isfinite(cov_p)):
             raise

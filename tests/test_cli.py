@@ -158,6 +158,18 @@ class TestAnalyze:
             assert out == ""
         assert not out_path.exists()
 
+    def test_overflowing_criteria_are_named(self, capsys, tmp_path):
+        # json's own "Out of range float values are not JSON compliant: inf" before
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"n_modes": 2, "entries": (1e200 * np.eye(4)).tolist()}))
+        out_path = tmp_path / "report.json"
+        for out_flags in ([], ["--out", str(out_path)]):
+            code, out, err = run(capsys, "analyze", "--in", str(p), *out_flags)
+            assert_one_error_line(code, out, err, (
+                "analyze: reid_b_given_a, reid_a_given_b, unit_gain_product, "
+                "conditional_uncertainty_ratio overflow the float range; JSON cannot hold them"))
+        assert not out_path.exists()
+
     def test_state_at_the_cauchy_schwarz_bound_exits_0(self, capsys, tmp_path):
         # the X B|A conditional variance of this accepted state rounds to -1.4e-14;
         # its square root no longer turns the report into nan (exit 2 before).  The

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -549,7 +552,7 @@ class TestFloatPositiveDefiniteness:
         cx = rho[0] * math.sqrt(abs(xa)) * math.sqrt(abs(xb))
         cp = rho[1] * math.sqrt(abs(pa)) * math.sqrt(abs(pb))
         m = gaussian._from_moments(xa, pa, xb, pb, cx, cp)
-        verdict = gaussian._decoupled_positive_definite(m)
+        verdict = gaussian._decoupled_positive_definite(*gaussian._decoupled_moments(m))
         assert verdict is not None and constructs(m) == verdict
         if not (near_bound(xa, xb, cx) or near_bound(pa, pb, cp)):
             assert verdict == cholesky_accepts(m)
@@ -565,7 +568,7 @@ class TestFloatPositiveDefiniteness:
             cx = sign * step_ulps(bound_x, k) if "x" in blocks else rho * bound_x
             cp = -sign * step_ulps(bound_p, k) if "p" in blocks else rho * bound_p
             m = gaussian._from_moments(xa, pa, xb, pb, cx, cp)
-            verdict = gaussian._decoupled_positive_definite(m)
+            verdict = gaussian._decoupled_positive_definite(*gaussian._decoupled_moments(m))
             assert constructs(m) == verdict
             if abs(k) > BOUND_BAND_ULPS:
                 assert verdict == (k < 0) == cholesky_accepts(m), k
@@ -595,6 +598,98 @@ class TestFloatPositiveDefiniteness:
         m[entry] = bad
         with pytest.raises(ValueError, match="CovarianceMatrix: entries must be finite"):
             CovarianceMatrix(2, m)
+
+
+def built(make, six):
+    """What make(six) gives: the state's mode count, entry bytes, writeable flag and
+    recorded moments (as repr, so -0.0 and an int would show), or the ValueError text."""
+    try:
+        state = make(six)
+    except ValueError as exc:
+        return str(exc)
+    return state.n_modes, state.entries.tobytes(), state.entries.flags.writeable, repr(state._six)
+
+
+@st.composite
+def six_moments(draw):
+    """Six moments: random, with one covariance stepped ulp by ulp across its bound
+    sqrt(v1) sqrt(v2), or with one value inf or NaN."""
+    v = list(draw(st.tuples(*[st.floats(-1.0, 1e300)] * 4)))
+    rho = draw(st.tuples(*[st.floats(-1.5, 1.5)] * 2))
+    six = v + [rho[0] * math.sqrt(abs(v[0])) * math.sqrt(abs(v[2])),
+               rho[1] * math.sqrt(abs(v[1])) * math.sqrt(abs(v[3]))]
+    kind = draw(st.sampled_from(["random", "stepped", "non-finite"]))
+    if kind == "stepped":
+        six[:4] = map(abs, v)
+        i = draw(st.sampled_from([4, 5]))
+        bound = math.sqrt(six[i - 4]) * math.sqrt(six[i - 2])
+        k = draw(st.integers(-2 * BOUND_BAND_ULPS, 2 * BOUND_BAND_ULPS))
+        six[i] = math.copysign(step_ulps(bound, k), rho[i - 4])
+    elif kind == "non-finite":
+        six[draw(st.integers(0, 5))] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    return six
+
+
+class TestStateOfMoments:
+    """CovarianceMatrix._of_moments, the route of every reconstruction, against the
+    constructor, and the moments every state records at construction."""
+
+    @settings(max_examples=3000, deadline=None, database=None, derandomize=True)
+    @given(six=six_moments())
+    @example(six=[1, 1, 1, 1, 0, 0])
+    @example(six=[1.0, 1.0, 1.0, 1.0, -0.0, 0.5])
+    @example(six=[5e-324, 1.0, 5e-324, 1.0, 2.5e-324, 0.0])
+    @example(six=[1.7e308, 1.0, 1.7e308, 1.0, math.inf, 0.0])
+    def test_equals_the_constructor(self, six):
+        got = built(lambda m: CovarianceMatrix._of_moments(*m), six)
+        assert got == built(lambda m: CovarianceMatrix(2, gaussian._from_moments(*m)), six)
+        if not isinstance(got, str):
+            assert got[2] is False
+
+    def test_records_the_moments_of_its_entries(self, ref_state):
+        for state in (ref_state, build_epr_source(SourceParams(r1=1.2, r2=1.1, eta_prep=0.9)),
+                      CovarianceMatrix._of_moments(18.41, 35.49, 17.98, 34.61, 18.09, -34.95)):
+            assert state._six == gaussian._moments_of(state.entries.ravel().tolist())
+            assert gaussian._moments(state) is state._six
+
+    def test_coupled_and_other_mode_counts_record_none(self, ref_state):
+        coupled = apply_symplectic(ref_state, phase_shift(0.3, 1, 2))
+        assert coupled._six is None and gaussian._decoupled_nu_squared(coupled) is None
+        assert gaussian._moments(coupled) == gaussian._moments_of(coupled.entries.ravel().tolist())
+        assert vacuum_state(1)._six is None and vacuum_state(3)._six is None
+
+    def test_near_symmetric_decoupled_matrix_takes_the_closed_form(self, monkeypatch, ref_state):
+        # numpy checks and symmetrises it; the symmetrised matrix is decoupled and recorded
+        m = ref_state.entries.copy()
+        m[0, 2] = math.nextafter(m[0, 2], math.inf)
+        state = CovarianceMatrix(2, m)
+        assert gaussian._decoupled_moments(m) is None
+        assert state.entries[0, 2] == state.entries[2, 0]
+        assert state._six == gaussian._moments_of(state.entries.ravel().tolist())
+        calls = eigvals_spy(monkeypatch)
+        assert gaussian._decoupled_nu_squared(state) is not None
+        assert is_physical(state) and symplectic_eigenvalues_two_mode(state)[1] > 0.0
+        assert calls == []
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, dataclasses.replace,
+                                       lambda s: pickle.loads(pickle.dumps(s))],
+                             ids=["copy", "deepcopy", "replace", "pickle"])
+    def test_copies_keep_the_recorded_moments(self, ref_state, clone):
+        coupled = apply_symplectic(ref_state, phase_shift(0.3, 1, 2))
+        for state in (reconstruct(REFERENCE_MEASUREMENTS), ref_state, coupled):
+            twin = clone(state)
+            assert np.array_equal(twin.entries, state.entries)
+            assert not twin.entries.flags.writeable
+            expected = None if state is coupled else gaussian._moments_of(twin.entries.ravel().tolist())
+            assert twin._six == expected
+
+    def test_states_built_without_the_constructor_read_their_entries(self):
+        bare = object.__new__(CovarianceMatrix)
+        object.__setattr__(bare, "n_modes", 2)
+        object.__setattr__(bare, "entries", np.diag([0.5, 1.0, 1.0, 1.0]))
+        assert bare._six is None and gaussian._decoupled_nu_squared(bare) is None
+        assert gaussian._moments(bare) == (0.5, 1.0, 1.0, 1.0, 0.0, 0.0)
+        assert not is_physical(bare)
 
 
 class TestBuildEprSource:

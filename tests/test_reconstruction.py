@@ -175,6 +175,27 @@ class TestPhysicalityDecision:
         assert g[0, 0] * g[2, 2] - g[0, 2] * g[0, 2] < 0.0
         assert not is_physical(state)
 
+    def test_the_analysis_reads_the_moments_recorded_at_construction(self, monkeypatch, ref_ms):
+        # reconstruct -> propagate_errors -> criteria_report -> is_physical, of a
+        # physical set and a warned one, never reads the 16 entries back
+        calls = []
+        for name in ("_decoupled_moments", "_moments_of"):
+            def spy(*args, route=getattr(gaussian, name), name=name):
+                calls.append(name)
+                return route(*args)
+            monkeypatch.setattr(gaussian, name, spy)
+        for ms in (ref_ms, MeasurementSet(1.0, 1.0, 1.0, 1.0, 0.5, 0.5)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PhysicalityWarning)
+                state = reconstruct(ms)
+            propagate_errors(ms)
+            criteria_report(state)
+            is_physical(state)
+            expected_measurements(state)
+        assert calls == []
+        CovarianceMatrix(2, state.entries)  # the spies are live: the constructor reads
+        assert calls == ["_decoupled_moments", "_moments_of"]
+
     @pytest.mark.parametrize("diagonal, physical", TRAP_DIAGONALS)
     def test_underflow_and_overflow_take_the_eigvals_route(self, diagonal, physical):
         xa, pa, xb, pb = diagonal
