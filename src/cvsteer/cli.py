@@ -121,7 +121,10 @@ def cmd_analyze(args) -> int:
     if value is not None and not math.isfinite(value):  # refused before anything is written
         raise ValueError(f"--gains {args.gains}: the reid product B|A at these gains is "
                          f"{value!r}, not a finite number")
-    report = criteria_report(state).to_dict()
+    try:
+        report = criteria_report(state).to_dict()
+    except ValueError as exc:  # an optimal gain Cov/Var past the float range
+        raise ValueError(f"analyze: {exc}") from None
     numbers = {**report, **report["conditional_variances"]}
     if overflowed := [k for k, v in numbers.items() if isinstance(v, float) and not math.isfinite(v)]:
         raise ValueError(f"analyze: {', '.join(overflowed)} overflow the float range; "

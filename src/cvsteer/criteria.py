@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .gaussian import CovarianceMatrix, _moments
+from .gaussian import CovarianceMatrix, _moments, _record
 
 REID_BOUND = 1.0
 DUAN_BOUND = 4.0
@@ -46,34 +46,34 @@ class GainPair:
 UNIT_GAINS = GainPair(1.0, -1.0)
 
 
-def _key(quad: str, direction: str) -> tuple[str, str]:
+def _terms(m, quad: str, direction: str) -> tuple:
+    """(Var O_target, Var O_steering, Cov) in the moments m for the labels, which it checks."""
     key = str(quad).lower(), str(direction).lower()
     if key not in _TERMS:
         raise ValueError(f"quad must be 'x' or 'p' and direction 'b|a' or 'a|b', "
                          f"got {quad!r}, {direction!r}")
-    return key
-
-
-def _conditional(m, key: tuple[str, str], gain=None):
-    """(gain, Var(O_target - gain O_steering)) over moments m of floats or arrays;
-    gain None takes the optimum Cov / Var(O_steering)."""
     i, j, k = _TERMS[key]
-    v_t, v_s, cov = m[i], m[j], m[k]
+    return m[i], m[j], m[k]
+
+
+def _conditional(v_t, v_s, cov, gain=None):
+    """(gain, Var(O_target - gain O_steering)) from Var O_target, Var O_steering and their
+    Cov, as floats or arrays; gain None takes the optimum Cov / Var(O_steering)."""
     if gain is None:
         gain = cov / v_s
     return gain, v_t + gain * gain * v_s - 2.0 * gain * cov
 
 
-def _steers(m, direction: str, x: tuple, p: tuple) -> bool:
-    """Whether the product of the X and P factors x and p, each a (gain, variance) of
-    _conditional for the direction, is below REID_BOUND by more than its rounding bound
-    4 eps (S_x |p| + S_p |x|), S being a factor's term magnitude v_t + g^2 v_s + 2 |g cov|."""
+def _steers(x: tuple, p: tuple, v_tx, v_sx, cov_x, v_tp, v_sp, cov_p) -> bool:
+    """Whether the product of the X and P factors x and p, the (gain, variance) of
+    _conditional on (v_tx, v_sx, cov_x) and on (v_tp, v_sp, cov_p), is below REID_BOUND by
+    more than its rounding bound 4 eps (S_x |p| + S_p |x|), S being a factor's term
+    magnitude v_t + g^2 v_s + 2 |g cov|."""
     (g_x, v_x), (g_p, v_p) = x, p
     if not v_x * v_p < REID_BOUND:
         return False
-    (i, j, k), (a, b, c) = _TERMS["x", direction], _TERMS["p", direction]
-    s_x = m[i] + g_x * g_x * m[j] + 2.0 * abs(g_x * m[k])
-    s_p = m[a] + g_p * g_p * m[b] + 2.0 * abs(g_p * m[c])
+    s_x = v_tx + g_x * g_x * v_sx + 2.0 * abs(g_x * cov_x)
+    s_p = v_tp + g_p * g_p * v_sp + 2.0 * abs(g_p * cov_p)
     return v_x * v_p < REID_BOUND - 4.0 * _EPS * (s_x * abs(v_p) + s_p * abs(v_x))
 
 
@@ -85,12 +85,12 @@ def _joint_variances(xa, pa, xb, pb, cov_x, cov_p):
 def conditional_variance(state: CovarianceMatrix, quad: str, direction: str,
                          gain: float) -> float:
     """Var(O_target - gain * O_steering) from the covariance entries."""
-    return float(_conditional(_moments(state), _key(quad, direction), gain)[1])
+    return float(_conditional(*_terms(_moments(state), quad, direction), gain)[1])
 
 
 def optimal_gain(state: CovarianceMatrix, quad: str, direction: str) -> float:
     """Gain minimizing the conditional variance: Cov(O_A, O_B) / Var(O_steering)."""
-    return _conditional(_moments(state), _key(quad, direction))[0]
+    return _conditional(*_terms(_moments(state), quad, direction))[0]
 
 
 def reid_product(state: CovarianceMatrix, direction: str,
@@ -100,11 +100,12 @@ def reid_product(state: CovarianceMatrix, direction: str,
     With gains="optimal" each factor is minimized over its gain, which equals
     the closed form Var(O_B) - Cov(O_A, O_B)^2 / Var(O_A) entrywise.
     """
-    m, (_, d) = _moments(state), _key("x", direction)
+    m = _moments(state)
+    x, p = _terms(m, "x", direction), _terms(m, "p", direction)
     if gains != "optimal" and not isinstance(gains, GainPair):
         raise ValueError(f"gains must be a GainPair or 'optimal', got {gains!r}")
     g_x, g_p = (None, None) if gains == "optimal" else (gains.g_x, gains.g_p)
-    return float(_conditional(m, ("x", d), g_x)[1] * _conditional(m, ("p", d), g_p)[1])
+    return float(_conditional(*x, g_x)[1] * _conditional(*p, g_p)[1])
 
 
 def duan_sum(state: CovarianceMatrix) -> float:
@@ -132,6 +133,18 @@ class CriteriaReport:
         return asdict(self)
 
 
+def _refuse_overflowed_gain(m):
+    """Refuse a report whose optimal gain Cov/Var overflows, for the moments m: the
+    ValueError names the first such gain in field order and its quotient."""
+    for field, direction in (("optimal_gains_b_given_a", "b|a"),
+                             ("optimal_gains_a_given_b", "a|b")):
+        for quad in "xp":
+            _, v_s, cov = _terms(m, quad, direction)
+            if not math.isfinite(cov / v_s):
+                raise ValueError(f"criteria_report: {field}: g_{quad} = Cov/Var = "
+                                 f"{cov!r}/{v_s!r} overflows the float range")
+
+
 def criteria_report(state: CovarianceMatrix) -> CriteriaReport:
     """Evaluate both steering directions, the unit-gain product and the Duan sum.
 
@@ -140,24 +153,31 @@ def criteria_report(state: CovarianceMatrix) -> CriteriaReport:
     does not steer; the Duan flag is the strict sum < 4.  The conditional
     uncertainty ratio is the geometric mean of the two B|A conditional
     variances, i.e. sqrt(reid_b_given_a), 0 for a product rounded below 0.
+    The unit-gain product is the product of the joint variances, bit for bit that of
+    the factors at UNIT_GAINS (b + a == a + b and x - (-y) == x + y exactly).  An
+    optimal gain Cov/Var that overflows is refused with a ValueError naming it.
     """
-    m = _moments(state)
-    xba, pba = _conditional(m, ("x", "b|a")), _conditional(m, ("p", "b|a"))
-    xab, pab = _conditional(m, ("x", "a|b")), _conditional(m, ("p", "a|b"))
+    m = xa, pa, xb, pb, cx, cp = _moments(state)
+    xba, pba = _conditional(xb, xa, cx), _conditional(pb, pa, cp)
+    xab, pab = _conditional(xa, xb, cx), _conditional(pa, pb, cp)
+    if not (math.isfinite(xba[0]) and math.isfinite(pba[0])
+            and math.isfinite(xab[0]) and math.isfinite(pab[0])):
+        _refuse_overflowed_gain(m)
     reid_ba, reid_ab = xba[1] * pba[1], xab[1] * pab[1]
-    duan = sum(_joint_variances(*m))
-    return CriteriaReport(
+    x_diff, p_sum = _joint_variances(xa, pa, xb, pb, cx, cp)
+    duan = x_diff + p_sum
+    return _record(
+        CriteriaReport,
         reid_b_given_a=reid_ba,
         reid_a_given_b=reid_ab,
         duan_sum=duan,
-        unit_gain_product=(_conditional(m, ("x", "b|a"), UNIT_GAINS.g_x)[1]
-                           * _conditional(m, ("p", "b|a"), UNIT_GAINS.g_p)[1]),
-        optimal_gains_b_given_a=GainPair(xba[0], pba[0]),
-        optimal_gains_a_given_b=GainPair(xab[0], pab[0]),
+        unit_gain_product=x_diff * p_sum,
+        optimal_gains_b_given_a=_record(GainPair, g_x=xba[0], g_p=pba[0]),
+        optimal_gains_a_given_b=_record(GainPair, g_x=xab[0], g_p=pab[0]),
         conditional_variances={"x_b_given_a": xba[1], "p_b_given_a": pba[1],
                                "x_a_given_b": xab[1], "p_a_given_b": pab[1]},
-        steering_b_given_a=_steers(m, "b|a", xba, pba),
-        steering_a_given_b=_steers(m, "a|b", xab, pab),
+        steering_b_given_a=_steers(xba, pba, xb, xa, cx, pb, pa, cp),
+        steering_a_given_b=_steers(xab, pab, xa, xb, cx, pa, pb, cp),
         duan_inseparable=duan < DUAN_BOUND,
         # a product rounded below 0 at the Cauchy-Schwarz bound is clamped, as in
         # gaussian._decoupled_nu_squared

@@ -67,6 +67,15 @@ def _number_text(text: str, what: str, kind: type = float):
     raise ValueError(f"{what} ({text!r} is not a number)")
 
 
+def _record(cls, **fields):
+    """An instance of the frozen dataclass cls with the given attributes, set without its
+    generated __init__ or __post_init__: for values the caller has already checked, which
+    __post_init__ would accept and leave as they are."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)  # frozen: no __setattr__
+    return record
+
+
 def _as_checked_matrix(entries, n_modes: int, what: str) -> np.ndarray:
     m = np.array(entries, dtype=float)
     if n_modes < 1:
@@ -149,9 +158,7 @@ class CovarianceMatrix:
             raise ValueError("CovarianceMatrix: matrix is not positive definite")
         m = _from_moments(*six)
         m.setflags(write=False)
-        state = object.__new__(cls)
-        state.__dict__.update(n_modes=2, entries=m, _six=six)  # frozen: no __setattr__
-        return state
+        return _record(cls, n_modes=2, entries=m, _six=six)
 
     def __reduce__(self):  # copies and pickles are constructed: read-only, moments recorded
         return type(self), (self.n_modes, self.entries)

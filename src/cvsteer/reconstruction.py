@@ -71,9 +71,13 @@ class MeasurementSet:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, v in zip(CSV_FIELDS, self.values()):
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"MeasurementSet: {name} must be positive, got {v}")
+        inf = math.inf
+        if not (0.0 < self.var_xa < inf and 0.0 < self.var_pa < inf and 0.0 < self.var_xb < inf
+                and 0.0 < self.var_pb < inf and 0.0 < self.var_x_diff < inf
+                and 0.0 < self.var_p_sum < inf):
+            for name, v in zip(CSV_FIELDS, self.values()):  # the first refused, for the message
+                if not (math.isfinite(v) and v > 0.0):
+                    raise ValueError(f"MeasurementSet: {name} must be positive, got {v}")
         if not 0.0 <= self.relative_error < 1.0:
             raise ValueError(
                 f"MeasurementSet: relative_error must be in [0, 1), got {self.relative_error}"

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .criteria import _conditional, criteria_report, optimal_gain
+from .criteria import _conditional, _terms, criteria_report, optimal_gain
 from .gaussian import CovarianceMatrix, _from_moments
 from .loss_model import (
     budget_prep_efficiency,
@@ -99,7 +99,8 @@ def perturbation_study(ms: MeasurementSet, relative_error: float | None = None,
     jitter = 1.0 + rel * _stream(seed).standard_normal((n_trials, 6))
     xa, pa, xb, pb, xd, ps = np.asarray(ms.values())[:, None] * jitter.T
     m = (xa, pa, xb, pb, *_covariances(xa, pa, xb, pb, xd, ps))
-    products = _conditional(m, ("x", "b|a"), gx)[1] * _conditional(m, ("p", "b|a"), gp)[1]
+    x, p = _terms(m, "x", "b|a"), _terms(m, "p", "b|a")
+    products = _conditional(*x, gx)[1] * _conditional(*p, gp)[1]
     return {
         "relative_error": rel,
         "n_trials": n_trials,

@@ -210,7 +210,7 @@ def reference_criteria(state, g_x, g_p):
             gain = gains[quad, d]
             size[quad] = float(g[t, t] + gain * gain * g[s, s] + 2.0 * abs(gain * g[t, s]))
         x, p = at_optimum["x", d], at_optimum["p", d]
-        return reid[d] < 1.0 - 4.0 * np.finfo(float).eps * (size["x"] * abs(p) + size["p"] * abs(x))
+        return reid[d] < 1.0 - 4.0 * math.ulp(1.0) * (size["x"] * abs(p) + size["p"] * abs(x))
 
     var_x_diff = g[0, 0] + g[2, 2] - 2.0 * g[0, 2]
     var_p_sum = g[1, 1] + g[3, 3] + 2.0 * g[1, 3]
@@ -230,7 +230,8 @@ def reference_criteria(state, g_x, g_p):
         "steering_b_given_a": steers("b|a"),
         "steering_a_given_b": steers("a|b"),
         "duan_inseparable": duan < 4.0,
-        "conditional_uncertainty_ratio": float(np.sqrt(reid["b|a"])),
+        # a product rounded below 0 at the Cauchy-Schwarz bound gives 0
+        "conditional_uncertainty_ratio": math.sqrt(max(reid["b|a"], 0.0)),
     }
     return {
         "optimal_gain": gains,

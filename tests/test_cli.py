@@ -170,6 +170,22 @@ class TestAnalyze:
                 "conditional_uncertainty_ratio overflow the float range; JSON cannot hold them"))
         assert not out_path.exists()
 
+    def test_overflowing_optimal_gain_is_named(self, capsys, tmp_path):
+        # the optimal gain g_x B|A = 1e-12 / 5e-324 overflows, so there is no report
+        state = {"n_modes": 2, "entries": [[5e-324, 0, 1e-12, 0], [0, 1, 0, 0],
+                                           [1e-12, 0, 1e300, 0], [0, 0, 0, 1]]}
+        p = tmp_path / "gain_overflow.json"
+        p.write_text(json.dumps(state))
+        nus = symplectic_eigenvalues_two_mode(CovarianceMatrix.from_dict(state)).tolist()
+        out_path = tmp_path / "report.json"
+        for out_flags in ([], ["--out", str(out_path)]):
+            code, out, err = run(capsys, "analyze", "--in", str(p), *out_flags)
+            assert (code, out) == (2, "")
+            assert err == ("error: analyze: criteria_report: optimal_gains_b_given_a: g_x = "
+                           "Cov/Var = 1e-12/5e-324 overflows the float range\n"
+                           f"warning: analyze: state is unphysical (symplectic eigenvalues {nus})\n")
+        assert not out_path.exists()
+
     def test_state_at_the_cauchy_schwarz_bound_exits_0(self, capsys, tmp_path):
         # the X B|A conditional variance of this accepted state rounds to -1.4e-14;
         # its square root no longer turns the report into nan (exit 2 before).  The

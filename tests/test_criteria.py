@@ -1,5 +1,9 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,19 +11,25 @@ import pytest
 
 from cvsteer import (
     CovarianceMatrix,
+    CriteriaReport,
     GainPair,
+    InconsistentDataError,
+    MeasurementSet,
     UNIT_GAINS,
     conditional_variance,
     criteria_report,
     duan_sum,
     expected_measurements,
     optimal_gain,
+    phase_shift,
     reconstruct,
     reid_product,
     vacuum_state,
 )
-from cvsteer.gaussian import SourceParams, build_epr_source
-from conftest import random_physical_state, random_product_state, reference_criteria
+from cvsteer.gaussian import SourceParams, _from_moments, apply_symplectic, build_epr_source
+from cvsteer.reference import reference_state
+from conftest import (random_physical_state, random_product_state, random_source_state,
+                      reference_criteria)
 
 # Direct arithmetic on the reference entries, kept separate from the library path.
 VAR_XA, VAR_PA, VAR_XB, VAR_PB = 18.41, 35.49, 17.98, 34.61
@@ -176,6 +186,95 @@ class TestCriteriaReport:
         }
 
 
+def pinned_states(rng) -> list:
+    """States whose reports are pinned bit for bit: reconstructions of jittered campaigns,
+    states with X-P entries (random ones and the reference state phase-shifted off a
+    quarter turn), signed zero covariances, and decoupled states with a covariance stepped
+    ulp by ulp up to its Cauchy-Schwarz bound, those of them that CovarianceMatrix accepts."""
+    states = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # reconstructions below the physicality gate
+        while len(states) < 150:
+            values = np.array(expected_measurements(random_source_state(rng)).values())
+            jittered = values * (1.0 + 0.01 * rng.standard_normal(6))
+            try:
+                states.append(reconstruct(MeasurementSet(*jittered.tolist())))
+            except InconsistentDataError:
+                pass
+    states += [random_physical_state(rng) for _ in range(100)]
+    states += [apply_symplectic(reference_state(), phase_shift(theta, mode, 2))
+               for theta in (0.1, 1.0, 2.5) for mode in (0, 1)]
+    states += [CovarianceMatrix(2, _from_moments(2.0, 3.0, 5.0, 7.0, cx, cp))
+               for cx in (0.0, -0.0) for cp in (0.0, -0.0)]
+    for _ in range(100):
+        xa, pa, xb, pb = rng.uniform(0.01, 100.0, 4).tolist()
+        bound = math.sqrt(xa) * math.sqrt(xb)
+        cov = bound * rng.choice([-1.0, 1.0])
+        for _ in range(6):
+            try:
+                states.append(CovarianceMatrix(2, _from_moments(xa, pa, xb, pb, cov, 0.3 * pa)))
+            except ValueError:  # at or past the bound: not positive definite
+                pass
+            cov = math.nextafter(cov, 0.0)
+    return states
+
+
+class TestRecordRoute:
+    """criteria_report builds its CriteriaReport and GainPairs from checked floats,
+    through gaussian._record: the records against constructor-built twins."""
+
+    @staticmethod
+    def twin(rep: CriteriaReport) -> CriteriaReport:
+        fields = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+        for name in ("optimal_gains_b_given_a", "optimal_gains_a_given_b"):
+            fields[name] = GainPair(fields[name].g_x, fields[name].g_p)
+        fields["conditional_variances"] = dict(fields["conditional_variances"])
+        return CriteriaReport(**fields)
+
+    @pytest.mark.parametrize("clone", [lambda r: r, copy.copy, copy.deepcopy, dataclasses.replace,
+                                       lambda r: pickle.loads(pickle.dumps(r))],
+                             ids=["itself", "copy", "deepcopy", "replace", "pickle"])
+    def test_equals_the_constructor(self, ref_state, clone):
+        coupled = apply_symplectic(ref_state, phase_shift(0.3, 1, 2))
+        for state in (ref_state, coupled, reconstruct(MeasurementSet(1.0, 1.0, 1.0, 1.0, 2.0, 2.0)),
+                      CovarianceMatrix(2, _from_moments(2.0, 3.0, 5.0, 7.0, -0.0, -0.0))):
+            rep = criteria_report(state)
+            got, twin = clone(rep), self.twin(rep)
+            assert type(got) is CriteriaReport
+            assert got == twin and repr(got) == repr(twin) and vars(got) == vars(twin)
+            assert repr(got.to_dict()) == repr(twin.to_dict())
+            for name in ("optimal_gains_b_given_a", "optimal_gains_a_given_b"):
+                gains, expected = getattr(got, name), getattr(twin, name)
+                assert type(gains) is GainPair
+                assert gains == expected and repr(gains) == repr(expected)
+                assert vars(gains) == vars(expected)
+                assert hash(gains) == hash(expected)
+                assert repr(gains.to_dict()) == repr(expected.to_dict())
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    gains.g_x = 0.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                got.duan_sum = 0.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del got.reid_b_given_a
+
+    @pytest.mark.parametrize("six, message", [
+        ((5e-324, 1.0, 1e300, 1.0, 1e-12, 0.0), "optimal_gains_b_given_a: g_x = Cov/Var = 1e-12/5e-324"),
+        ((1.0, 5e-324, 1.0, 1e300, 0.0, -1e-12), "optimal_gains_b_given_a: g_p = Cov/Var = -1e-12/5e-324"),
+        ((1e300, 1.0, 5e-324, 1.0, -1e-12, 0.0), "optimal_gains_a_given_b: g_x = Cov/Var = -1e-12/5e-324"),
+        ((1.0, 1e300, 1.0, 5e-324, 0.0, 1e-12), "optimal_gains_a_given_b: g_p = Cov/Var = 1e-12/5e-324"),
+    ])
+    def test_an_overflowed_gain_is_named_with_its_quotient(self, six, message):
+        state = CovarianceMatrix(2, _from_moments(*six))
+        with pytest.raises(ValueError) as exc:
+            criteria_report(state)
+        assert str(exc.value) == f"criteria_report: {message} overflows the float range"
+
+    def test_the_first_overflowed_gain_in_field_order_is_named(self):
+        state = CovarianceMatrix(2, _from_moments(1e300, 5e-324, 5e-324, 1e300, 1e-12, 1e-12))
+        with pytest.raises(ValueError, match=r"^criteria_report: optimal_gains_b_given_a: g_p "):
+            criteria_report(state)
+
+
 class TestGainPair:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -256,8 +355,19 @@ class TestMatchesPerStateReference:
                 assert (reid_product(state, direction, GainPair(g_x, g_p))
                         == ref["reid_fixed"][direction])
             assert duan_sum(state) == ref["duan_sum"]
-            assert criteria_report(state).to_dict() == ref["criteria_report"]
+            # repr, not ==, so that -0.0 against 0.0 or a numpy scalar would show
+            assert repr(criteria_report(state).to_dict()) == repr(ref["criteria_report"])
             assert expected_measurements(state).values() == ref["expected_measurements"]
+
+    def test_report_bits_on_reconstructions_coupled_and_near_bound_states(self):
+        states = pinned_states(np.random.default_rng(73))
+        for state in states:
+            rep = criteria_report(state)
+            assert repr(rep.to_dict()) == repr(reference_criteria(state, 1.0, -1.0)["criteria_report"])
+            # the product of the joint variances is the product at UNIT_GAINS, bit for bit
+            assert repr(rep.unit_gain_product) == repr(reid_product(state, "b|a", UNIT_GAINS))
+        # the near-bound states reach a conditional variance rounded below 0
+        assert any(min(criteria_report(s).conditional_variances.values()) < 0.0 for s in states)
 
 
 # Fixed before the comparison ran; 3 000 states gave a worst case of 4.0e-14.

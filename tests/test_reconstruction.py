@@ -397,6 +397,29 @@ class TestMeasurementSetIO:
         with pytest.raises(ValueError, match="relative_error"):
             MeasurementSet(*VACUUM_SET.values(), relative_error=1.0)
 
+    @pytest.mark.parametrize("bad, shown", [(0, "0"), (0.0, "0.0"), (-0.0, "-0.0"), (-1, "-1"),
+                                            (math.inf, "inf"), (-math.inf, "-inf"),
+                                            (math.nan, "nan"), (np.float64(-2.5), "-2.5")])
+    @pytest.mark.parametrize("name", CSV_FIELDS)
+    def test_refusal_names_the_field_and_value(self, name, bad, shown):
+        values = dict(zip(CSV_FIELDS, VACUUM_SET.values()), **{name: bad})
+        with pytest.raises(ValueError) as exc:
+            MeasurementSet(**values)
+        assert str(exc.value) == f"MeasurementSet: {name} must be positive, got {shown}"
+
+    def test_refusal_names_the_first_bad_field_in_csv_order(self):
+        for i, j in ((0, 5), (1, 2), (3, 4)):
+            values = list(VACUUM_SET.values())
+            values[i], values[j] = math.nan, -1.0
+            with pytest.raises(ValueError) as exc:
+                MeasurementSet(*values)
+            assert str(exc.value) == f"MeasurementSet: {CSV_FIELDS[i]} must be positive, got nan"
+
+    def test_int_and_numpy_scalar_values_are_accepted(self):
+        ms = MeasurementSet(1, np.float64(1.0), np.float32(1.0), np.int64(1), 2, np.float16(2.0))
+        assert ms.values() == VACUUM_SET.values()
+        assert reconstruct(ms).entries.tobytes() == reconstruct(VACUUM_SET).entries.tobytes()
+
 
 XP_ENTRIES = ((0, 1), (0, 3), (1, 2), (2, 3))
 
