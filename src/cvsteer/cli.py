@@ -117,13 +117,11 @@ def cmd_analyze(args) -> int:
     state = CovarianceMatrix.from_dict(_load_json(args.in_path))
     if message := _unphysical(state, "analyze"):  # here, not in criteria_report: a batch hot path
         warnings.warn(PhysicalityWarning(message))
-    value = None if gains is None else reid_product(state, "b|a", gains)
-    if value is not None and not math.isfinite(value):  # refused before anything is written
-        raise ValueError(f"--gains {args.gains}: the reid product B|A at these gains is "
-                         f"{value!r}, not a finite number")
-    try:
+    try:  # every refusal of the criteria, decided before anything is written
         report = criteria_report(state).to_dict()
-    except ValueError as exc:  # an optimal gain Cov/Var past the float range
+        value = (reid_product(state, "b|a", gains) if isinstance(gains, GainPair)
+                 else report["reid_b_given_a"])
+    except ValueError as exc:
         raise ValueError(f"analyze: {exc}") from None
     numbers = {**report, **report["conditional_variances"]}
     if overflowed := [k for k, v in numbers.items() if isinstance(v, float) and not math.isfinite(v)]:

@@ -64,6 +64,17 @@ def _conditional(v_t, v_s, cov, gain=None):
     return gain, v_t + gain * gain * v_s - 2.0 * gain * cov
 
 
+def _optimal_factor(m, quad: str, direction: str, who: str) -> tuple:
+    """_conditional's (gain, variance) at the optimal gain for the labels in the moments m; a
+    gain Cov/Var that overflows is refused, naming `who`, the report field and the quotient."""
+    v_t, v_s, cov = _terms(m, quad, direction)
+    gain, variance = _conditional(v_t, v_s, cov)
+    if not math.isfinite(gain):
+        raise ValueError(f"{who}: optimal_gains_{str(direction).lower().replace('|', '_given_')}: "
+                         f"g_{str(quad).lower()} = Cov/Var = {cov!r}/{v_s!r} overflows the float range")
+    return gain, variance
+
+
 def _steers(x: tuple, p: tuple, v_tx, v_sx, cov_x, v_tp, v_sp, cov_p) -> bool:
     """Whether the product of the X and P factors x and p, the (gain, variance) of
     _conditional on (v_tx, v_sx, cov_x) and on (v_tp, v_sp, cov_p), is below REID_BOUND by
@@ -89,8 +100,8 @@ def conditional_variance(state: CovarianceMatrix, quad: str, direction: str,
 
 
 def optimal_gain(state: CovarianceMatrix, quad: str, direction: str) -> float:
-    """Gain minimizing the conditional variance: Cov(O_A, O_B) / Var(O_steering)."""
-    return _conditional(*_terms(_moments(state), quad, direction))[0]
+    """Gain minimizing the conditional variance: Cov(O_A, O_B) / Var(O_steering), if finite."""
+    return _optimal_factor(_moments(state), quad, direction, "optimal_gain")[0]
 
 
 def reid_product(state: CovarianceMatrix, direction: str,
@@ -98,14 +109,21 @@ def reid_product(state: CovarianceMatrix, direction: str,
     """Product of the X and P conditional variances for the given direction.
 
     With gains="optimal" each factor is minimized over its gain, which equals
-    the closed form Var(O_B) - Cov(O_A, O_B)^2 / Var(O_A) entrywise.
+    the closed form Var(O_B) - Cov(O_A, O_B)^2 / Var(O_A) entrywise.  An overflowed
+    optimal gain, or a product at explicit gains that is not finite, is refused.
     """
     m = _moments(state)
+    if gains == "optimal":
+        (_, v_x), (_, v_p) = (_optimal_factor(m, quad, direction, "reid_product") for quad in "xp")
+        return float(v_x * v_p)
     x, p = _terms(m, "x", direction), _terms(m, "p", direction)
-    if gains != "optimal" and not isinstance(gains, GainPair):
+    if not isinstance(gains, GainPair):
         raise ValueError(f"gains must be a GainPair or 'optimal', got {gains!r}")
-    g_x, g_p = (None, None) if gains == "optimal" else (gains.g_x, gains.g_p)
-    return float(_conditional(*x, g_x)[1] * _conditional(*p, g_p)[1])
+    value = float(_conditional(*x, gains.g_x)[1] * _conditional(*p, gains.g_p)[1])
+    if not math.isfinite(value):
+        raise ValueError(f"reid_product: the {str(direction).upper()} product at {gains!r} is "
+                         f"{value!r}, not a finite number")
+    return value
 
 
 def duan_sum(state: CovarianceMatrix) -> float:
@@ -133,18 +151,6 @@ class CriteriaReport:
         return asdict(self)
 
 
-def _refuse_overflowed_gain(m):
-    """Refuse a report whose optimal gain Cov/Var overflows, for the moments m: the
-    ValueError names the first such gain in field order and its quotient."""
-    for field, direction in (("optimal_gains_b_given_a", "b|a"),
-                             ("optimal_gains_a_given_b", "a|b")):
-        for quad in "xp":
-            _, v_s, cov = _terms(m, quad, direction)
-            if not math.isfinite(cov / v_s):
-                raise ValueError(f"criteria_report: {field}: g_{quad} = Cov/Var = "
-                                 f"{cov!r}/{v_s!r} overflows the float range")
-
-
 def criteria_report(state: CovarianceMatrix) -> CriteriaReport:
     """Evaluate both steering directions, the unit-gain product and the Duan sum.
 
@@ -162,7 +168,8 @@ def criteria_report(state: CovarianceMatrix) -> CriteriaReport:
     xab, pab = _conditional(xa, xb, cx), _conditional(pa, pb, cp)
     if not (math.isfinite(xba[0]) and math.isfinite(pba[0])
             and math.isfinite(xab[0]) and math.isfinite(pab[0])):
-        _refuse_overflowed_gain(m)
+        for quad, direction in _TERMS:  # field order: the first overflowed gain is named
+            _optimal_factor(m, quad, direction, "criteria_report")
     reid_ba, reid_ab = xba[1] * pba[1], xab[1] * pab[1]
     x_diff, p_sum = _joint_variances(xa, pa, xb, pb, cx, cp)
     duan = x_diff + p_sum

