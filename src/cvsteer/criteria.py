@@ -95,8 +95,17 @@ def _joint_variances(xa, pa, xb, pb, cov_x, cov_p):
 
 def conditional_variance(state: CovarianceMatrix, quad: str, direction: str,
                          gain: float) -> float:
-    """Var(O_target - gain * O_steering) from the covariance entries."""
-    return float(_conditional(*_terms(_moments(state), quad, direction), gain)[1])
+    """Var(O_target - gain * O_steering) from the covariance entries.  A gain that is not
+    finite is refused, as by GainPair, and so is a variance that is not finite."""
+    terms = _terms(_moments(state), quad, direction)
+    if not math.isfinite(gain):
+        raise ValueError(f"conditional_variance: gain must be finite, got {gain!r}")
+    value = float(_conditional(*terms, gain)[1])
+    if not math.isfinite(value):
+        raise ValueError(f"conditional_variance: the {str(quad).upper()} "
+                         f"{str(direction).upper()} variance at gain {gain!r} is {value!r}, "
+                         "not a finite number")
+    return value
 
 
 def optimal_gain(state: CovarianceMatrix, quad: str, direction: str) -> float:

@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import numbers
+import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ SYMMETRY_RTOL = 1e-12
 SYMPLECTIC_ATOL = 1e-12
 PHYSICALITY_ATOL = 1e-9
 _R_MAX = 0.5 * math.log(np.finfo(float).max)  # largest r with exp(2 r) finite
+_PACK_16 = struct.Struct("=16d").pack  # the buffer of a 4x4 float64 array, row by row
 
 
 @functools.lru_cache(maxsize=None)
@@ -149,16 +151,17 @@ class CovarianceMatrix:
     @classmethod
     def _of_moments(cls, xa, pa, xb, pb, cx, cp) -> "CovarianceMatrix":
         """CovarianceMatrix(2, _from_moments(xa, pa, xb, pb, cx, cp)): for six finite
-        numbers only the float verdict and one read-only array, with no copy or re-read;
-        any other goes through the constructor, which words its refusal."""
-        six = tuple(map(float, (xa, pa, xb, pb, cx, cp)))
-        if not all(map(math.isfinite, six)):
+        numbers only the float verdict and one array, read-only by its bytes buffer, with
+        no copy or re-read; any other goes through the constructor, which words its refusal."""
+        six = xa, pa, xb, pb, cx, cp = (float(xa), float(pa), float(xb), float(pb), float(cx),
+                                        float(cp))
+        inf = math.inf
+        if not (-inf < xa < inf and -inf < pa < inf and -inf < xb < inf and -inf < pb < inf
+                and -inf < cx < inf and -inf < cp < inf):
             return cls(2, _from_moments(*six))
         if not _decoupled_positive_definite(*six):
             raise ValueError("CovarianceMatrix: matrix is not positive definite")
-        m = _from_moments(*six)
-        m.setflags(write=False)
-        return _record(cls, n_modes=2, entries=m, _six=six)
+        return _record(cls, n_modes=2, entries=_from_moments(*six, writeable=False), _six=six)
 
     def __reduce__(self):  # copies and pickles are constructed: read-only, moments recorded
         return type(self), (self.n_modes, self.entries)
@@ -359,12 +362,15 @@ def _xp_of(e: list) -> tuple[float, ...]:
     return e[1], e[3], e[6], e[11]
 
 
-def _from_moments(xa, pa, xb, pb, cx, cp) -> np.ndarray:
-    """The 4x4 two-mode array of the six moments with zero X-P entries; inverse of _moments."""
-    return np.array([xa, 0.0, cx, 0.0,
-                     0.0, pa, 0.0, cp,
-                     cx, 0.0, xb, 0.0,
-                     0.0, cp, 0.0, pb]).reshape(4, 4)  # faster than nested lists
+def _from_moments(xa, pa, xb, pb, cx, cp, writeable: bool = True) -> np.ndarray:
+    """The 4x4 two-mode float array of the six moments with zero X-P entries; inverse of
+    _moments.  One struct pack fills its buffer: a bytearray, or with writeable False the
+    packed bytes themselves, so that the array is read-only from the start."""
+    packed = _PACK_16(xa, 0.0, cx, 0.0,
+                      0.0, pa, 0.0, cp,
+                      cx, 0.0, xb, 0.0,
+                      0.0, cp, 0.0, pb)
+    return np.ndarray((4, 4), buffer=bytearray(packed) if writeable else packed)
 
 
 def _decoupled_moments(m: np.ndarray) -> tuple[float, ...] | None:

@@ -63,6 +63,26 @@ class TestConditionalVariance:
         with pytest.raises(ValueError):
             conditional_variance(ref_state, "x", None, 1.0)
 
+    @pytest.mark.parametrize("gain", [math.inf, -math.inf, math.nan])
+    def test_refuses_a_gain_that_is_not_finite(self, ref_state, gain):
+        with pytest.raises(ValueError) as exc:
+            conditional_variance(ref_state, "x", "b|a", gain)
+        assert str(exc.value) == f"conditional_variance: gain must be finite, got {gain!r}"
+        with pytest.raises(ValueError, match="quad must be 'x' or 'p'"):  # labels first
+            conditional_variance(ref_state, "y", "b|a", gain)
+
+    def test_refuses_a_variance_that_is_not_finite(self, ref_state):
+        with pytest.raises(ValueError) as exc:
+            conditional_variance(ref_state, "x", "b|a", 1e308)
+        assert str(exc.value) == ("conditional_variance: the X B|A variance at gain 1e+308 is nan, "
+                                  "not a finite number")
+        huge = CovarianceMatrix(2, np.diag([1e200] * 4))
+        with pytest.raises(ValueError) as exc:
+            conditional_variance(huge, "P", "A|B", -1e200)
+        assert str(exc.value) == ("conditional_variance: the P A|B variance at gain -1e+200 is inf, "
+                                  "not a finite number")
+        assert conditional_variance(huge, "p", "a|b", 1.0) == 2e200
+
 
 class TestOptimalGain:
     def test_reference_values(self, ref_state):

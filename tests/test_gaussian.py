@@ -645,6 +645,26 @@ class TestStateOfMoments:
         assert got == built(lambda m: CovarianceMatrix(2, gaussian._from_moments(*m)), six)
         if not isinstance(got, str):
             assert got[2] is False
+            with pytest.raises(ValueError):  # read-only by its bytes buffer, for good
+                CovarianceMatrix._of_moments(*six).entries.setflags(write=True)
+
+    @settings(max_examples=2000, deadline=None, database=None, derandomize=True)
+    @given(six=st.lists(st.one_of(st.floats(), st.floats(width=32).map(np.float32),
+                                  st.floats().map(np.float64), st.integers(-2 ** 63, 2 ** 63 - 1),
+                                  st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)),
+                        min_size=6, max_size=6))
+    @example(six=[-0.0, 5e-324, math.inf, -math.inf, math.nan, 2 ** 53 + 1])
+    @example(six=[-math.nan, 2.2250738585072009e-308, 1, np.float32(0.1), np.int64(-3),
+                  np.float64(-0.0)])
+    def test_from_moments_packs_what_np_array_builds(self, six):
+        xa, pa, xb, pb, cx, cp = six
+        expected = np.array([xa, 0.0, cx, 0.0, 0.0, pa, 0.0, cp,
+                             cx, 0.0, xb, 0.0, 0.0, cp, 0.0, pb]).reshape(4, 4)
+        for writeable in (True, False):
+            m = gaussian._from_moments(*six, writeable=writeable)
+            assert m.dtype == expected.dtype == np.float64 and m.shape == (4, 4)
+            assert m.tobytes() == expected.tobytes()
+            assert m.flags.writeable is writeable and m.flags.aligned and m.flags.c_contiguous
 
     def test_records_the_moments_of_its_entries(self, ref_state):
         for state in (ref_state, build_epr_source(SourceParams(r1=1.2, r2=1.1, eta_prep=0.9)),

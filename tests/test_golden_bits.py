@@ -1,5 +1,6 @@
-"""Exact bits of the reconstruct -> criteria_report path on four fixed sets, and
-of the loss fit on four fixed states.
+"""Exact bits of the reconstruct -> criteria_report path on four fixed sets, of
+propagate_errors on those sets and three more, and of the loss fit on four fixed
+states.
 
 Every float is pinned by its repr, so any change to the arithmetic, its order
 or its checks that moves a last bit fails here; a deliberate change re-pins.
@@ -11,6 +12,7 @@ import pytest
 
 from cvsteer import (MeasurementSet, SourceParams, build_epr_source, criteria_report,
                      fit_efficiency, reconstruct)
+from cvsteer.reconstruction import propagate_errors
 from cvsteer.reference import REFERENCE_MEASUREMENTS, reference_state
 
 GOLDEN = {
@@ -94,6 +96,61 @@ def test_reconstruct_and_report_bits(name):
     assert [str(w.message) for w in caught] == messages
     assert repr(state.entries.tolist()) == entries
     assert repr(criteria_report(state).to_dict()) == report
+
+
+# propagate_errors(ms).tolist() by repr, for each GOLDEN set and three more
+ERRORS_GOLDEN = {
+    "reference": (
+        REFERENCE_MEASUREMENTS,
+        "[[0.9205000000000001, 0.0, 0.6433567245315776, 0.0], "
+        "[0.0, 1.7745000000000002, 0.0, 1.2393123597382543], "
+        "[0.6433567245315776, 0.0, 0.899, 0.0], [0.0, 1.2393123597382543, 0.0, 1.7305000000000001]]",
+    ),
+    "warned": (
+        GOLDEN["warned"][0],
+        "[[0.05, 0.0, 0.037500000000000006, 0.0], [0.0, 0.05, 0.0, 0.037500000000000006], "
+        "[0.037500000000000006, 0.0, 0.05, 0.0], [0.0, 0.037500000000000006, 0.0, 0.05]]",
+    ),
+    "near_bound": (
+        GOLDEN["near_bound"][0],
+        "[[0.05022614580683191, 0.0, 0.08599479769272005, 0.0], "
+        "[0.0, 0.05, 0.0, 0.06123724356957946], "
+        "[0.08599479769272005, 0.0, 0.16143462367916686, 0.0], "
+        "[0.0, 0.06123724356957946, 0.0, 0.05]]",
+    ),
+    "r_2.3": (
+        GOLDEN["r_2.3"][0],
+        "[[0.45920529815340333, 0.0, 0.3247083663172214, 0.0], "
+        "[0.0, 0.45920529815340333, 0.0, 0.3247083663172214], "
+        "[0.3247083663172214, 0.0, 0.45920529815340333, 0.0], "
+        "[0.0, 0.3247083663172214, 0.0, 0.45920529815340333]]",
+    ),
+    # the squares leave the float range: both covariance bands are inf
+    "overflow": (
+        MeasurementSet(1e160, 1e160, 1e160, 1e160, 1e159, 1e159),
+        "[[5.000000000000001e+158, 0.0, inf, 0.0], [0.0, 5.000000000000001e+158, 0.0, inf], "
+        "[inf, 0.0, 5.000000000000001e+158, 0.0], [0.0, inf, 0.0, 5.000000000000001e+158]]",
+    ),
+    # subnormal values and squares
+    "subnormal": (
+        MeasurementSet(3e-160, 1e-310, 7e-161, 5e-320, 4e-161, 2.5e-161, relative_error=0.3),
+        "[[9e-161, 0.0, 4.658522672862799e-161, 0.0], [0.0, 3e-311, 0.0, 3.686028385760788e-162], "
+        "[4.658522672862799e-161, 0.0, 2.1e-161, 0.0], [0.0, 3.686028385760788e-162, 0.0, 1.5e-320]]",
+    ),
+    # both bands move in the last bit if (rel * v) ** 2 is taken as a product
+    "last_bit": (
+        MeasurementSet(49.35, 8.93, 28.14, 8.39, 44.69, 49.35),
+        "[[2.4675000000000002, 0.0, 1.8070138004453646, 0.0], "
+        "[0.0, 0.4465, 0.0, 1.2712099305386189], "
+        "[1.8070138004453646, 0.0, 1.407, 0.0], [0.0, 1.2712099305386189, 0.0, 0.41950000000000004]]",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERRORS_GOLDEN))
+def test_propagate_errors_bits(name):
+    ms, errors = ERRORS_GOLDEN[name]
+    assert repr(propagate_errors(ms).tolist()) == errors
 
 
 # fit_efficiency(state).to_dict() by repr

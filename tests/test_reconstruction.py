@@ -1,4 +1,8 @@
+import copy
+import dataclasses
+import inspect
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -324,6 +328,14 @@ class TestPropagateErrors:
         assert sig[0, 2] == sig[1, 3] == math.inf and sig[0, 0] == 5e198
         assert reconstruct(ms).entries[0, 0] == 1e200
 
+    def test_result_is_writeable_and_its_own(self, ref_ms):
+        sig, again = propagate_errors(ref_ms), propagate_errors(ref_ms)
+        assert sig.flags.writeable and sig.flags.aligned and REFERENCE_COVARIANCE.flags.writeable
+        for other in (again, reconstruct(ref_ms).entries, REFERENCE_COVARIANCE):
+            assert not np.shares_memory(sig, other)
+        sig[0, 0] = -1.0
+        assert again[0, 0] == 0.05 * 18.41 and propagate_errors(ref_ms)[0, 0] == 0.05 * 18.41
+
 
 class TestMeasurementSetIO:
     def test_json_roundtrip(self, ref_ms):
@@ -419,6 +431,59 @@ class TestMeasurementSetIO:
         ms = MeasurementSet(1, np.float64(1.0), np.float32(1.0), np.int64(1), 2, np.float16(2.0))
         assert ms.values() == VACUUM_SET.values()
         assert reconstruct(ms).entries.tobytes() == reconstruct(VACUUM_SET).entries.tobytes()
+
+
+class TestMeasurementSetConstructor:
+    """The written-out MeasurementSet constructor keeps the generated one's contract."""
+
+    def test_parameters_are_the_fields_in_order(self):
+        params = inspect.signature(MeasurementSet).parameters
+        assert list(params) == [f.name for f in dataclasses.fields(MeasurementSet)]
+        assert [params[name].default for name in CSV_FIELDS] == [inspect.Parameter.empty] * 6
+        assert params["relative_error"].default == 0.05
+
+    def test_defaults(self):
+        a, b = MeasurementSet(*VACUUM_SET.values()), MeasurementSet(*VACUUM_SET.values())
+        assert a.relative_error == 0.05
+        assert a.metadata == b.metadata == {} and a.metadata is not b.metadata
+        assert MeasurementSet(*VACUUM_SET.values(), metadata=None).metadata is None
+        labels = {"rbw_hz": 300.0e3}
+        assert MeasurementSet(*VACUUM_SET.values(), metadata=labels).metadata is labels
+
+    def test_keyword_and_positional_calls(self):
+        values = dict(zip(CSV_FIELDS, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)))
+        by_name = MeasurementSet(**values, relative_error=0.01, metadata={"k": 1})
+        assert by_name == MeasurementSet(*values.values(), 0.01, {"k": 1})
+        assert repr(by_name) == ("MeasurementSet(var_xa=1.0, var_pa=2.0, var_xb=3.0, var_pb=4.0, "
+                                 "var_x_diff=5.0, var_p_sum=6.0, relative_error=0.01, "
+                                 "metadata={'k': 1})")
+        assert list(vars(by_name)) == [f.name for f in dataclasses.fields(MeasurementSet)]
+        for args, kwargs in (((1.0, 2.0), {}), ((*values.values(), 0.01, {}, 1), {}),
+                             ((*values.values(),), {"var_xa": 1.0}),
+                             ((*values.values(),), {"rel_error": 0.01})):
+            with pytest.raises(TypeError):
+                MeasurementSet(*args, **kwargs)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, dataclasses.replace,
+                                       lambda ms: pickle.loads(pickle.dumps(ms))],
+                             ids=["copy", "deepcopy", "replace", "pickle"])
+    def test_copies_equal_the_set(self, ref_ms, clone):
+        twin = clone(ref_ms)
+        assert twin is not ref_ms and twin == ref_ms and repr(twin) == repr(ref_ms)
+        assert list(vars(twin)) == list(vars(ref_ms))
+
+    def test_replace_checks_its_values(self, ref_ms):
+        assert dataclasses.replace(ref_ms, var_xa=2.0).values()[:2] == (2.0, ref_ms.var_pa)
+        with pytest.raises(ValueError, match="^MeasurementSet: var_xb must be positive, got -1.0$"):
+            dataclasses.replace(ref_ms, var_xb=-1.0)
+
+    def test_frozen_and_unhashable(self, ref_ms):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ref_ms.var_xa = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del ref_ms.metadata
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(ref_ms)
 
 
 XP_ENTRIES = ((0, 1), (0, 3), (1, 2), (2, 3))
