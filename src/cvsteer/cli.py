@@ -1,8 +1,11 @@
 """Command-line surface: simulate, analyze, sample, reconstruct, fit, repro.
 
 Exit codes: 0 on success, 1 on analysis or tolerance failures (among them an
-inconsistent measurement set and a fit or campaign refused as unphysical), 2
-on input errors.  Every refused input, argparse's refusals of a flag or command
+inconsistent measurement set, a fit that did not converge and a campaign that
+the sampler refused as unphysical), 2 on input errors.  A state below the
+physicality gate, which reconstruct, analyze and fit go on with, is named in
+reconstruct's ``warnings`` and by one ``warning: ...`` line on stderr of the
+other two.  Every refused input, argparse's refusals of a flag or command
 included, is one ``error: ...`` line on stderr and nothing on stdout; ``-h``
 still prints help.  Number flags are read by ``gaussian._number_text``, as CSV
 cells are.  All JSON output uses Python's round-trip-exact float repr, so
@@ -20,16 +23,10 @@ import sys
 import warnings
 
 from .criteria import GainPair, criteria_report, reid_product
-from .gaussian import (CovarianceMatrix, SourceParams, UnphysicalStateError, _number_text,
-                       _unphysical, build_epr_source)
+from .gaussian import (CovarianceMatrix, PhysicalityWarning, SourceParams, UnphysicalStateError,
+                       _number_text, _unphysical, build_epr_source)
 from .loss_model import db_to_variance, fit_efficiency
-from .reconstruction import (
-    InconsistentDataError,
-    MeasurementSet,
-    PhysicalityWarning,
-    propagate_errors,
-    reconstruct,
-)
+from .reconstruction import InconsistentDataError, MeasurementSet, propagate_errors, reconstruct
 from .sampler import campaign_batches, measure_campaign, samples_to_csv
 from . import reference
 from .reference import perturbation_study  # re-exported: callers import it from cvsteer.cli

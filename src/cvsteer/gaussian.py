@@ -440,12 +440,13 @@ def symplectic_eigenvalues_two_mode(state: CovarianceMatrix) -> np.ndarray:
 
 
 class UnphysicalStateError(ValueError):
-    """A state below the physicality gate of :func:`is_physical`, refused by the
-    loss fit or the sampler with the message of :func:`_unphysical`.
+    """A state below the physicality gate of :func:`is_physical`, refused by the sampler, which
+    simulates it, with the message of :func:`_unphysical`: an analysis outcome, not an input error."""
 
-    An analysis outcome, like a state that :func:`reconstruct` returned with a
-    PhysicalityWarning, not an input error.
-    """
+
+class PhysicalityWarning(UserWarning):
+    """A state below the same gate, with the same message, that an analysis (reconstruct,
+    analyze, the loss fit) warns of and goes on with."""
 
 
 def _below_gate(state: CovarianceMatrix, atol: float) -> list[float] | None:
@@ -466,7 +467,7 @@ def is_physical(state: CovarianceMatrix, atol: float = PHYSICALITY_ATOL) -> bool
 
 def _unphysical(state: CovarianceMatrix, who: str) -> str | None:
     """None for a state that passes :func:`is_physical`, else the one message, naming `who`,
-    of every warning (reconstruct, analyze) and refusal (sampler, fit) of the state, with the
+    of every warning (reconstruct, analyze, fit) and refusal (sampler) of the state, with the
     eigenvalues of the deciding kernel: :func:`symplectic_eigenvalues_two_mode`'s if decoupled."""
     nus = _below_gate(state, PHYSICALITY_ATOL)
     return None if nus is None else f"{who}: state is unphysical (symplectic eigenvalues {nus})"

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .criteria import _joint_variances
-from .gaussian import (CovarianceMatrix, UnphysicalStateError, _moments_of, _unphysical, _xp_of,
-                       build_epr_source)
+from .gaussian import (CovarianceMatrix, PhysicalityWarning, UnphysicalStateError, _moments_of,
+                       _unphysical, _xp_of, build_epr_source)
 
 __all__ = [
     "forward_covariance",
@@ -165,16 +166,17 @@ def _scan(v_minus, v_plus):
 def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     """Fit the three-parameter loss model to a reconstructed covariance matrix.
 
-    Expects a two-mode physical matrix with zero X-P cross terms (the
-    reconstruction output shape).  Minimizes the sum of squared differences
-    over the eight nonzero entries.  In the symmetric model those entries are
-    an orthonormal linear map of the four effective source variances, so the
-    sum splits into the squared distance of the model variances from
-    v = (v1-, v1+, v2-, v2+), read off the matrix, plus a constant.  The fit
-    profiles out r1 and r2 exactly and searches xi alone: a scan of xi over
-    [1e-6, 1] (:func:`_scan`), then a root search for the profile's slope
-    between the best scan point and the neighbour its slope points to, to a
-    relative tolerance of _XI_RTOL; the best point evaluated wins.
+    Expects a two-mode matrix with zero X-P cross terms (the reconstruction
+    output shape); one below the physicality gate is fitted with a
+    PhysicalityWarning, as reconstruct returns it.  Minimizes the sum of
+    squared differences over the eight nonzero entries.  In the symmetric
+    model those entries are an orthonormal linear map of the four effective
+    source variances, so the sum splits into the squared distance of the model
+    variances from v = (v1-, v1+, v2-, v2+), read off the matrix, plus a
+    constant.  The fit profiles out r1 and r2 exactly and searches xi alone: a
+    scan of xi over [1e-6, 1] (:func:`_scan`), then a root search for the
+    profile's slope between the best scan point and the neighbour its slope
+    points to, to a relative tolerance of _XI_RTOL; the best point evaluated wins.
     The residual is the RMS mismatch of the eight entries at the fit, by that
     split sqrt((profile + constant) / 8).
     iterations counts profile evaluations; converged is False if the root
@@ -185,8 +187,6 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     """
     if gamma_measured.n_modes != 2:
         raise ValueError("fit_efficiency: state must have exactly 2 modes")
-    if message := _unphysical(gamma_measured, "fit_efficiency"):
-        raise UnphysicalStateError(message)
     e = gamma_measured.entries.ravel().tolist()
     largest = max(map(abs, e))
     if largest > _ENTRY_MAX:
@@ -197,6 +197,8 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     if cross > 1e-9 * max(1.0, xa, pa, xb, pb):
         raise ValueError("fit_efficiency: expected zero X-P cross terms "
                          f"(reconstruction output shape), found {cross:.3g}")
+    if message := _unphysical(gamma_measured, "fit_efficiency"):
+        warnings.warn(PhysicalityWarning(message), stacklevel=2)
 
     # Half of Var(X_A - X_B), Var(P_A + P_B) and, with the covariances negated,
     # of Var(X_A + X_B), Var(P_A - P_B).

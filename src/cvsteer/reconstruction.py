@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .criteria import _joint_variances
-from .gaussian import (CovarianceMatrix, _from_moments, _json_object, _moments, _number,
-                       _number_text, _unphysical)
+from .gaussian import (CovarianceMatrix, PhysicalityWarning, _from_moments, _json_object,
+                       _moments, _number, _number_text, _unphysical)
 
 CSV_FIELDS = ("var_xa", "var_pa", "var_xb", "var_pb", "var_x_diff", "var_p_sum")
 _FRESH = object()  # MeasurementSet's default metadata: a new {} per set
@@ -47,10 +47,6 @@ class InconsistentDataError(ValueError):
             detail = (f"reaches sqrt(Var*Var) = {bound:.6g} within the allowed error band "
                       f"{band:.6g}, so the reconstructed matrix is not positive definite")
         super().__init__(f"measurement set inconsistent: |Cov_{entry}| = {abs(value):.6g} {detail}")
-
-
-class PhysicalityWarning(UserWarning):
-    """Reconstructed matrix has a symplectic eigenvalue below 1."""
 
 
 @dataclass(frozen=True)

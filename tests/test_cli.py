@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cvsteer.reference
-from cvsteer import (CovarianceMatrix, GainPair, SourceParams, apply_symplectic, build_epr_source,
-                     criteria_report, gaussian, phase_shift, symplectic_eigenvalues_two_mode)
+from cvsteer import (CovarianceMatrix, GainPair, PhysicalityWarning, SourceParams,
+                     apply_symplectic, build_epr_source, criteria_report, fit_efficiency,
+                     gaussian, phase_shift, symplectic_eigenvalues_two_mode)
 from cvsteer.cli import main, perturbation_study
 from cvsteer.reconstruction import CSV_FIELDS
 from cvsteer.reference import REFERENCE_MEASUREMENTS
@@ -481,9 +482,8 @@ class TestFit:
         assert (code, err) == (1, "")
         assert json.loads(out)["converged"] is False
 
-    def test_warned_reconstruction_is_refused_with_exit_1(self, capsys, tmp_path):
-        # reconstruct only warns that this set is unphysical; the fit refuses it,
-        # an analysis outcome (exit 2, an input error, before)
+    def test_warned_reconstruction_is_warned_and_fitted(self, capsys, tmp_path):
+        # reconstruct only warns that this set is unphysical; the fit warns alike and fits it
         ms, cov = tmp_path / "ms.json", tmp_path / "cov.json"
         ms.write_text(json.dumps({"var_xa": 1, "var_pa": 1, "var_xb": 1, "var_pb": 1,
                                   "var_x_diff": 0.5, "var_p_sum": 0.5}))
@@ -491,8 +491,11 @@ class TestFit:
         code, out, err = run(capsys, "fit", "--in", str(cov))
         state = CovarianceMatrix.from_dict(json.loads(cov.read_text()))
         nus = symplectic_eigenvalues_two_mode(state).tolist()
-        assert (code, out) == (1, "")
-        assert err == f"error: fit_efficiency: state is unphysical (symplectic eigenvalues {nus})\n"
+        with pytest.warns(PhysicalityWarning):
+            fit = fit_efficiency(state)
+        assert fit.converged
+        assert (code, out) == (0, json.dumps(fit.to_dict(), indent=2, sort_keys=True) + "\n")
+        assert err == f"warning: fit_efficiency: state is unphysical (symplectic eigenvalues {nus})\n"
 
     def test_pure_state_fits_unit_efficiency(self, capsys, tmp_path):
         cov = tmp_path / "cov.json"
@@ -603,9 +606,10 @@ class TestRepro:
 
 @pytest.mark.parametrize("coupled", [False, True], ids=["decoupled", "coupled"])
 def test_every_command_words_a_state_below_the_gate_alike(capsys, tmp_path, coupled):
-    # reconstruct and analyze warn of the CI's warned set, sample and fit refuse it,
-    # each naming itself and the same symplectic eigenvalues.  Turned by a phase
-    # shift of mode B, its X-P entries are nonzero and eigvals decides and words it.
+    # reconstruct, analyze and fit warn of the CI's warned set, sample refuses it, each
+    # naming itself and the same symplectic eigenvalues.  Turned by a phase shift of
+    # mode B, its X-P entries are nonzero and eigvals decides and words it; the fit
+    # refuses that shape before its gate, as it refuses any state of that shape.
     ms, cov = tmp_path / "ms.json", tmp_path / "cov.json"
     ms.write_text(json.dumps({"var_xa": 1, "var_pa": 1, "var_xb": 1, "var_pb": 1,
                               "var_x_diff": 0.5, "var_p_sum": 0.5}))
@@ -627,7 +631,16 @@ def test_every_command_words_a_state_below_the_gate_alike(capsys, tmp_path, coup
     for fmt in ("json", "csv"):
         assert run(capsys, "sample", "--in", str(cov), "--n", "10", "--format", fmt) == (
             1, "", f"error: {said('sampler')}\n")
-    assert run(capsys, "fit", "--in", str(cov)) == (1, "", f"error: {said('fit_efficiency')}\n")
+    code, out, err = run(capsys, "fit", "--in", str(cov))
+    if coupled:
+        with pytest.raises(ValueError) as info:
+            fit_efficiency(state)
+        assert str(info.value).startswith("fit_efficiency: expected zero X-P cross terms "
+                                          "(reconstruction output shape), found ")
+        assert (code, out, err) == (2, "", f"error: {info.value}\n")
+    else:
+        assert (code, err) == (0, f"warning: {said('fit_efficiency')}\n")
+        assert json.loads(out)["converged"] is True
 
 
 # a JSON object whose one field nests arrays past the decoder's recursion limit

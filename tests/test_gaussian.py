@@ -310,8 +310,9 @@ class TestClosedFormPhysicality:
             state = reconstruct(MeasurementSet(1.0, 1.0, 1.0, 1.0, 0.5, 0.5))
         with pytest.raises(UnphysicalStateError):
             measure_campaign(state, 10, seed=3)
-        with pytest.raises(UnphysicalStateError):
+        with pytest.warns(PhysicalityWarning) as record:
             fit_efficiency(state)
+        assert [str(w.message) for w in record] == [gaussian._unphysical(state, "fit_efficiency")]
         assert calls == []
 
     @pytest.mark.parametrize("entry", XP_ENTRIES)
