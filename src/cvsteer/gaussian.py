@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import numbers
+import operator
 import struct
 from dataclasses import asdict, dataclass
 
@@ -78,10 +79,48 @@ def _record(cls, **fields):
     return record
 
 
+def _by_value(array: str, hashable: bool = True):
+    """Class decorator: == and hash by value for a dataclass declared with eq=False whose
+    field `array` holds a numpy array.  The other fields compare as they are, the array by
+    np.array_equal; the hash is that of the other fields and the array's values as Python
+    floats, so 0.0 and -0.0 hash alike.  hashable=False, for a writeable array, leaves the
+    class unhashable."""
+    def decorate(cls):
+        rest = [name for name in cls.__dataclass_fields__ if name != array]
+
+        def key(self):
+            return tuple(getattr(self, name) for name in rest)
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return key(self) == key(other) and np.array_equal(getattr(self, array),
+                                                              getattr(other, array))
+
+        def __hash__(self):
+            return hash((*key(self), tuple(getattr(self, array).ravel().tolist())))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__ if hashable else None
+        return cls
+    return decorate
+
+
+def _mode_count(n_modes, what: str) -> int:
+    """n_modes as an int if it is an integer other than a bool (operator.index: 2.0 is not
+    one) and at least 1, else the ValueError that names it."""
+    try:
+        n = operator.index(n_modes)
+    except TypeError:
+        n = None
+    if n is None or isinstance(n_modes, bool):
+        raise ValueError(f"{what}: n_modes must be an integer, got {n_modes!r}")
+    if n < 1:
+        raise ValueError(f"{what}: n_modes must be >= 1, got {n}")
+    return n
+
+
 def _as_checked_matrix(entries, n_modes: int, what: str) -> np.ndarray:
     m = np.array(entries, dtype=float)
-    if n_modes < 1:
-        raise ValueError(f"{what}: n_modes must be >= 1, got {n_modes}")
     if m.shape != (2 * n_modes, 2 * n_modes):
         raise ValueError(
             f"{what}: expected shape {(2 * n_modes, 2 * n_modes)}, got {m.shape}"
@@ -114,7 +153,8 @@ def _checked_covariance(entries, n_modes: int) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@_by_value("entries")
+@dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
     """Second moments of the quadratures of an n-mode zero-mean Gaussian state.
 
@@ -129,7 +169,8 @@ class CovarianceMatrix:
     (:func:`_decoupled_positive_definite`); every other matrix by numpy, with a
     symmetry tolerance and np.linalg.cholesky.  A state decoupled once checked
     records its six moments, which the two-mode readers take;
-    :meth:`_of_moments` builds one from them with no 4x4 round trip.
+    :meth:`_of_moments` builds one from them with no 4x4 round trip.  Two
+    states are equal, and hash alike, when n_modes and the entries are equal.
     """
 
     n_modes: int
@@ -137,16 +178,16 @@ class CovarianceMatrix:
     _six = None  # the recorded moments, else None; not a field (no annotation)
 
     def __post_init__(self):
+        n_modes = _mode_count(self.n_modes, "CovarianceMatrix")
         m = np.array(self.entries, dtype=float)
-        six = _decoupled_moments(m) if self.n_modes == 2 else None
+        six = _decoupled_moments(m) if n_modes == 2 else None
         if six is None:
-            m = _checked_covariance(m, self.n_modes)
-            six = _decoupled_moments(m) if self.n_modes == 2 else None
+            m = _checked_covariance(m, n_modes)
+            six = _decoupled_moments(m) if n_modes == 2 else None
         elif not _decoupled_positive_definite(*six):
             raise ValueError("CovarianceMatrix: matrix is not positive definite")
         m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "_six", six)
+        self.__dict__.update(n_modes=n_modes, entries=m, _six=six)  # frozen: no __setattr__
 
     @classmethod
     def _of_moments(cls, xa, pa, xb, pb, cx, cp) -> "CovarianceMatrix":
@@ -193,20 +234,23 @@ class CovarianceMatrix:
         return cls(n_modes, [[_number(v, "CovarianceMatrix") for v in row] for row in rows])
 
 
-@dataclass(frozen=True)
+@_by_value("matrix")
+@dataclass(frozen=True, eq=False)
 class SymplecticTransform:
-    """Linear quadrature map S with S @ Omega @ S.T = Omega (lossless optics)."""
+    """Linear quadrature map S with S @ Omega @ S.T = Omega (lossless optics); equal, and
+    hashed alike, by n_modes and the matrix."""
 
     n_modes: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_checked_matrix(self.matrix, self.n_modes, "SymplecticTransform")
-        omega = symplectic_form(self.n_modes)
+        n_modes = _mode_count(self.n_modes, "SymplecticTransform")
+        m = _as_checked_matrix(self.matrix, n_modes, "SymplecticTransform")
+        omega = symplectic_form(n_modes)
         if np.max(np.abs(m @ omega @ m.T - omega)) > SYMPLECTIC_ATOL:
             raise ValueError("SymplecticTransform: S Omega S^T != Omega")
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        self.__dict__.update(n_modes=n_modes, matrix=m)  # frozen: no __setattr__
 
 
 @dataclass(frozen=True)
@@ -236,8 +280,7 @@ def _check_mode(mode: int, n_modes: int):
 
 def vacuum_state(n_modes: int) -> CovarianceMatrix:
     """The n-mode vacuum: unit variance in every quadrature, no correlations."""
-    if n_modes < 1:
-        raise ValueError(f"vacuum_state: n_modes must be >= 1, got {n_modes}")
+    n_modes = _mode_count(n_modes, "vacuum_state")
     return CovarianceMatrix(n_modes=n_modes, entries=np.eye(2 * n_modes))
 
 

@@ -26,27 +26,23 @@ _FRESH = object()  # MeasurementSet's default metadata: a new {} per set
 
 
 class InconsistentDataError(ValueError):
-    """A reconstructed covariance breaks its Cauchy-Schwarz bound, so that the
-    reconstructed matrix is not positive definite.
+    """A reconstructed covariance reaches or breaks its Cauchy-Schwarz bound, so that
+    the reconstructed matrix is not positive definite.
 
-    The error band only words the error: the covariance either exceeds the
-    bound beyond the band (excess > 0), or reaches the bound, or comes within
-    rounding of it, inside the band (excess <= 0).
+    excess = |value| - bound: the covariance exceeds the bound (excess > 0), or
+    reaches it within rounding (excess <= 0).  The six measured values alone
+    decide both.
     """
 
-    def __init__(self, entry: str, value: float, bound: float, band: float):
+    def __init__(self, entry: str, value: float, bound: float):
         self.entry = entry
         self.value = value
         self.bound = bound
-        self.band = band
-        self.excess = abs(value) - (bound + band)
-        if self.excess > 0:
-            detail = (f"exceeds sqrt(Var*Var) = {bound:.6g} by {self.excess:.6g} "
-                      f"(allowed error band {band:.6g})")
-        else:
-            detail = (f"reaches sqrt(Var*Var) = {bound:.6g} within the allowed error band "
-                      f"{band:.6g}, so the reconstructed matrix is not positive definite")
-        super().__init__(f"measurement set inconsistent: |Cov_{entry}| = {abs(value):.6g} {detail}")
+        self.excess = abs(value) - bound
+        detail = (f"exceeds sqrt(Var*Var) = {bound:.6g} by {self.excess:.6g}" if self.excess > 0
+                  else f"reaches sqrt(Var*Var) = {bound:.6g} within rounding")
+        super().__init__(f"measurement set inconsistent: |Cov_{entry}| = {abs(value):.6g} "
+                         f"{detail}, so the reconstructed matrix is not positive definite")
 
 
 @dataclass(frozen=True)
@@ -54,8 +50,10 @@ class MeasurementSet:
     """The six scalar variances of a reconstruction campaign, in vacuum units.
 
     relative_error is the one-sigma relative uncertainty common to all six
-    values; metadata carries acquisition labels (e.g. fourier_frequency_hz,
-    rbw_hz, vbw_hz) that do not enter any computation.
+    values; it feeds propagate_errors and perturbation_study and nothing else
+    (reconstruct reads the six values alone).  metadata carries acquisition
+    labels (e.g. fourier_frequency_hz, rbw_hz, vbw_hz) that do not enter any
+    computation.
 
     The constructor is written out, not generated: it checks its arguments, then
     stores the eight fields in one update.  Its parameters are the fields, in
@@ -178,10 +176,10 @@ def reconstruct(ms: MeasurementSet) -> CovarianceMatrix:
     trip), which it records for the criteria and the physicality gate to read.
     A matrix that CovarianceMatrix refuses as not positive definite, a
     covariance being at or past its Cauchy-Schwarz bound, raises
-    InconsistentDataError; it names the entry past its propagated error
-    band, otherwise the more strongly correlated one.  Matrices that are merely
-    below the symplectic physicality boundary emit a PhysicalityWarning but
-    are returned.
+    InconsistentDataError naming the more strongly correlated covariance
+    (|Cov| / bound, X on a tie).  Matrices that are merely below the
+    symplectic physicality boundary emit a PhysicalityWarning but are returned.
+    The result depends on ms.values() alone: relative_error is not read.
     """
     xa, pa, xb, pb, x_diff, p_sum = ms.values()
     cov_x, cov_p = _covariances(xa, pa, xb, pb, x_diff, p_sum)
@@ -191,12 +189,10 @@ def reconstruct(ms: MeasurementSet) -> CovarianceMatrix:
         if not (math.isfinite(cov_x) and math.isfinite(cov_p)):
             raise
         # CovarianceMatrix decided, by one float Cholesky step per block; the
-        # error band only chooses the wording.
-        errors = [InconsistentDataError(entry, cov, math.sqrt(v1) * math.sqrt(v2),
-                                        _covariance_sigma(ms.relative_error, v1, v2, vj))
-                  for entry, cov, v1, v2, vj in (("x", cov_x, xa, xb, x_diff),
-                                                 ("p", cov_p, pa, pb, p_sum))]
-        raise max(errors, key=lambda e: (e.excess > 0, abs(e.value) / e.bound)) from None
+        # error names the more strongly correlated covariance
+        errors = [InconsistentDataError(entry, cov, math.sqrt(v1) * math.sqrt(v2))
+                  for entry, cov, v1, v2 in (("x", cov_x, xa, xb), ("p", cov_p, pa, pb))]
+        raise max(errors, key=lambda e: abs(e.value) / e.bound) from None
     if message := _unphysical(state, "reconstruct"):
         warnings.warn(PhysicalityWarning(message), stacklevel=2)
     return state

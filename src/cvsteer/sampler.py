@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import CovarianceMatrix, UnphysicalStateError, _unphysical
+from .gaussian import CovarianceMatrix, UnphysicalStateError, _by_value, _unphysical
 from .reconstruction import MeasurementSet
 
 # Rows drawn per campaign chunk: small enough that the draw buffers stay in
@@ -101,9 +101,11 @@ _CANONICAL = {
 }
 
 
-@dataclass(frozen=True)
+@_by_value("values", hashable=False)
+@dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Finite sample set drawn for one setting, with its seed for replay."""
+    """Finite sample set drawn for one setting, with its seed for replay.  Equal by value;
+    unhashable, as its values are writeable."""
 
     setting: MeasurementSetting
     values: np.ndarray

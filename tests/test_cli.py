@@ -386,7 +386,7 @@ class TestReconstruct:
         assert out == ""
 
     def test_overflowing_covariance_exits_2(self, capsys, tmp_path):
-        # Cov_x = -(1 - 2 * 1.7e308) / 2 overflows: an input error, with or without an error band
+        # Cov_x = -(1 - 2 * 1.7e308) / 2 overflows: an input error at any relative_error
         values = dict(zip(CSV_FIELDS, [1.7e308, 1, 1.7e308, 1, 1, 2]))
         js, csv = tmp_path / "ms.json", tmp_path / "ms.csv"
         js.write_text(json.dumps({**values, "relative_error": 0}))
@@ -422,15 +422,19 @@ class TestReconstruct:
         assert len(d["warnings"]) == 1 and "unphysical" in d["warnings"][0]
 
     def test_covariance_reaching_its_bound_exits_1(self, capsys, tmp_path):
-        # |Cov_x| = 1.0995 reaches sqrt(1.0 * 1.2) inside its error band: the
-        # matrix is not positive definite, an analysis failure, not an input error
-        p = tmp_path / "ms.csv"
-        p.write_text(",".join(CSV_FIELDS) + "\n1.0,1.0,1.2,1.0,0.001,2.0\n")
-        code, out, err = run(capsys, "reconstruct", "--in", str(p))
-        assert code == 1 and out == ""
-        assert err.startswith("error: measurement set inconsistent: |Cov_x| = 1.0995 ")
-        assert "sqrt(Var*Var) = 1.09545" in err and "error band 0.0390513" in err
-        assert "not positive definite" in err and "by -" not in err
+        # |Cov_x| = 1.0995 is past sqrt(1.0 * 1.2): the matrix is not positive definite,
+        # an analysis failure, not an input error, worded alike at any relative_error
+        values = dict(zip(CSV_FIELDS, [1.0, 1.0, 1.2, 1.0, 0.001, 2.0]))
+        csv, js0, js5 = tmp_path / "ms.csv", tmp_path / "ms0.json", tmp_path / "ms5.json"
+        csv.write_text(",".join(CSV_FIELDS) + "\n1.0,1.0,1.2,1.0,0.001,2.0\n")
+        js0.write_text(json.dumps({**values, "relative_error": 0}))
+        js5.write_text(json.dumps({**values, "relative_error": 0.5}))
+        for p in (csv, js0, js5):
+            code, out, err = run(capsys, "reconstruct", "--in", str(p))
+            assert code == 1 and out == ""
+            assert err == ("error: measurement set inconsistent: |Cov_x| = 1.0995 exceeds "
+                           "sqrt(Var*Var) = 1.09545 by 0.00405488, so the reconstructed matrix "
+                           "is not positive definite\n")
 
     def test_covariance_exactly_on_its_bound_exits_1(self, capsys, tmp_path):
         # Cov_x = -(1 - 1 - 4) / 2 = 2 = sqrt(1) * sqrt(4): a singular matrix

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from cvsteer import (
     symplectic_form,
     vacuum_state,
 )
-from cvsteer.reference import REFERENCE_MEASUREMENTS
+from cvsteer.reference import REFERENCE_MEASUREMENTS, reference_state
 from conftest import (
     TRAP_DIAGONALS,
     random_physical_state,
@@ -488,6 +490,60 @@ class TestCovarianceMatrixType:
     def test_entries_are_read_only(self, ref_state):
         with pytest.raises(ValueError):
             ref_state.entries[0, 0] = 99.0
+
+
+class TestValueEquality:
+    """CovarianceMatrix and SymplecticTransform compare by value and hash by
+    (n_modes, the entries as Python floats)."""
+
+    def test_records_built_apart_are_equal(self):
+        assert reference_state() == reference_state()
+        assert squeezer(0.3, 0, 2) == squeezer(0.3, 0, 2)
+        assert vacuum_state(2) in [vacuum_state(2)]
+        assert reconstruct(REFERENCE_MEASUREMENTS) == CovarianceMatrix(
+            2, reconstruct(REFERENCE_MEASUREMENTS).entries)  # _of_moments or the constructor
+
+    def test_records_that_differ_are_not_equal(self):
+        assert vacuum_state(2) != vacuum_state(1)
+        assert vacuum_state(2) != CovarianceMatrix(2, np.diag([1.0, 1.0, 1.0, 2.0]))
+        assert squeezer(0.3, 0, 2) != squeezer(0.3, 1, 2)
+        assert vacuum_state(1) != SymplecticTransform(1, np.eye(2))  # another class
+        assert vacuum_state(2) != np.eye(4).tolist()
+
+    def test_equal_records_hash_alike(self):
+        m = np.eye(4)
+        m[0, 1], m[1, 0] = 0.0, -0.0  # equal to the vacuum, with a negative zero
+        assert CovarianceMatrix(2, m) == vacuum_state(2)
+        assert hash(CovarianceMatrix(2, m)) == hash(vacuum_state(2))
+        assert hash(vacuum_state(2)) == hash((2, tuple(np.eye(4).ravel().tolist())))
+        assert len({squeezer(0.3, 0, 2), squeezer(0.3, 0, 2), phase_shift(0.0, 0, 2)}) == 2
+        assert {vacuum_state(2): "vacuum"}[CovarianceMatrix(2, np.eye(4))] == "vacuum"
+
+
+class TestModeCount:
+    """n_modes is an integer other than a bool, stored as a Python int, by from_dict's rule."""
+
+    @pytest.mark.parametrize("build", [CovarianceMatrix, SymplecticTransform, vacuum_state])
+    @pytest.mark.parametrize("n_modes", [2.0, True, np.True_, "2", None, 2.5])
+    def test_a_non_integer_is_refused_by_name(self, build, n_modes):
+        with pytest.raises(ValueError, match=(f"^{build.__name__}: n_modes must be an integer, "
+                                              f"got {re.escape(repr(n_modes))}$")):
+            build(n_modes) if build is vacuum_state else build(n_modes, np.eye(4))
+
+    @pytest.mark.parametrize("cls", [CovarianceMatrix, SymplecticTransform])
+    def test_an_integer_is_stored_as_an_int(self, cls):
+        record = cls(np.int64(2), np.eye(4))
+        assert type(record.n_modes) is int and record.n_modes == 2
+        assert record == cls(2, np.eye(4))
+
+    def test_a_numpy_integer_writes_json(self):
+        d = CovarianceMatrix(np.int64(2), np.eye(4)).to_dict()
+        assert json.dumps(d) == json.dumps(vacuum_state(2).to_dict())
+
+    @pytest.mark.parametrize("build", [CovarianceMatrix, SymplecticTransform, vacuum_state])
+    def test_fewer_than_one_mode_is_refused(self, build):
+        with pytest.raises(ValueError, match=f"^{build.__name__}: n_modes must be >= 1, got 0$"):
+            build(0) if build is vacuum_state else build(0, np.eye(0))
 
 
 def cholesky_accepts(m) -> bool:

@@ -75,13 +75,17 @@ class TestReconstruct:
         assert exc.value.entry == "x"
         assert exc.value.excess > 0
 
-    def test_covariance_reaching_its_bound_inside_the_band_is_inconsistent(self):
-        # |Cov_x| = 1.0995 is past sqrt(1.0 * 1.2) = 1.0954 but inside its error
-        # band: the matrix is not positive definite, an analysis failure
-        with pytest.raises(InconsistentDataError, match="reaches sqrt") as exc:
-            reconstruct(MeasurementSet(1.0, 1.0, 1.2, 1.0, 0.001, 2.0))
-        assert exc.value.entry == "x" and exc.value.excess <= 0
-        assert "not positive definite" in str(exc.value) and "by -" not in str(exc.value)
+    def test_covariance_past_its_bound_is_worded_alike_at_any_relative_error(self):
+        # |Cov_x| = 1.0995 is past sqrt(1.0 * 1.2) = 1.0954: the matrix is not positive
+        # definite, an analysis failure, worded from the six values alone
+        for rel in (0.0, 0.05, 0.5):
+            with pytest.raises(InconsistentDataError) as exc:
+                reconstruct(MeasurementSet(1.0, 1.0, 1.2, 1.0, 0.001, 2.0, relative_error=rel))
+            assert exc.value.entry == "x" and exc.value.excess > 0
+            assert not hasattr(exc.value, "band")
+            assert str(exc.value) == (
+                "measurement set inconsistent: |Cov_x| = 1.0995 exceeds sqrt(Var*Var) = 1.09545 "
+                "by 0.00405488, so the reconstructed matrix is not positive definite")
 
     def test_near_bound_sets_reconstruct_or_are_inconsistent(self):
         # values over 10^[-3, 4], covariances 1e-17 to 1e-1 (relative) either side
@@ -219,43 +223,40 @@ def step_ulps(x: float, k: int) -> float:
 
 
 def expected_naming(ms, cov_x, cov_p):
-    """(entry, value, bound, band) that the InconsistentDataError of ms names: the
-    larger (past its band, |cov| / bound), X on a tie."""
-    rel, best = ms.relative_error, None
-    for entry, cov, v1, v2, vj in (("x", cov_x, ms.var_xa, ms.var_xb, ms.var_x_diff),
-                                   ("p", cov_p, ms.var_pa, ms.var_pb, ms.var_p_sum)):
+    """(entry, value, bound) that the InconsistentDataError of ms names: the larger
+    |cov| / bound, X on a tie."""
+    best = None
+    for entry, cov, v1, v2 in (("x", cov_x, ms.var_xa, ms.var_xb),
+                               ("p", cov_p, ms.var_pa, ms.var_pb)):
         bound = math.sqrt(v1) * math.sqrt(v2)
-        band = 0.5 * math.sqrt((rel * v1) ** 2 + (rel * v2) ** 2 + (rel * vj) ** 2)
-        key = (abs(cov) - (bound + band) > 0, abs(cov) / bound)
-        if best is None or key > best[0]:
-            best = key, (entry, cov, bound, band)
+        if best is None or abs(cov) / bound > best[0]:
+            best = abs(cov) / bound, (entry, cov, bound)
     return best[1]
 
 
 class TestConsistencyVerdict:
     """reconstruct makes no Cauchy-Schwarz comparison of its own: it raises
-    InconsistentDataError exactly when CovarianceMatrix refuses the matrix, and
-    the error band only chooses the entry the error names."""
+    InconsistentDataError exactly when CovarianceMatrix refuses the matrix, names
+    the more strongly correlated covariance, and reads no relative_error."""
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(v=st.tuples(*[st.floats(1e-3, 1e3)] * 4),
            signs=st.tuples(*[st.sampled_from([-1.0, 1.0])] * 2),
-           blocks=st.sampled_from(["x", "p", "xp"]), rho=st.floats(-0.999, 0.999),
-           relative_error=st.sampled_from([0.0, 1e-3, 0.05]))
-    @example(v=(1.0, 1.0, 1.2, 1.0), signs=(1.0, 1.0), blocks="x", rho=0.5, relative_error=0.05)
-    @example(v=(2.0, 3.0, 5.0, 7.0), signs=(-1.0, 1.0), blocks="xp", rho=0.0, relative_error=0.0)
-    def test_raises_exactly_when_covariance_matrix_refuses(self, v, signs, blocks, rho,
-                                                           relative_error):
+           blocks=st.sampled_from(["x", "p", "xp"]), rho=st.floats(-0.999, 0.999))
+    @example(v=(1.0, 1.0, 1.2, 1.0), signs=(1.0, 1.0), blocks="x", rho=0.5)
+    @example(v=(2.0, 3.0, 5.0, 7.0), signs=(-1.0, 1.0), blocks="xp", rho=0.0)
+    def test_raises_exactly_when_covariance_matrix_refuses(self, v, signs, blocks, rho):
         xa, pa, xb, pb = v
         bound_x, bound_p = math.sqrt(xa) * math.sqrt(xb), math.sqrt(pa) * math.sqrt(pb)
         for k in range(-6, 7):
             cx = signs[0] * step_ulps(bound_x, k) if "x" in blocks else rho * bound_x
             cp = signs[1] * step_ulps(bound_p, -k) if "p" in blocks else rho * bound_p
             try:
-                ms = MeasurementSet(xa, pa, xb, pb, xa + xb - 2.0 * cx, pa + pb + 2.0 * cp,
-                                    relative_error=relative_error)
+                sets = [MeasurementSet(xa, pa, xb, pb, xa + xb - 2.0 * cx, pa + pb + 2.0 * cp,
+                                       relative_error=rel) for rel in (0.0, 1e-3, 0.05, 0.5)]
             except ValueError:
                 continue  # a joint variance rounded to <= 0: not a valid set
+            ms = sets[0]
             cov_x = -covariance_from_sum(ms.var_x_diff, xa, xb)
             cov_p = covariance_from_sum(ms.var_p_sum, pa, pb)
             try:
@@ -263,17 +264,21 @@ class TestConsistencyVerdict:
                 refused = False
             except ValueError:
                 refused = True
+            outcomes = set()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", PhysicalityWarning)
-                try:
-                    reconstruct(ms)
-                    raised = None
-                except InconsistentDataError as exc:
-                    raised = exc
-            assert (raised is not None) == refused, k
-            if raised is not None:
-                named = (raised.entry, raised.value, raised.bound, raised.band)
-                assert named == expected_naming(ms, cov_x, cov_p), k
+                for each in sets:
+                    try:
+                        outcomes.add(reconstruct(each).entries.tobytes())
+                    except InconsistentDataError as exc:
+                        assert not hasattr(exc, "band")
+                        outcomes.add((exc.entry, exc.value, exc.bound, str(exc)))
+            assert len(outcomes) == 1, k  # one outcome at every relative_error
+            (outcome,) = outcomes
+            assert isinstance(outcome, tuple) == refused, k
+            if refused:
+                assert outcome[:3] == expected_naming(ms, cov_x, cov_p), k
+                assert "error band" not in outcome[3]
 
     def test_both_covariances_past_their_bands_name_the_more_correlated(self):
         # |Cov_x| = 39 and |Cov_p| = 49 at unit variances; X was named first before
@@ -282,13 +287,15 @@ class TestConsistencyVerdict:
                 reconstruct(MeasurementSet(1.0, 1.0, 1.0, 1.0, x_diff, p_sum))
             assert exc.value.entry == entry and exc.value.excess > 0
 
-    def test_a_covariance_past_its_band_is_named_before_a_stronger_one_inside(self):
-        # Cov_p / bound = 2 lies inside its wide band (Var P_A >> Var P_B);
-        # Cov_x / bound = 1.5 is past its band
-        ms = MeasurementSet(1.0, 1e4, 1.0, 1e-2, 5.0, 1e4 + 1e-2 + 40.0)
-        with pytest.raises(InconsistentDataError) as exc:
-            reconstruct(ms)
-        assert exc.value.entry == "x" and exc.value.excess > 0
+    def test_the_covariance_farther_past_its_bound_is_named(self):
+        # |Cov_p| = 20 is twice its bound of 10 (Var P_A >> Var P_B); |Cov_x| = 1.5
+        # is 1.5 times its bound of 1: P is named, at any relative_error
+        for rel in (0.0, 0.05, 0.5):
+            ms = MeasurementSet(1.0, 1e4, 1.0, 1e-2, 5.0, 1e4 + 1e-2 + 40.0, relative_error=rel)
+            with pytest.raises(InconsistentDataError) as exc:
+                reconstruct(ms)
+            assert exc.value.entry == "p" and exc.value.excess > 0
+            assert exc.value.value == pytest.approx(20.0) and exc.value.bound == 10.0
 
     def test_covariance_within_rounding_of_a_zero_band_may_reconstruct(self):
         # with relative_error = 0, |Cov_x| is 1 ulp past its rounded bound, but the

@@ -126,6 +126,18 @@ class TestSampleQuadratures:
         b3 = sample_quadratures(ref_state, P_SUM, 1000, seed=10, dark_noise=0.006)
         assert not np.array_equal(b1.values, b3.values)
 
+    def test_batches_compare_by_value_and_are_unhashable(self, ref_state):
+        b1 = sample_quadratures(ref_state, P_SUM, 100, seed=9)
+        b2 = sample_quadratures(ref_state, P_SUM, 100, seed=9)
+        assert b1 == b2 and b1 in [b2]
+        assert b1 != sample_quadratures(ref_state, P_SUM, 100, seed=10)
+        assert b1 != SampleBatch(setting=X_DIFF, values=b1.values, seed=9, n=100)
+        assert b1 != SampleBatch(setting=P_SUM, values=b1.values[:99], seed=9, n=99)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(b1)
+        b2.values[0] += 1.0  # writeable, hence unhashable
+        assert b1 != b2
+
     def test_unphysical_state_rejected(self):
         import cvsteer.gaussian as g
         bad = object.__new__(g.CovarianceMatrix)
