@@ -105,18 +105,29 @@ def _by_value(array: str, hashable: bool = True):
     return decorate
 
 
+def _integer(v, what: str, name: str) -> int:
+    """v as an int if an integer other than a bool (operator.index: 2.0 is not one), else the
+    ValueError "<what>: <name> must be an integer": the test of every mode count and index."""
+    with contextlib.suppress(TypeError):
+        if not isinstance(v, bool):
+            return operator.index(v)
+    raise ValueError(f"{what}: {name} must be an integer, got {v!r}")
+
+
 def _mode_count(n_modes, what: str) -> int:
-    """n_modes as an int if it is an integer other than a bool (operator.index: 2.0 is not
-    one) and at least 1, else the ValueError that names it."""
-    try:
-        n = operator.index(n_modes)
-    except TypeError:
-        n = None
-    if n is None or isinstance(n_modes, bool):
-        raise ValueError(f"{what}: n_modes must be an integer, got {n_modes!r}")
+    """n_modes as an int if an integer (:func:`_integer`) of at least 1, else a ValueError."""
+    n = _integer(n_modes, what, "n_modes")
     if n < 1:
         raise ValueError(f"{what}: n_modes must be >= 1, got {n}")
     return n
+
+
+def _mode_index(mode, n_modes: int, what: str) -> int:
+    """mode as an int if an integer (:func:`_integer`) in [0, n_modes), else a ValueError."""
+    i = _integer(mode, what, "mode")
+    if not 0 <= i < n_modes:
+        raise ValueError(f"{what}: mode {i} out of range for {n_modes} modes")
+    return i
 
 
 def _as_checked_matrix(entries, n_modes: int, what: str) -> np.ndarray:
@@ -224,9 +235,8 @@ class CovarianceMatrix:
             n_modes, entries = d["n_modes"], d["entries"]
         except KeyError as exc:
             raise ValueError(f"CovarianceMatrix JSON: missing field {exc}") from None
-        if isinstance(n_modes, (bool, str)) or isinstance(n_modes, float) and not n_modes.is_integer():
-            raise ValueError(f"CovarianceMatrix JSON: n_modes must be an integer, got {n_modes!r}")
-        n_modes = int(n_modes if isinstance(n_modes, int) else _number(n_modes, "CovarianceMatrix"))
+        n = _number(n_modes, "CovarianceMatrix")  # a JSON 2.0 is 2
+        n_modes = _mode_count(int(n) if n.is_integer() else n, "CovarianceMatrix JSON")
         # a scalar in place of the rows is a non-numeric field or, if a number, no matrix
         rows = entries if isinstance(entries, list) else [_number(entries, "CovarianceMatrix")]
         if not all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows):
@@ -258,7 +268,7 @@ class LossChannel:
     """Vacuum admixture with efficiency eta plus additive excess noise.
 
     excess_noise is an additive variance on the affected mode's diagonal
-    block, e.g. homodyne detector dark noise in vacuum units.
+    block, e.g. homodyne detector dark noise in vacuum units.  apply_loss checks mode_index.
     """
 
     mode_index: int
@@ -271,11 +281,6 @@ class LossChannel:
         if not 0.0 <= self.excess_noise < math.inf:
             raise ValueError(
                 f"LossChannel: excess_noise must be finite, >= 0, got {self.excess_noise}")
-
-
-def _check_mode(mode: int, n_modes: int):
-    if not 0 <= mode < n_modes:
-        raise ValueError(f"mode {mode} out of range for {n_modes} modes")
 
 
 def vacuum_state(n_modes: int) -> CovarianceMatrix:
@@ -291,7 +296,8 @@ def squeezer(r: float, mode: int, n_modes: int) -> SymplecticTransform:
     """
     if not math.isfinite(r):
         raise ValueError(f"squeezer: r must be finite, got {r}")
-    _check_mode(mode, n_modes)
+    n_modes = _mode_count(n_modes, "squeezer")
+    mode = _mode_index(mode, n_modes, "squeezer")
     m = np.eye(2 * n_modes)
     m[2 * mode, 2 * mode] = math.exp(-r)
     m[2 * mode + 1, 2 * mode + 1] = math.exp(r)
@@ -300,7 +306,8 @@ def squeezer(r: float, mode: int, n_modes: int) -> SymplecticTransform:
 
 def phase_shift(theta: float, mode: int, n_modes: int) -> SymplecticTransform:
     """Rotation by theta of the (X, P) plane of `mode`; pi/2 maps (X, P) -> (P, -X)."""
-    _check_mode(mode, n_modes)
+    n_modes = _mode_count(n_modes, "phase_shift")
+    mode = _mode_index(mode, n_modes, "phase_shift")
     c, s = math.cos(theta), math.sin(theta)
     m = np.eye(2 * n_modes)
     m[2 * mode: 2 * mode + 2, 2 * mode: 2 * mode + 2] = [[c, s], [-s, c]]
@@ -317,12 +324,12 @@ def beamsplitter(transmittance: float, mode_a: int, mode_b: int,
         X_b' = r X_a - t X_b      with r = sqrt(1 - transmittance).
 
     The sign on the second output is what makes X_A - X_B and P_A + P_B the
-    low-variance combinations in :func:`build_epr_source`.
+    low-variance combinations in :func:`build_epr_source`.  The modes must be distinct.
     """
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError(f"beamsplitter: transmittance must be in [0, 1], got {transmittance}")
-    _check_mode(mode_a, n_modes)
-    _check_mode(mode_b, n_modes)
+    n_modes = _mode_count(n_modes, "beamsplitter")
+    mode_a, mode_b = (_mode_index(m, n_modes, "beamsplitter") for m in (mode_a, mode_b))
     if mode_a == mode_b:
         raise ValueError("beamsplitter: modes must be distinct")
     t = math.sqrt(transmittance)
@@ -363,11 +370,11 @@ def apply_symplectic(state: CovarianceMatrix, s: SymplecticTransform) -> Covaria
 def apply_loss(state: CovarianceMatrix, channel: LossChannel) -> CovarianceMatrix:
     """Vacuum admixture on one mode: block -> eta block + (1 - eta) I + excess I.
 
-    Cross terms with the other modes scale by sqrt(eta).
+    Cross terms with the other modes scale by sqrt(eta); mode_index is checked here.
     """
-    _check_mode(channel.mode_index, state.n_modes)
+    mode = _mode_index(channel.mode_index, state.n_modes, "apply_loss")
     scale = np.ones(2 * state.n_modes)
-    sl = slice(2 * channel.mode_index, 2 * channel.mode_index + 2)
+    sl = slice(2 * mode, 2 * mode + 2)
     scale[sl] = math.sqrt(channel.efficiency)
     out = state.entries * np.outer(scale, scale)
     add = (1.0 - channel.efficiency) + channel.excess_noise
@@ -517,8 +524,8 @@ def _unphysical(state: CovarianceMatrix, who: str) -> str | None:
 
 
 def quadrature_variance(state: CovarianceMatrix, mode: int, angle: float) -> float:
-    """Variance of cos(angle) X_mode + sin(angle) P_mode (generalized homodyne)."""
-    _check_mode(mode, state.n_modes)
+    """Variance of cos(angle) X_mode + sin(angle) P_mode (generalized homodyne); mode checked."""
+    mode = _mode_index(mode, state.n_modes, "quadrature_variance")
     v = np.zeros(2 * state.n_modes)
     v[2 * mode] = math.cos(angle)
     v[2 * mode + 1] = math.sin(angle)
@@ -533,7 +540,7 @@ class SourceParams:
     inputs; one input is rotated by relative_phase before the combining
     beamsplitter.  eta_prep is the per-source state preparation efficiency,
     eta_det_a / eta_det_b the per-arm homodyne detection efficiencies, and
-    dark_noise an additive variance per homodyne output.
+    dark_noise an additive variance per homodyne output.  Each is a real number, not a bool.
     """
 
     r1: float = 0.0
@@ -546,6 +553,9 @@ class SourceParams:
     dark_noise: float = 0.0
 
     def __post_init__(self):
+        for name, val in self.__dict__.items():  # a float skips the ABC check, ~0.5 us each
+            if type(val) is not float and (type(val) is bool or not isinstance(val, numbers.Real)):
+                raise ValueError(f"SourceParams: {name} must be a real number, got {val!r}")
         for name in ("r1", "r2"):
             val = getattr(self, name)
             if not 0.0 <= val <= _R_MAX:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import CovarianceMatrix, UnphysicalStateError, _by_value, _unphysical
+from .gaussian import CovarianceMatrix, UnphysicalStateError, _by_value, _mode_index, _unphysical
 from .reconstruction import MeasurementSet
 
 # Rows drawn per campaign chunk: small enough that the draw buffers stay in
@@ -56,8 +56,8 @@ class MeasurementSetting:
 
     @classmethod
     def single(cls, mode: int, angle: float = 0.0) -> "MeasurementSetting":
-        if mode not in (0, 1):
-            raise ValueError(f"MeasurementSetting: mode must be 0 or 1, got {mode!r}")
+        """The quadrature at `angle` of mode 0 (A) or 1 (B), checked by gaussian._mode_index."""
+        mode = _mode_index(mode, 2, "MeasurementSetting")
         return cls.joint(1.0, 0.0, angle) if mode == 0 else cls.joint(0.0, 1.0, 0.0, angle)
 
     @classmethod

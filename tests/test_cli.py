@@ -220,12 +220,16 @@ class TestAnalyze:
         assert_input_error(code, err, needle)
         assert out == ""
 
-    @pytest.mark.parametrize("n_modes", [2.7, True, "2"])
-    def test_non_integer_n_modes_exits_2(self, capsys, tmp_path, n_modes):
+    @pytest.mark.parametrize("n_modes, line", [
+        (2.7, "CovarianceMatrix JSON: n_modes must be an integer, got 2.7"),
+        (True, "CovarianceMatrix JSON: non-numeric field (true is not a number)"),
+        ("2", 'CovarianceMatrix JSON: non-numeric field ("2" is not a number)'),
+    ], ids=["2.7", "True", "2"])
+    def test_non_integer_n_modes_exits_2(self, capsys, tmp_path, n_modes, line):
         p = tmp_path / "cov.json"
         p.write_text(json.dumps({"n_modes": n_modes, "entries": np.eye(4).tolist()}))
-        code, _, err = run(capsys, "analyze", "--in", str(p))
-        assert_input_error(code, err, "n_modes must be an integer")
+        code, out, err = run(capsys, "analyze", "--in", str(p))
+        assert_one_error_line(code, out, err, line)
 
     def test_gains_note_on_stderr(self, capsys, tmp_path):
         code, out, err = run(capsys, "analyze", "--in", write_reference_cov(tmp_path),

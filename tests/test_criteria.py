@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cvsteer import (
     CovarianceMatrix,
@@ -26,10 +27,11 @@ from cvsteer import (
     reid_product,
     vacuum_state,
 )
-from cvsteer.gaussian import SourceParams, _from_moments, apply_symplectic, build_epr_source
+from cvsteer.gaussian import (LossChannel, SourceParams, _from_moments, apply_loss,
+                              apply_symplectic, build_epr_source, symplectic_form)
 from cvsteer.reference import reference_state
 from conftest import (_REFERENCE_INDICES, random_physical_state, random_product_state,
-                      random_source_state, reference_criteria)
+                      random_source_params, random_source_state, reference_criteria)
 
 # Direct arithmetic on the reference entries, kept separate from the library path.
 VAR_XA, VAR_PA, VAR_XB, VAR_PB = 18.41, 35.49, 17.98, 34.61
@@ -549,3 +551,78 @@ class TestSchurComplementOracle:
             for name, order in (("reid_b_given_a", (0, 1)), ("reid_a_given_b", (1, 0))):
                 expected = schur_reid(state.entries, order)
                 assert abs(getattr(report, name) - expected) <= SCHUR_RTOL * expected, (name, state)
+
+
+# Fixed before the run: the physicality gate, far above the eigensolver's rounding on
+# entries of at most ~1e3.
+PPT_MARGIN = 1e-9
+
+
+def partial_transpose_nu_min(entries) -> float:
+    """The least symplectic eigenvalue of the partial transpose P Γ P, P = diag(1, 1, 1, -1):
+    the least modulus among the eigenvalues of Ω P Γ P (Simon, PRL 84, 2726, 2000).  Below 1
+    exactly when the two-mode Gaussian state is entangled."""
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
+    return float(np.min(np.abs(np.linalg.eigvals(symplectic_form(2) @ flip @ entries @ flip))))
+
+
+def decoupled_part(state):
+    """The state with its X-P entries dropped: (Γ + R Γ R) / 2, R = diag(1, -1, 1, -1), a
+    mixture of the state and its transpose, so physical too."""
+    e = state.entries
+    return CovarianceMatrix(2, _from_moments(e[0, 0], e[1, 1], e[2, 2], e[3, 3], e[0, 2], e[1, 3]))
+
+
+class TestPartialTransposeOracle:
+    @pytest.mark.parametrize("family", ["coupled", "decoupled", "forward"])
+    def test_every_flag_implies_a_partial_transpose_below_1(self, family):
+        # Duan's sum below 4 and either Reid product below 1 each witness entanglement, which
+        # for a two-mode Gaussian state is nu_min of the partial transpose below 1
+        rng = np.random.default_rng(107)
+        flagged = {"duan_inseparable": 0, "steering_b_given_a": 0, "steering_a_given_b": 0}
+        for k in range(400):
+            if family == "forward":  # at a quarter turn and T = 1/2, and at any phase and T
+                state = random_source_state(rng) if k % 2 else build_epr_source(
+                    random_source_params(rng))
+            else:
+                state = random_physical_state(rng, with_loss=rng.random() < 0.7)
+                state = decoupled_part(state) if family == "decoupled" else state
+            report = criteria_report(state)
+            nu_min = partial_transpose_nu_min(state.entries)
+            for flag in flagged:
+                if getattr(report, flag):
+                    flagged[flag] += 1
+                    assert nu_min < 1.0 + PPT_MARGIN, (flag, nu_min, state)
+        assert min(flagged.values()) > 0, flagged  # each flag was put to the test
+
+
+class TestLossThresholdOfPureStates:
+    """A lossless symmetric source is a pure two-mode squeezed state, V = cosh 2r.  Loss η on
+    the inferring arm A gives X and P conditional variances of B each
+    V - η (V^2 - 1) / (η V + 1 - η), exactly 1 at η = 1/2 for every r; loss on B alone
+    gives 1 - η (1 - 1/V) < 1."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(r=st.floats(0.5, 3.0))
+    @example(r=0.5)
+    @example(r=1.0)
+    @example(r=2.0)
+    @example(r=3.0)
+    def test_steering_b_by_a_ends_at_half_loss_on_a(self, r):
+        state = build_epr_source(SourceParams(r1=r, r2=r))
+
+        def product(eta):
+            return reid_product(apply_loss(state, LossChannel(0, eta)), "b|a")
+
+        # fixed before the run: each factor subtracts Cov^2 / Var from Var, with Cov^2 as
+        # large as e^(4r) / 4
+        tol = np.finfo(float).eps * math.exp(4.0 * r)
+        assert product(0.5 - 1e-6) > 1.0
+        assert product(0.5 + 1e-6) < 1.0
+        assert abs(product(0.5) - 1.0) <= tol
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0])
+    def test_loss_on_b_alone_keeps_b_given_a_below_1(self, r):
+        state = build_epr_source(SourceParams(r1=r, r2=r))
+        for eta in np.linspace(0.01, 1.0, 100).tolist():
+            assert reid_product(apply_loss(state, LossChannel(1, eta)), "b|a") < 1.0, eta

@@ -461,9 +461,14 @@ class TestCovarianceMatrixType:
         ({"n_modes": None, "entries": np.eye(4).tolist()}, "non-numeric"),
         ({"n_modes": 2, "entries": {"x1": 1.0}}, "non-numeric"),
         ({"entries": np.eye(4).tolist()}, "missing field 'n_modes'"),
-        ({"n_modes": 2.7, "entries": np.eye(4).tolist()}, "n_modes must be an integer"),
-        ({"n_modes": True, "entries": np.eye(4).tolist()}, "n_modes must be an integer"),
-        ({"n_modes": "2", "entries": np.eye(4).tolist()}, "n_modes must be an integer"),
+        ({"n_modes": 2.7, "entries": np.eye(4).tolist()},
+         "^CovarianceMatrix JSON: n_modes must be an integer, got 2.7$"),
+        ({"n_modes": True, "entries": np.eye(4).tolist()},
+         "^CovarianceMatrix JSON: non-numeric field \\(true is not a number\\)$"),
+        ({"n_modes": "2", "entries": np.eye(4).tolist()},
+         '^CovarianceMatrix JSON: non-numeric field \\("2" is not a number\\)$'),
+        ({"n_modes": 0, "entries": np.eye(4).tolist()},
+         "^CovarianceMatrix JSON: n_modes must be >= 1, got 0$"),
         ({"n_modes": 2, "entries": [[10 ** 400, 0, 0, 0]] + np.eye(4)[1:].tolist()}, "too large"),
         ({"n_modes": 2, "entries": [[True, 0, 0, 0]] + np.eye(4)[1:].tolist()}, "non-numeric"),
         ({"n_modes": 2, "entries": True}, "non-numeric"),
@@ -520,15 +525,27 @@ class TestValueEquality:
         assert {vacuum_state(2): "vacuum"}[CovarianceMatrix(2, np.eye(4))] == "vacuum"
 
 
-class TestModeCount:
-    """n_modes is an integer other than a bool, stored as a Python int, by from_dict's rule."""
+# Each builder called with n_modes as its only free argument, keyed by the name it refuses by.
+MODE_COUNT_BUILDS = {
+    "CovarianceMatrix": lambda n: CovarianceMatrix(n, np.eye(4)),
+    "SymplecticTransform": lambda n: SymplecticTransform(n, np.eye(4)),
+    "vacuum_state": vacuum_state,
+    "squeezer": lambda n: squeezer(0.3, 0, n),
+    "phase_shift": lambda n: phase_shift(0.1, 0, n),
+    "beamsplitter": lambda n: beamsplitter(0.5, 0, 1, n),
+}
 
-    @pytest.mark.parametrize("build", [CovarianceMatrix, SymplecticTransform, vacuum_state])
+
+class TestModeCount:
+    """n_modes is an integer other than a bool, stored as a Python int, and a mode index an
+    integer in [0, n_modes): one rule, decided by gaussian before numpy sees either."""
+
+    @pytest.mark.parametrize("name", MODE_COUNT_BUILDS)
     @pytest.mark.parametrize("n_modes", [2.0, True, np.True_, "2", None, 2.5])
-    def test_a_non_integer_is_refused_by_name(self, build, n_modes):
-        with pytest.raises(ValueError, match=(f"^{build.__name__}: n_modes must be an integer, "
+    def test_a_non_integer_is_refused_by_name(self, name, n_modes):
+        with pytest.raises(ValueError, match=(f"^{name}: n_modes must be an integer, "
                                               f"got {re.escape(repr(n_modes))}$")):
-            build(n_modes) if build is vacuum_state else build(n_modes, np.eye(4))
+            MODE_COUNT_BUILDS[name](n_modes)
 
     @pytest.mark.parametrize("cls", [CovarianceMatrix, SymplecticTransform])
     def test_an_integer_is_stored_as_an_int(self, cls):
@@ -540,10 +557,59 @@ class TestModeCount:
         d = CovarianceMatrix(np.int64(2), np.eye(4)).to_dict()
         assert json.dumps(d) == json.dumps(vacuum_state(2).to_dict())
 
-    @pytest.mark.parametrize("build", [CovarianceMatrix, SymplecticTransform, vacuum_state])
-    def test_fewer_than_one_mode_is_refused(self, build):
-        with pytest.raises(ValueError, match=f"^{build.__name__}: n_modes must be >= 1, got 0$"):
-            build(0) if build is vacuum_state else build(0, np.eye(0))
+    @pytest.mark.parametrize("name", MODE_COUNT_BUILDS)
+    def test_fewer_than_one_mode_is_refused(self, name):
+        with pytest.raises(ValueError, match=f"^{name}: n_modes must be >= 1, got 0$"):
+            MODE_COUNT_BUILDS[name](0)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda s: squeezer(0.3, 0, 2.0), "squeezer: n_modes must be an integer, got 2.0"),
+        (lambda s: phase_shift(0.1, 0, 2.0), "phase_shift: n_modes must be an integer, got 2.0"),
+        (lambda s: beamsplitter(0.5, 0, 1, 2.0),
+         "beamsplitter: n_modes must be an integer, got 2.0"),
+        (lambda s: squeezer(0.3, 1.0, 2), "squeezer: mode must be an integer, got 1.0"),
+        (lambda s: quadrature_variance(s, 1.0, 0.0),
+         "quadrature_variance: mode must be an integer, got 1.0"),
+        (lambda s: apply_loss(s, LossChannel(mode_index=1.0, efficiency=0.5)),
+         "apply_loss: mode must be an integer, got 1.0"),
+        (lambda s: squeezer(0.3, True, 2), "squeezer: mode must be an integer, got True"),
+        (lambda s: apply_loss(s, LossChannel(True, 0.5)),
+         "apply_loss: mode must be an integer, got True"),
+        (lambda s: quadrature_variance(s, True, 0.0),
+         "quadrature_variance: mode must be an integer, got True"),
+        (lambda s: MeasurementSetting.single(True),
+         "MeasurementSetting: mode must be an integer, got True"),
+        (lambda s: MeasurementSetting.single(1.0),
+         "MeasurementSetting: mode must be an integer, got 1.0"),
+        (lambda s: CovarianceMatrix.from_dict({**s.to_dict(), "n_modes": True}),
+         "CovarianceMatrix JSON: non-numeric field (true is not a number)"),
+        (lambda s: phase_shift(0.1, np.True_, 2),
+         "phase_shift: mode must be an integer, got np.True_"),
+        (lambda s: beamsplitter(0.5, 0, "1", 2), "beamsplitter: mode must be an integer, got '1'"),
+        (lambda s: squeezer(0.3, 2, 2), "squeezer: mode 2 out of range for 2 modes"),
+        (lambda s: beamsplitter(0.5, -1, 1, 2), "beamsplitter: mode -1 out of range for 2 modes"),
+        (lambda s: beamsplitter(0.5, 1, 1, 2), "beamsplitter: modes must be distinct"),
+        (lambda s: apply_loss(s, LossChannel(2, 0.5)),
+         "apply_loss: mode 2 out of range for 2 modes"),
+        (lambda s: quadrature_variance(s, -1, 0.0),
+         "quadrature_variance: mode -1 out of range for 2 modes"),
+        (lambda s: MeasurementSetting.single(2),
+         "MeasurementSetting: mode 2 out of range for 2 modes"),
+    ])
+    def test_every_mode_argument_is_refused_in_words(self, ref_state, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(ref_state)
+
+    def test_a_numpy_integer_mode_builds_what_an_int_does(self, ref_state):
+        one, two = np.int64(1), np.int64(2)
+        assert squeezer(0.3, one, two) == squeezer(0.3, 1, 2)
+        assert type(squeezer(0.3, one, two).n_modes) is int
+        assert phase_shift(0.1, one, two) == phase_shift(0.1, 1, 2)
+        assert beamsplitter(0.5, np.int64(0), one, two) == beamsplitter(0.5, 0, 1, 2)
+        assert (apply_loss(ref_state, LossChannel(one, 0.5))
+                == apply_loss(ref_state, LossChannel(1, 0.5)))
+        assert quadrature_variance(ref_state, one, 0.3) == quadrature_variance(ref_state, 1, 0.3)
+        assert MeasurementSetting.single(one, 0.3) == MeasurementSetting.single(1, 0.3)
 
 
 def cholesky_accepts(m) -> bool:
@@ -884,6 +950,27 @@ class TestBuildEprSource:
     def test_params_reject_non_finite_relative_phase(self, phase):
         with pytest.raises(ValueError, match="relative_phase must be finite"):
             SourceParams(relative_phase=phase)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SourceParams)])
+    @pytest.mark.parametrize("value", [True, np.True_, "1", None, 1j, [1.0]])
+    def test_params_reject_a_bool_or_non_real_by_name(self, field, value):
+        with pytest.raises(ValueError, match=(f"^SourceParams: {field} must be a real number, "
+                                              f"got {re.escape(repr(value))}$")):
+            SourceParams(**{field: value})
+
+    @settings(max_examples=1500, deadline=None, database=None, derandomize=True)
+    @given(fields=st.dictionaries(
+        st.sampled_from([f.name for f in dataclasses.fields(SourceParams)]),
+        st.one_of(st.floats(), st.floats(0.0, 1.0), st.integers(-2 ** 53, 2 ** 53),
+                  st.integers(0, 1), st.booleans(), st.none(), st.text(max_size=2)),
+        max_size=3))
+    def test_params_read_back_what_they_write(self, fields):
+        # every SourceParams the constructor accepts is read back equal from its JSON
+        try:
+            p = SourceParams(**fields)
+        except ValueError:
+            return
+        assert SourceParams.from_dict(json.loads(json.dumps(p.to_dict()))) == p
 
     def test_params_json_roundtrip(self):
         p = SourceParams(r1=1.0, r2=0.8, eta_prep=0.95, dark_noise=0.006)

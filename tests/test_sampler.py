@@ -101,9 +101,11 @@ class TestSettings:
         with pytest.raises(ValueError, match="two finite coefficients"):
             MeasurementSetting(coefficients=coefficients)
 
-    @pytest.mark.parametrize("mode", [-1, 2])
+    @pytest.mark.parametrize("mode", [-1, 2, 1.0, True])
     def test_single_mode_checked_when_built(self, mode):
-        with pytest.raises(ValueError, match=f"mode must be 0 or 1, got {mode}"):
+        message = (f"mode {mode} out of range for 2 modes" if type(mode) is int
+                   else f"mode must be an integer, got {mode!r}")
+        with pytest.raises(ValueError, match=f"^MeasurementSetting: {re.escape(message)}$"):
             MeasurementSetting.single(mode)
 
 
