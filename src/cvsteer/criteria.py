@@ -165,7 +165,10 @@ def criteria_report(state: CovarianceMatrix) -> CriteriaReport:
 
     A steering flag needs the product below 1 by more than its rounding bound
     (see _steers), so a product state whose product rounds to just below 1
-    does not steer; the Duan flag is the strict sum < 4.  The conditional
+    does not steer.  The Duan flag likewise needs the sum below 4 by more than
+    its rounding bound 4 eps (Var X_A + Var X_B + Var P_A + Var P_B
+    + 2 (|Cov X| + |Cov P|)), so a passive mix of vacuum, whose sum rounds to
+    just below 4, is not flagged inseparable.  The conditional
     uncertainty ratio is the geometric mean of the two B|A conditional
     variances, i.e. sqrt(reid_b_given_a), 0 for a product rounded below 0.
     The unit-gain product is the product of the joint variances, bit for bit that of
@@ -194,7 +197,8 @@ def criteria_report(state: CovarianceMatrix) -> CriteriaReport:
                                "x_a_given_b": xab[1], "p_a_given_b": pab[1]},
         steering_b_given_a=_steers(xba, pba, xb, xa, cx, pb, pa, cp),
         steering_a_given_b=_steers(xab, pab, xa, xb, cx, pa, pb, cp),
-        duan_inseparable=duan < DUAN_BOUND,
+        duan_inseparable=duan < DUAN_BOUND - 4.0 * _EPS * (xa + xb + pa + pb
+                                                         + 2.0 * (abs(cx) + abs(cp))),
         # a product rounded below 0 at the Cauchy-Schwarz bound is clamped, as in
         # gaussian._decoupled_nu_squared
         conditional_uncertainty_ratio=math.sqrt(max(reid_ba, 0.0)),

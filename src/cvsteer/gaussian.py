@@ -60,6 +60,17 @@ def _number(v, what: str) -> float:
     raise ValueError(f"{what} JSON: non-numeric field ({shown} is not a number)")
 
 
+def _real(v, what: str) -> float:
+    """v as a float, +-inf for an int past the float range, if a real number other than a
+    bool; else the ValueError "<what> must be a real number, got <v!r>"."""
+    if type(v) is bool or not isinstance(v, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:  # which the caller's range check then refuses
+        return math.inf if v > 0 else -math.inf
+
+
 def _number_text(text: str, what: str, kind: type = float):
     """kind(text) for kind float or int, but a text with `_`, which both read as a digit
     separator (`18_41` as 1841), is refused: "<what> (<text!r> is not a number)", a ValueError.
@@ -540,7 +551,8 @@ class SourceParams:
     inputs; one input is rotated by relative_phase before the combining
     beamsplitter.  eta_prep is the per-source state preparation efficiency,
     eta_det_a / eta_det_b the per-arm homodyne detection efficiencies, and
-    dark_noise an additive variance per homodyne output.  Each is a real number, not a bool.
+    dark_noise an additive variance per homodyne output.  Each is a real number, not a bool,
+    and is stored as a float; an int past the float range is refused as out of its range.
     """
 
     r1: float = 0.0
@@ -554,8 +566,8 @@ class SourceParams:
 
     def __post_init__(self):
         for name, val in self.__dict__.items():  # a float skips the ABC check, ~0.5 us each
-            if type(val) is not float and (type(val) is bool or not isinstance(val, numbers.Real)):
-                raise ValueError(f"SourceParams: {name} must be a real number, got {val!r}")
+            if type(val) is not float:  # stored as a float, which JSON writes as one
+                self.__dict__[name] = _real(val, f"SourceParams: {name}")
         for name in ("r1", "r2"):
             val = getattr(self, name)
             if not 0.0 <= val <= _R_MAX:

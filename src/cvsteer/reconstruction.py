@@ -19,7 +19,7 @@ import numpy as np
 
 from .criteria import _joint_variances
 from .gaussian import (CovarianceMatrix, PhysicalityWarning, _from_moments, _json_object,
-                       _moments, _number, _number_text, _unphysical)
+                       _moments, _number, _number_text, _real, _unphysical)
 
 CSV_FIELDS = ("var_xa", "var_pa", "var_xb", "var_pb", "var_x_diff", "var_p_sum")
 _FRESH = object()  # MeasurementSet's default metadata: a new {} per set
@@ -56,7 +56,8 @@ class MeasurementSet:
     computation.
 
     The constructor is written out, not generated: it checks its arguments, then
-    stores the eight fields in one update.  Its parameters are the fields, in
+    stores the eight fields in one update, the seven numbers as floats (a bool, or
+    a value that is not a real number, is refused).  Its parameters are the fields, in
     order, with their defaults.
     """
 
@@ -71,6 +72,12 @@ class MeasurementSet:
 
     def __init__(self, var_xa, var_pa, var_xb, var_pb, var_x_diff, var_p_sum,
                  relative_error=0.05, metadata=_FRESH):
+        if not (type(var_xa) is type(var_pa) is type(var_xb) is type(var_pb) is type(var_x_diff)
+                is type(var_p_sum) is type(relative_error) is float):  # the seven, as floats
+            var_xa, var_pa, var_xb, var_pb, var_x_diff, var_p_sum, relative_error = (
+                _real(v, f"MeasurementSet: {name}") for name, v in zip(
+                    (*CSV_FIELDS, "relative_error"), (var_xa, var_pa, var_xb, var_pb,
+                                                      var_x_diff, var_p_sum, relative_error)))
         inf = math.inf
         if not (0.0 < var_xa < inf and 0.0 < var_pa < inf and 0.0 < var_xb < inf
                 and 0.0 < var_pb < inf and 0.0 < var_x_diff < inf and 0.0 < var_p_sum < inf):

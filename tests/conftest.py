@@ -229,7 +229,9 @@ def reference_criteria(state, g_x, g_p):
                                   "p_a_given_b": at_optimum["p", "a|b"]},
         "steering_b_given_a": steers("b|a"),
         "steering_a_given_b": steers("a|b"),
-        "duan_inseparable": duan < 4.0,
+        # below 4 by more than the sum's rounding bound 4 eps (its terms' magnitudes)
+        "duan_inseparable": duan < 4.0 - 4.0 * math.ulp(1.0) * float(
+            g[0, 0] + g[2, 2] + g[1, 1] + g[3, 3] + 2.0 * (abs(g[0, 2]) + abs(g[1, 3]))),
         # a product rounded below 0 at the Cauchy-Schwarz bound gives 0
         "conditional_uncertainty_ratio": math.sqrt(max(reid["b|a"], 0.0)),
     }

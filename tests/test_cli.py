@@ -1,6 +1,5 @@
 import contextlib
 import io
-import itertools
 import json
 import math
 import os
@@ -12,9 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cvsteer.reference
-from cvsteer import (CovarianceMatrix, GainPair, PhysicalityWarning, SourceParams,
-                     apply_symplectic, build_epr_source, criteria_report, fit_efficiency,
-                     gaussian, phase_shift, symplectic_eigenvalues_two_mode)
+from cvsteer import SourceParams, build_epr_source, criteria_report
 from cvsteer.cli import main, perturbation_study
 from cvsteer.reconstruction import CSV_FIELDS
 from cvsteer.reference import REFERENCE_MEASUREMENTS
@@ -32,11 +29,6 @@ def assert_input_error(code, err, *needles):
     assert err.startswith("error:") and "Traceback" not in err
     for needle in needles:
         assert needle in err
-
-
-def assert_one_error_line(code, out, err, line):
-    """An input error: exit 2, nothing on stdout, and stderr exactly the line `error: <line>`."""
-    assert (code, out, err) == (2, "", f"error: {line}\n")
 
 
 def write_reference_cov(tmp_path):
@@ -62,42 +54,6 @@ class TestSimulate:
         d = json.loads(out)
         expected = build_epr_source(SourceParams(r1=1.0, r2=0.5, eta_prep=0.9))
         np.testing.assert_allclose(d["entries"], expected.entries, atol=1e-15)
-
-    def test_invalid_efficiency_exits_2(self, capsys):
-        code, _, err = run(capsys, "simulate", "--eta-prep", "1.2")
-        assert code == 2
-        assert "eta_prep" in err
-
-    def test_overflowing_squeezing_exits_2(self, capsys):
-        code, _, err = run(capsys, "simulate", "--r1", "800")
-        assert_input_error(code, err, "r1")
-
-    @pytest.mark.parametrize("field", ["r1", "r2", "dark_noise"])
-    def test_non_finite_params_exit_2(self, capsys, tmp_path, field):
-        p = tmp_path / "params.json"
-        p.write_text(json.dumps({field: math.nan}))
-        code, _, err = run(capsys, "simulate", "--in", str(p))
-        assert_input_error(code, err, field)
-
-    def test_infinite_dark_noise_exits_2(self, capsys):
-        code, _, err = run(capsys, "simulate", "--dark-noise-db=-inf")
-        assert_input_error(code, err, "dark_noise")
-
-    @pytest.mark.parametrize("value", ["1", "abc"])
-    def test_string_numbers_exit_2(self, capsys, tmp_path, value):
-        p = tmp_path / "params.json"
-        p.write_text(json.dumps({"r1": value}))
-        code, out, err = run(capsys, "simulate", "--in", str(p))
-        assert_input_error(code, err, f'SourceParams JSON: non-numeric field ("{value}" is not a number)')
-        assert out == ""
-
-    def test_json_list_params_exit_2(self, capsys, tmp_path):
-        p = tmp_path / "list.json"
-        p.write_text("[0.5, 0.5]")
-        for flags in ([], ["--r1", "1.0"]):
-            code, out, err = run(capsys, "simulate", "--in", str(p), *flags)
-            assert_input_error(code, err, "expected an object")
-            assert out == ""
 
     def test_steering_visible_for_fitted_like_params(self, capsys, tmp_path):
         out_path = tmp_path / "cov.json"
@@ -127,110 +83,6 @@ class TestAnalyze:
         d = json.loads(out)
         assert d["reid_b_given_a"] == 1.0 and d["steering_b_given_a"] is False
 
-    def test_three_by_three_matrix_exits_2(self, capsys, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"n_modes": 2, "ordering": "x1p1x2p2",
-                                 "entries": np.eye(3).tolist()}))
-        code, _, err = run(capsys, "analyze", "--in", str(p))
-        assert code == 2 and "shape" in err
-
-    def test_asymmetric_matrix_exits_2(self, capsys, tmp_path):
-        m = np.eye(4)
-        m[0, 2] = 0.5
-        p = tmp_path / "asym.json"
-        p.write_text(json.dumps({"n_modes": 2, "ordering": "x1p1x2p2",
-                                 "entries": m.tolist()}))
-        code, _, err = run(capsys, "analyze", "--in", str(p))
-        assert code == 2 and "symmetric" in err
-
-    def test_json_array_exits_2(self, capsys, tmp_path):
-        p = tmp_path / "list.json"
-        p.write_text(json.dumps(np.eye(4).tolist()))
-        code, _, err = run(capsys, "analyze", "--in", str(p))
-        assert_input_error(code, err, "expected an object")
-
-    def test_infinite_report_is_not_written_as_json(self, capsys, tmp_path):
-        # the criteria of a 1e300 diagonal overflow to inf, which JSON cannot hold
-        p = tmp_path / "huge.json"
-        p.write_text(json.dumps({"n_modes": 2, "entries": (1e300 * np.eye(4)).tolist()}))
-        out_path = tmp_path / "report.json"
-        for out_flags in ([], ["--out", str(out_path)]):
-            code, out, err = run(capsys, "analyze", "--in", str(p), *out_flags)
-            assert_input_error(code, err, "JSON")
-            assert out == ""
-        assert not out_path.exists()
-
-    def test_overflowing_criteria_are_named(self, capsys, tmp_path):
-        # json's own "Out of range float values are not JSON compliant: inf" before
-        p = tmp_path / "huge.json"
-        p.write_text(json.dumps({"n_modes": 2, "entries": (1e200 * np.eye(4)).tolist()}))
-        out_path = tmp_path / "report.json"
-        for out_flags in ([], ["--out", str(out_path)]):
-            code, out, err = run(capsys, "analyze", "--in", str(p), *out_flags)
-            assert_one_error_line(code, out, err, (
-                "analyze: reid_b_given_a, reid_a_given_b, unit_gain_product, "
-                "conditional_uncertainty_ratio overflow the float range; JSON cannot hold them"))
-        assert not out_path.exists()
-
-    def test_overflowing_optimal_gain_is_named(self, capsys, tmp_path):
-        # the optimal gain g_x B|A = 1e-12 / 5e-324 overflows, so there is no report, and
-        # --gains, optimal or not, is refused with the report's message
-        state = {"n_modes": 2, "entries": [[5e-324, 0, 1e-12, 0], [0, 1, 0, 0],
-                                           [1e-12, 0, 1e300, 0], [0, 0, 0, 1]]}
-        p = tmp_path / "gain_overflow.json"
-        p.write_text(json.dumps(state))
-        nus = symplectic_eigenvalues_two_mode(CovarianceMatrix.from_dict(state)).tolist()
-        out_path = tmp_path / "report.json"
-        for gains_flags, out_flags in itertools.product(
-                ([], ["--gains", "optimal"], ["--gains", "1,-1"]), ([], ["--out", str(out_path)])):
-            code, out, err = run(capsys, "analyze", "--in", str(p), *gains_flags, *out_flags)
-            assert (code, out) == (2, "")
-            assert err == ("error: analyze: criteria_report: optimal_gains_b_given_a: g_x = "
-                           "Cov/Var = 1e-12/5e-324 overflows the float range\n"
-                           f"warning: analyze: state is unphysical (symplectic eigenvalues {nus})\n")
-        assert not out_path.exists()
-
-    def test_state_at_the_cauchy_schwarz_bound_exits_0(self, capsys, tmp_path):
-        # the X B|A conditional variance of this accepted state rounds to -1.4e-14;
-        # its square root no longer turns the report into nan (exit 2 before).  The
-        # state is below the physicality gate, which one warning line names.
-        state = {"n_modes": 2, "entries": [
-            [35.37985501855342, 0, -39.07527374549702, 0], [0, 1, 0, 0],
-            [-39.07527374549702, 0, 43.156678213769524, 0], [0, 0, 0, 1]]}
-        p = tmp_path / "at_bound.json"
-        p.write_text(json.dumps(state))
-        code, out, err = run(capsys, "analyze", "--in", str(p))
-        # the closed form that decides the warning words it: nu_lo^2 = d / nu_hi^2 rounds
-        # below 0 and is clamped, the same digits on every BLAS kernel
-        nus = symplectic_eigenvalues_two_mode(CovarianceMatrix.from_dict(state)).tolist()
-        assert nus == [8.862084023090897, 0.0]
-        assert (code, err) == (0, f"warning: analyze: state is unphysical "
-                                  f"(symplectic eigenvalues {nus})\n")
-        assert json.loads(out)["conditional_uncertainty_ratio"] == 0.0
-        assert json.loads(out) == criteria_report(CovarianceMatrix.from_dict(state)).to_dict()
-
-    @pytest.mark.parametrize("row, needle", [
-        (["1", 0, 0, 0], 'CovarianceMatrix JSON: non-numeric field ("1" is not a number)'),
-        ([1, 0, 0], "CovarianceMatrix JSON: ragged entries"),
-    ])
-    def test_string_or_ragged_entries_exit_2(self, capsys, tmp_path, row, needle):
-        p = tmp_path / "cov.json"
-        p.write_text(json.dumps({"n_modes": 2, "entries": [row] + np.eye(4)[1:].tolist()}))
-        code, out, err = run(capsys, "analyze", "--in", str(p))
-        assert_input_error(code, err, needle)
-        assert out == ""
-
-    @pytest.mark.parametrize("n_modes, line", [
-        (2.7, "CovarianceMatrix JSON: n_modes must be an integer, got 2.7"),
-        (True, "CovarianceMatrix JSON: non-numeric field (true is not a number)"),
-        ("2", 'CovarianceMatrix JSON: non-numeric field ("2" is not a number)'),
-    ], ids=["2.7", "True", "2"])
-    def test_non_integer_n_modes_exits_2(self, capsys, tmp_path, n_modes, line):
-        p = tmp_path / "cov.json"
-        p.write_text(json.dumps({"n_modes": n_modes, "entries": np.eye(4).tolist()}))
-        code, out, err = run(capsys, "analyze", "--in", str(p))
-        assert_one_error_line(code, out, err, line)
-
     def test_gains_note_on_stderr(self, capsys, tmp_path):
         code, out, err = run(capsys, "analyze", "--in", write_reference_cov(tmp_path),
                              "--gains", "1,-1")
@@ -238,44 +90,12 @@ class TestAnalyze:
         assert float(err.split(":")[-1]) == pytest.approx(0.042, abs=1e-10)
         json.loads(out)  # stdout stays pure JSON
 
-    @pytest.mark.parametrize("gains", ["1,2,3", "a,b", "inf,1", "1"])
-    def test_bad_gains_exit_2_before_any_output(self, capsys, tmp_path, gains):
-        out_path = tmp_path / "report.json"
-        for out_flags in ([], ["--out", str(out_path)]):
-            code, out, err = run(capsys, "analyze", "--in", write_reference_cov(tmp_path),
-                                 "--gains", gains, *out_flags)
-            assert_input_error(code, err, "--gains expects", repr(gains))
-            assert out == ""
-        assert not out_path.exists()
-
-    @pytest.mark.parametrize("gains, value", [("1e308,1e308", "nan"), ("1e200,1", "inf")])
-    def test_gains_whose_product_is_not_finite_exit_2_before_any_output(self, capsys, tmp_path,
-                                                                       gains, value):
-        # at 1e308 both g^2 Var and 2 g Cov overflow, and inf - inf is nan; at 1e200 only g^2 Var
-        out_path = tmp_path / "report.json"
-        for out_flags in ([], ["--out", str(out_path)]):
-            code, out, err = run(capsys, "analyze", "--in", write_reference_cov(tmp_path),
-                                 "--gains", gains, *out_flags)
-            pair = GainPair(*map(float, gains.split(",")))
-            assert_one_error_line(code, out, err, f"analyze: reid_product: the B|A product at "
-                                                  f"{pair!r} is {value}, not a finite number")
-        assert not out_path.exists()
-
     def test_optimal_gains_note_is_the_report_product(self, capsys, tmp_path):
         code, out, err = run(capsys, "analyze", "--in", write_reference_cov(tmp_path),
                              "--gains", "optimal")
         assert code == 0
         assert err.startswith("# reid product B|A at gains optimal: ")
         assert float(err.split(":")[-1]) == json.loads(out)["reid_b_given_a"]
-
-    def test_a_state_of_other_than_two_modes_is_refused_with_or_without_gains(self, capsys,
-                                                                              tmp_path):
-        p = tmp_path / "three.json"
-        p.write_text(json.dumps({"n_modes": 3, "entries": np.eye(6).tolist()}))
-        for gains_flags in ([], ["--gains", "optimal"], ["--gains", "1,-1"]):
-            code, out, err = run(capsys, "analyze", "--in", str(p), *gains_flags)
-            assert_one_error_line(code, out, err,
-                                  "analyze: expected a two-mode state, got 3 modes")
 
     def test_matches_in_process_report_exactly(self, capsys, tmp_path):
         params = SourceParams(r1=1.3, r2=0.9, eta_prep=0.93, eta_det_a=0.97,
@@ -300,11 +120,6 @@ class TestSample:
         d = json.loads(out1)
         assert d["relative_error"] == pytest.approx(0.05)
 
-    def test_missing_n_exits_2(self, capsys, tmp_path):
-        code, out, err = run(capsys, "sample", "--in", write_reference_cov(tmp_path))
-        assert_one_error_line(code, out, err,
-                              "cvsteer sample: the following arguments are required: --n")
-
     def test_csv_raw_samples(self, capsys, tmp_path):
         cov = write_reference_cov(tmp_path)
         for n in (5, 2):
@@ -314,35 +129,6 @@ class TestSample:
             lines = out.strip().split("\n")
             assert lines[0] == "setting,value"
             assert len(lines) == 1 + 6 * n
-
-    def test_json_campaign_needs_three_samples(self, capsys, tmp_path):
-        code, out, err = run(capsys, "sample", "--in", write_reference_cov(tmp_path),
-                             "--n", "2")
-        assert_input_error(code, err, "n_per_setting must be >= 3", "n=2")
-        assert out == ""
-
-    def test_overflowing_campaign_names_the_entry_without_warnings(self, capsys, tmp_path):
-        # the campaign's sums of squares of a 1.7e308 entry overflow
-        p = tmp_path / "big.json"
-        p.write_text(json.dumps({"n_modes": 2, "entries": np.diag([1.7e308, 1, 1, 1]).tolist()}))
-        code, out, err = run(capsys, "sample", "--in", str(p), "--n", "100")
-        assert_input_error(code, err, "overflow", "largest state entry 1.7e+308",
-                           "dark-noise variance 0")
-        assert out == "" and err.count("\n") == 1 and "warning:" not in err
-
-    def test_warned_reconstruction_is_refused_with_exit_1(self, capsys, tmp_path):
-        # reconstruct only warns that this set is unphysical; the sampler refuses it,
-        # an analysis outcome (exit 2, an input error, before)
-        ms, cov = tmp_path / "ms.json", tmp_path / "cov.json"
-        ms.write_text(json.dumps({"var_xa": 1, "var_pa": 1, "var_xb": 1, "var_pb": 1,
-                                  "var_x_diff": 0.5, "var_p_sum": 0.5}))
-        assert run(capsys, "reconstruct", "--in", str(ms), "--out", str(cov))[0] == 0
-        for fmt in ("json", "csv"):
-            code, out, err = run(capsys, "sample", "--in", str(cov), "--n", "10",
-                                 "--format", fmt)
-            assert (code, out) == (1, "")
-            assert err.startswith("error: sampler: state is unphysical (symplectic eigenvalues [")
-            assert err.count("\n") == 1
 
 
 class TestReconstruct:
@@ -365,90 +151,6 @@ class TestReconstruct:
         assert code == 0
         np.testing.assert_allclose(json.loads(out)["entries"], np.eye(4), atol=1e-14)
 
-    def test_inconsistent_set_exits_1_naming_entry(self, capsys, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"var_xa": 1, "var_pa": 1, "var_xb": 1, "var_pb": 1,
-                                 "var_x_diff": 80, "var_p_sum": 2}))
-        code, _, err = run(capsys, "reconstruct", "--in", str(p))
-        assert code == 1
-        assert "Cov_x" in err
-
-    def test_non_object_metadata_exits_2(self, capsys, tmp_path):
-        p = tmp_path / "ms.json"
-        d = REFERENCE_MEASUREMENTS.to_dict()
-        d["metadata"] = 5
-        p.write_text(json.dumps(d))
-        code, _, err = run(capsys, "reconstruct", "--in", str(p))
-        assert_input_error(code, err, "metadata")
-
-    def test_infinite_uncertainties_exit_2(self, capsys, tmp_path):
-        p = tmp_path / "ms.json"
-        p.write_text(json.dumps({"var_xa": 1e200, "var_pa": 1e200, "var_xb": 1e200,
-                                 "var_pb": 1e200, "var_x_diff": 2e200, "var_p_sum": 2e200}))
-        code, out, err = run(capsys, "reconstruct", "--in", str(p))
-        assert_input_error(code, err, "uncertainties", "JSON")
-        assert out == ""
-
-    def test_overflowing_covariance_exits_2(self, capsys, tmp_path):
-        # Cov_x = -(1 - 2 * 1.7e308) / 2 overflows: an input error at any relative_error
-        values = dict(zip(CSV_FIELDS, [1.7e308, 1, 1.7e308, 1, 1, 2]))
-        js, csv = tmp_path / "ms.json", tmp_path / "ms.csv"
-        js.write_text(json.dumps({**values, "relative_error": 0}))
-        csv.write_text(",".join(CSV_FIELDS) + "\n1.7e308,1,1.7e308,1,1,2\n")
-        for p in (js, csv):
-            code, out, err = run(capsys, "reconstruct", "--in", str(p))
-            assert_input_error(code, err, "entries must be finite")
-            assert out == ""
-
-    @pytest.mark.parametrize("n_cells", [5, 7])
-    def test_csv_row_of_the_wrong_length_exits_2(self, capsys, tmp_path, n_cells):
-        p = tmp_path / "ms.csv"
-        p.write_text(",".join(CSV_FIELDS) + "\n" + ",".join(["1.0"] * n_cells) + "\n")
-        code, out, err = run(capsys, "reconstruct", "--in", str(p))
-        assert_input_error(code, err, "one data row of 6 values")
-        assert out == ""
-
-    def test_underscore_cell_exits_2(self, capsys, tmp_path):
-        # float() reads "18_41" as 1841, which made this an inconsistent set (exit 1)
-        p = tmp_path / "ms.csv"
-        p.write_text(REFERENCE_MEASUREMENTS.to_csv().replace("18.41", "18_41"))
-        code, out, err = run(capsys, "reconstruct", "--in", str(p))
-        assert (code, out) == (2, "")
-        assert err == "error: MeasurementSet CSV: non-numeric field var_xa ('18_41' is not a number)\n"
-
-    def test_near_boundary_warning_is_reported(self, capsys, tmp_path):
-        p = tmp_path / "ms.json"
-        p.write_text(json.dumps({"var_xa": 1, "var_pa": 1, "var_xb": 1, "var_pb": 1,
-                                 "var_x_diff": 0.5, "var_p_sum": 0.5}))
-        code, out, err = run(capsys, "reconstruct", "--in", str(p))
-        assert code == 0 and err == ""
-        d = json.loads(out)
-        assert len(d["warnings"]) == 1 and "unphysical" in d["warnings"][0]
-
-    def test_covariance_reaching_its_bound_exits_1(self, capsys, tmp_path):
-        # |Cov_x| = 1.0995 is past sqrt(1.0 * 1.2): the matrix is not positive definite,
-        # an analysis failure, not an input error, worded alike at any relative_error
-        values = dict(zip(CSV_FIELDS, [1.0, 1.0, 1.2, 1.0, 0.001, 2.0]))
-        csv, js0, js5 = tmp_path / "ms.csv", tmp_path / "ms0.json", tmp_path / "ms5.json"
-        csv.write_text(",".join(CSV_FIELDS) + "\n1.0,1.0,1.2,1.0,0.001,2.0\n")
-        js0.write_text(json.dumps({**values, "relative_error": 0}))
-        js5.write_text(json.dumps({**values, "relative_error": 0.5}))
-        for p in (csv, js0, js5):
-            code, out, err = run(capsys, "reconstruct", "--in", str(p))
-            assert code == 1 and out == ""
-            assert err == ("error: measurement set inconsistent: |Cov_x| = 1.0995 exceeds "
-                           "sqrt(Var*Var) = 1.09545 by 0.00405488, so the reconstructed matrix "
-                           "is not positive definite\n")
-
-    def test_covariance_exactly_on_its_bound_exits_1(self, capsys, tmp_path):
-        # Cov_x = -(1 - 1 - 4) / 2 = 2 = sqrt(1) * sqrt(4): a singular matrix
-        p = tmp_path / "ms.csv"
-        p.write_text(",".join(CSV_FIELDS) + "\n1,1,4,1,1,2\n")
-        code, out, err = run(capsys, "reconstruct", "--in", str(p))
-        assert (code, out) == (1, "")
-        assert err.startswith("error: measurement set inconsistent: |Cov_x| = 2 reaches ")
-        assert "not positive definite" in err
-
 
 class TestFit:
     def test_reference_matrix(self, capsys, tmp_path):
@@ -466,44 +168,6 @@ class TestFit:
         code, out, _ = run(capsys, "fit", "--in", str(cov))
         assert code == 0
         assert json.loads(out)["xi"] == pytest.approx(0.9, abs=1e-4)
-
-    def test_json_array_exits_2(self, capsys, tmp_path):
-        p = tmp_path / "list.json"
-        with open(write_reference_cov(tmp_path)) as fh:
-            p.write_text(f"[{fh.read()}]")
-        code, _, err = run(capsys, "fit", "--in", str(p))
-        assert_input_error(code, err, "expected an object")
-
-    def test_state_past_the_r_cap_fits_r_at_10(self, capsys, tmp_path):
-        cov = tmp_path / "cov.json"
-        assert run(capsys, "simulate", "--r1", "10.05", "--r2", "9.5", "--eta-prep", "0.999999",
-                   "--out", str(cov))[0] == 0
-        code, out, err = run(capsys, "fit", "--in", str(cov))
-        assert (code, err) == (0, "")
-        assert json.loads(out)["r1"] == 10.0
-
-    def test_variances_that_overflow_the_scan_leak_no_warning(self, capsys, tmp_path):
-        # at xi = 1e-6 the scan's start (xi m) m, m = w / xi, passes the float range
-        p = tmp_path / "big.json"
-        p.write_text(json.dumps({"n_modes": 2, "entries": np.diag([1e152, 1, 1e152, 1]).tolist()}))
-        code, out, err = run(capsys, "fit", "--in", str(p))
-        assert (code, err) == (1, "")
-        assert json.loads(out)["converged"] is False
-
-    def test_warned_reconstruction_is_warned_and_fitted(self, capsys, tmp_path):
-        # reconstruct only warns that this set is unphysical; the fit warns alike and fits it
-        ms, cov = tmp_path / "ms.json", tmp_path / "cov.json"
-        ms.write_text(json.dumps({"var_xa": 1, "var_pa": 1, "var_xb": 1, "var_pb": 1,
-                                  "var_x_diff": 0.5, "var_p_sum": 0.5}))
-        assert run(capsys, "reconstruct", "--in", str(ms), "--out", str(cov))[0] == 0
-        code, out, err = run(capsys, "fit", "--in", str(cov))
-        state = CovarianceMatrix.from_dict(json.loads(cov.read_text()))
-        nus = symplectic_eigenvalues_two_mode(state).tolist()
-        with pytest.warns(PhysicalityWarning):
-            fit = fit_efficiency(state)
-        assert fit.converged
-        assert (code, out) == (0, json.dumps(fit.to_dict(), indent=2, sort_keys=True) + "\n")
-        assert err == f"warning: fit_efficiency: state is unphysical (symplectic eigenvalues {nus})\n"
 
     def test_pure_state_fits_unit_efficiency(self, capsys, tmp_path):
         cov = tmp_path / "cov.json"
@@ -546,20 +210,13 @@ class TestRepro:
         assert code == 0
         assert "perturbation spread" in out
 
-    @pytest.mark.parametrize("rel", ["-1", "1", "nan"])
-    def test_perturb_outside_unit_interval_exits_2(self, capsys, rel):
-        code, out, err = run(capsys, "repro", f"--perturb={rel}")
-        assert_input_error(code, err, "relative_error")
-        assert out == ""
-
     @pytest.mark.parametrize("argv", [["--dark-noise-db", "22"], ["--n", "3", "--seed", "0"]])
     def test_bad_perturb_exits_2_before_sampling(self, capsys, monkeypatch, argv):
         def no_sampling(*args, **kwargs):
             raise AssertionError("the sampled rerun ran before perturb was checked")
         monkeypatch.setattr(cvsteer.reference, "measure_campaign", no_sampling)
-        code, out, err = run(capsys, "repro", *argv, "--perturb", "1.0")
-        assert_input_error(code, err, "relative_error must be in [0, 1), got 1.0")
-        assert out == "" and "warning:" not in err
+        assert run(capsys, "repro", *argv, "--perturb", "1.0") == (
+            2, "", "error: MeasurementSet: relative_error must be in [0, 1), got 1.0\n")
 
     def test_sampled_rerun_with_dark_noise(self, capsys):
         code, out, _ = run(capsys, "repro", "--n", "200000", "--seed", "3",
@@ -567,29 +224,16 @@ class TestRepro:
         assert code == 0
         assert "dark-noise shift" in out
 
-    def test_sampled_rerun_needs_three_samples(self, capsys):
-        code, out, err = run(capsys, "repro", "--n", "2")
-        assert_input_error(code, err, "n_per_setting must be >= 3", "n=2")
-        assert out == ""
-
-    def test_infinite_sampled_product_is_not_written_as_json(self, capsys, tmp_path):
-        # 2000 dB of dark noise (variance 1e200) would drive the sampled products
-        # to inf; the squared sampled variances overflow first, which names it
-        argv = ["repro", "--n", "10", "--dark-noise-db=-2000"]
-        f = tmp_path / "report.json"
-        for extra in ([], ["--out", str(f)]):
-            code, out, err = run(capsys, *argv, *extra)
-            assert_input_error(code, err, "dark noise of -2000 dB", "overflow")
-            assert out == "" and not f.exists()
-
     @pytest.mark.parametrize("db", ["-1539", "-2000"])
     @pytest.mark.filterwarnings("ignore::cvsteer.reconstruction.PhysicalityWarning")  # n = 3
     def test_dark_noise_overflowing_the_sampled_variances_exits_2(self, capsys, db):
         # variance 7.9e153 at -1539 dB: the joint settings' variances, twice
         # that, square past the float range ("not positive definite" before)
         code, out, err = run(capsys, "repro", "--n", "3", f"--dark-noise-db={db}")
-        assert_input_error(code, err, f"dark noise of {db} dB", "too large")
-        assert out == ""
+        assert (code, out) == (2, "")
+        variance = {"-1539": "7.94e+153", "-2000": "1e+200"}[db]
+        assert err.startswith(f"error: dark noise of {db} dB (variance {variance}) is too large: "
+                              "the sampled variances or their squares overflow\n")
 
     def test_small_dark_campaign_reaching_its_bound_exits_1(self, capsys):
         # 3 samples per setting with 10 dB of excess dark noise: the sampled
@@ -612,133 +256,8 @@ class TestRepro:
         assert perturbation_study is cvsteer.reference.perturbation_study
 
 
-@pytest.mark.parametrize("coupled", [False, True], ids=["decoupled", "coupled"])
-def test_every_command_words_a_state_below_the_gate_alike(capsys, tmp_path, coupled):
-    # reconstruct, analyze and fit warn of the CI's warned set, sample refuses it, each
-    # naming itself and the same symplectic eigenvalues.  Turned by a phase shift of
-    # mode B, its X-P entries are nonzero and eigvals decides and words it; the fit
-    # refuses that shape before its gate, as it refuses any state of that shape.
-    ms, cov = tmp_path / "ms.json", tmp_path / "cov.json"
-    ms.write_text(json.dumps({"var_xa": 1, "var_pa": 1, "var_xb": 1, "var_pb": 1,
-                              "var_x_diff": 0.5, "var_p_sum": 0.5}))
-    assert run(capsys, "reconstruct", "--in", str(ms), "--out", str(cov)) == (0, "", "")
-    payload = json.loads(cov.read_text())
-    state = CovarianceMatrix.from_dict(payload)
-    if coupled:
-        state = apply_symplectic(state, phase_shift(0.3, 1, 2))
-        assert gaussian._decoupled_nu_squared(state) is None
-        cov.write_text(json.dumps(state.to_dict()))
-    nus = symplectic_eigenvalues_two_mode(state).tolist()
-    assert max(nus) < 1.0
-
-    def said(who):
-        return f"{who}: state is unphysical (symplectic eigenvalues {nus})"
-    if not coupled:
-        assert payload["warnings"] == [said("reconstruct")]
-    assert run(capsys, "analyze", "--in", str(cov))[::2] == (0, f"warning: {said('analyze')}\n")
-    for fmt in ("json", "csv"):
-        assert run(capsys, "sample", "--in", str(cov), "--n", "10", "--format", fmt) == (
-            1, "", f"error: {said('sampler')}\n")
-    code, out, err = run(capsys, "fit", "--in", str(cov))
-    if coupled:
-        with pytest.raises(ValueError) as info:
-            fit_efficiency(state)
-        assert str(info.value).startswith("fit_efficiency: expected zero X-P cross terms "
-                                          "(reconstruction output shape), found ")
-        assert (code, out, err) == (2, "", f"error: {info.value}\n")
-    else:
-        assert (code, err) == (0, f"warning: {said('fit_efficiency')}\n")
-        assert json.loads(out)["converged"] is True
-
-
 # a JSON object whose one field nests arrays past the decoder's recursion limit
 _NESTED_JSON = '{"x": ' + "[" * 100_000 + "]" * 100_000 + "}"
-_IN_COMMANDS = {
-    "analyze": [], "fit": [], "sample": ["--n", "10"], "simulate": [], "reconstruct": [],
-}
-
-
-@pytest.mark.parametrize("command", sorted(_IN_COMMANDS))
-def test_deeply_nested_json_exits_2(capsys, tmp_path, command):
-    p = tmp_path / "nested.json"
-    p.write_text(_NESTED_JSON)
-    code, out, err = run(capsys, command, "--in", str(p), *_IN_COMMANDS[command])
-    assert (code, out, err) == (2, "", f"error: {p}: JSON nested too deeply\n")
-
-
-_DARK_NOISE_COMMANDS = {
-    "simulate": lambda cov: ["simulate"],
-    "sample-json": lambda cov: ["sample", "--in", cov, "--n", "10"],
-    "sample-csv": lambda cov: ["sample", "--in", cov, "--n", "10", "--format", "csv"],
-    "repro": lambda cov: ["repro", "--n", "10"],
-}
-
-
-@pytest.mark.parametrize("db", ["-inf", "-4000"])
-@pytest.mark.parametrize("command", sorted(_DARK_NOISE_COMMANDS))
-def test_dark_noise_past_the_float_range_exits_2(capsys, tmp_path, command, db):
-    argv = _DARK_NOISE_COMMANDS[command](write_reference_cov(tmp_path))
-    code, out, err = run(capsys, *argv, f"--dark-noise-db={db}")
-    assert_input_error(code, err, "dark_noise")
-    assert out == ""
-
-
-_NEGATIVE_SEED_COMMANDS = {
-    "sample": lambda cov: ["sample", "--in", cov, "--n", "10"],
-    "repro-sampled": lambda cov: ["repro", "--n", "10"],
-    "repro-perturb": lambda cov: ["repro", "--perturb", "0.05"],
-}
-
-
-@pytest.mark.parametrize("command", sorted(_NEGATIVE_SEED_COMMANDS))
-def test_negative_seed_exits_2_naming_the_seed(capsys, tmp_path, command):
-    argv = _NEGATIVE_SEED_COMMANDS[command](write_reference_cov(tmp_path))
-    code, out, err = run(capsys, *argv, "--seed=-1")
-    assert_input_error(code, err, "seed must be >= 0, got -1")
-    assert out == ""
-
-
-# every number flag: (command, flag, the kind argparse names, other arguments the command needs)
-_NUMBER_FLAGS = (
-    [("simulate", f"--{name.replace('_', '-')}", "float", [])
-     for name in SourceParams.__dataclass_fields__ if name != "dark_noise"]
-    + [("simulate", "--dark-noise-db", "float", []),
-       ("sample", "--dark-noise-db", "float", ["--n", "10"]),
-       ("sample", "--n", "int", []),
-       ("sample", "--seed", "int", ["--n", "10"]),
-       ("repro", "--dark-noise-db", "float", []),
-       ("repro", "--perturb", "float", []),
-       ("repro", "--n", "int", []),
-       ("repro", "--seed", "int", [])])
-
-
-@pytest.mark.parametrize("command, flag, kind, others", _NUMBER_FLAGS,
-                         ids=[f"{c}{f}" for c, f, _, _ in _NUMBER_FLAGS])
-def test_underscore_in_a_number_flag_is_one_error_line(capsys, tmp_path, command, flag, kind,
-                                                       others):
-    # int() and float() read 1_0 as 10; no number flag does
-    in_args = ["--in", write_reference_cov(tmp_path)] if command == "sample" else []
-    code, out, err = run(capsys, command, *in_args, *others, f"{flag}=1_0")
-    assert_one_error_line(code, out, err,
-                          f"cvsteer {command}: argument {flag}: invalid {kind} value: '1_0'")
-
-
-def test_underscore_in_gains_is_one_error_line(capsys, tmp_path):
-    code, out, err = run(capsys, "analyze", "--in", write_reference_cov(tmp_path),
-                         "--gains=1_0,1")
-    assert_one_error_line(code, out, err, "--gains expects two finite numbers 'gx,gp' or "
-                                          "'optimal', got '1_0,1'")
-
-
-@pytest.mark.parametrize("argv, line", [
-    (["simulate", "--r1", "abc"], "cvsteer simulate: argument --r1: invalid float value: 'abc'"),
-    (["simulate", "--r1"], "cvsteer simulate: argument --r1: expected one argument"),
-    (["simulate", "--bogus"], "cvsteer: unrecognized arguments: --bogus"),
-    ([], "cvsteer: the following arguments are required: command"),
-    (["repro", "--n", "1e6"], "cvsteer repro: argument --n: invalid int value: '1e6'"),
-])
-def test_argparse_refusals_are_one_error_line(capsys, argv, line):
-    assert_one_error_line(*run(capsys, *argv), line)
 
 
 def test_unknown_command_is_one_error_line(capsys):

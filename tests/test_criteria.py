@@ -28,7 +28,7 @@ from cvsteer import (
     vacuum_state,
 )
 from cvsteer.gaussian import (LossChannel, SourceParams, _from_moments, apply_loss,
-                              apply_symplectic, build_epr_source, symplectic_form)
+                              apply_symplectic, beamsplitter, build_epr_source, symplectic_form)
 from cvsteer.reference import reference_state
 from conftest import (_REFERENCE_INDICES, random_physical_state, random_product_state,
                       random_source_params, random_source_state, reference_criteria)
@@ -142,6 +142,17 @@ class TestDuanSum:
     def test_requires_two_modes(self):
         with pytest.raises(ValueError):
             duan_sum(vacuum_state(3))
+
+    @settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+    @given(n_a=st.just(1.0) | st.floats(1.0, 10.0), n_b=st.just(1.0) | st.floats(1.0, 10.0),
+           t=st.floats(0.0, 1.0), phi=st.floats(0.0, 3.0), theta=st.floats(0.0, 3.0))
+    def test_passive_mixes_of_thermal_states_are_never_flagged(self, n_a, n_b, t, phi, theta):
+        # a passive mix of two thermal states (vacuum at n = 1) is separable; its sum is 4
+        # or more, and rounds to just below 4 for vacuum, within the flag's rounding bound
+        state = CovarianceMatrix(2, np.diag([n_a, n_a, n_b, n_b]))
+        for s in (phase_shift(phi, 0, 2), beamsplitter(t, 0, 1, 2), phase_shift(theta, 1, 2)):
+            state = apply_symplectic(state, s)
+        assert criteria_report(state).duan_inseparable is False
 
 
 class TestCriteriaReport:

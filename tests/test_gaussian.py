@@ -962,14 +962,18 @@ class TestBuildEprSource:
     @given(fields=st.dictionaries(
         st.sampled_from([f.name for f in dataclasses.fields(SourceParams)]),
         st.one_of(st.floats(), st.floats(0.0, 1.0), st.integers(-2 ** 53, 2 ** 53),
-                  st.integers(0, 1), st.booleans(), st.none(), st.text(max_size=2)),
+                  st.integers(0, 1), st.booleans(), st.none(), st.text(max_size=2),
+                  st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+                  st.integers(2 ** 1024, 2 ** 1100), st.integers(-2 ** 1100, -2 ** 1024)),
         max_size=3))
     def test_params_read_back_what_they_write(self, fields):
-        # every SourceParams the constructor accepts is read back equal from its JSON
+        # every SourceParams the constructor accepts stores floats and is read back equal
+        # from its JSON
         try:
             p = SourceParams(**fields)
         except ValueError:
             return
+        assert all(type(v) is float for v in p.to_dict().values())
         assert SourceParams.from_dict(json.loads(json.dumps(p.to_dict()))) == p
 
     def test_params_json_roundtrip(self):
@@ -994,6 +998,11 @@ class TestBuildEprSource:
     def test_params_json_rejects_ints_past_the_float_range(self):
         with pytest.raises(ValueError, match="too large"):
             SourceParams.from_dict({"r1": 10 ** 400})
+        # the constructor reads such an int as inf, which each field's range check refuses
+        with pytest.raises(ValueError, match="^SourceParams: dark_noise must be finite, >= 0, got inf$"):
+            SourceParams(dark_noise=10 ** 400)
+        with pytest.raises(ValueError, match="^SourceParams: relative_phase must be finite$"):
+            SourceParams(relative_phase=-10 ** 400)
 
     @pytest.mark.parametrize("payload", [[1.0, 2.0], 5, None, "r1"])
     def test_params_json_rejects_non_objects(self, payload):

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import inspect
+import json
 import math
 import pickle
 import warnings
@@ -349,6 +350,24 @@ class TestMeasurementSetIO:
         again = MeasurementSet.from_dict(ref_ms.to_dict())
         assert again == ref_ms
 
+    _NUMBER = st.one_of(st.floats(), st.floats(1e-3, 0.999), st.integers(0, 2 ** 53),
+                        st.integers(0, 2 ** 63 - 1).map(np.int64), st.integers(2 ** 1024, 2 ** 1100),
+                        st.booleans(), st.none(), st.text(max_size=2))
+
+    @settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+    @given(values=st.lists(_NUMBER, min_size=7, max_size=7))
+    @example(values=[True, 1, 1, 1, 1, 1, 0.05])
+    @example(values=[1, 1, 1, 1, 2, 2, False])
+    def test_sets_read_back_what_they_write(self, values):
+        # every MeasurementSet the constructor accepts stores floats and is read back
+        # equal from its JSON
+        try:
+            ms = MeasurementSet(*values)
+        except ValueError:
+            return
+        assert all(type(v) is float for v in (*ms.values(), ms.relative_error))
+        assert MeasurementSet.from_dict(json.loads(json.dumps(ms.to_dict()))) == ms
+
     def test_to_dict_is_a_deep_copy(self, ref_ms):
         ms = MeasurementSet(*ref_ms.values(), metadata={"labels": {"rbw_hz": 300.0e3}})
         ms.to_dict()["metadata"]["labels"]["rbw_hz"] = 1.0
@@ -415,8 +434,13 @@ class TestMeasurementSetIO:
             MeasurementSet(1.0, 1.0, -1.0, 1.0, 2.0, 2.0)
         with pytest.raises(ValueError, match="relative_error"):
             MeasurementSet(*VACUUM_SET.values(), relative_error=1.0)
+        with pytest.raises(ValueError, match="^MeasurementSet: var_xa must be a real number, got True$"):
+            MeasurementSet(True, 1.0, 1.0, 1.0, 2.0, 2.0)
+        with pytest.raises(ValueError,
+                           match="^MeasurementSet: relative_error must be a real number, got False$"):
+            MeasurementSet(*VACUUM_SET.values(), relative_error=False)
 
-    @pytest.mark.parametrize("bad, shown", [(0, "0"), (0.0, "0.0"), (-0.0, "-0.0"), (-1, "-1"),
+    @pytest.mark.parametrize("bad, shown", [(0, "0.0"), (0.0, "0.0"), (-0.0, "-0.0"), (-1, "-1.0"),
                                             (math.inf, "inf"), (-math.inf, "-inf"),
                                             (math.nan, "nan"), (np.float64(-2.5), "-2.5")])
     @pytest.mark.parametrize("name", CSV_FIELDS)
