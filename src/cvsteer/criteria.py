@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .gaussian import CovarianceMatrix, _moments, _record
+from .gaussian import CovarianceMatrix, _finite, _moments, _record
 
 REID_BOUND = 1.0
 DUAN_BOUND = 4.0
@@ -29,15 +29,16 @@ class GainPair:
     """Scaling factors applied to the steering party's X and P outcomes.
 
     g_p is the literal multiplier in Var(P_target - g_p P_steering), so the
-    conventional "+" combination Var(P_A + P_B) corresponds to g_p = -1.
+    conventional "+" combination Var(P_A + P_B) corresponds to g_p = -1.  Each gain is a
+    finite real number (gaussian._finite), stored as a float.
     """
 
     g_x: float
     g_p: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.g_x) and math.isfinite(self.g_p)):
-            raise ValueError("GainPair: gains must be finite")
+        self.__dict__.update(g_x=_finite(self.g_x, "GainPair: g_x"),  # frozen: no __setattr__
+                             g_p=_finite(self.g_p, "GainPair: g_p"))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -96,10 +97,10 @@ def _joint_variances(xa, pa, xb, pb, cov_x, cov_p):
 def conditional_variance(state: CovarianceMatrix, quad: str, direction: str,
                          gain: float) -> float:
     """Var(O_target - gain * O_steering) from the covariance entries.  A gain that is not
-    finite is refused, as by GainPair, and so is a variance that is not finite."""
+    a finite real number is refused (gaussian._finite), as by GainPair, and so is a variance
+    that is not finite."""
     terms = _terms(_moments(state), quad, direction)
-    if not math.isfinite(gain):
-        raise ValueError(f"conditional_variance: gain must be finite, got {gain!r}")
+    gain = _finite(gain, "conditional_variance: gain")
     value = float(_conditional(*terms, gain)[1])
     if not math.isfinite(value):
         raise ValueError(f"conditional_variance: the {str(quad).upper()} "

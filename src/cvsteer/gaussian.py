@@ -22,16 +22,22 @@ import numpy as np
 SYMMETRY_RTOL = 1e-12
 SYMPLECTIC_ATOL = 1e-12
 PHYSICALITY_ATOL = 1e-9
-_R_MAX = 0.5 * math.log(np.finfo(float).max)  # largest r with exp(2 r) finite
+_EXP_MAX = math.log(np.finfo(float).max)  # largest x with exp(x) finite
+_R_MAX = 0.5 * _EXP_MAX  # largest r with exp(2 r) finite
 _PACK_16 = struct.Struct("=16d").pack  # the buffer of a 4x4 float64 array, row by row
 
 
-@functools.lru_cache(maxsize=None)
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal symplectic form with [[0, 1], [-1, 0]] per mode.
 
-    Cached and returned read-only; treat as a constant.
+    n_modes is decided by :func:`_mode_count` before the cache sees it, which would take
+    2.0 and True for 2 and 1.  Cached and returned read-only; treat as a constant.
     """
+    return _symplectic_form(_mode_count(n_modes, "symplectic_form"))
+
+
+@functools.lru_cache(maxsize=None)
+def _symplectic_form(n_modes: int) -> np.ndarray:  # symplectic_form of a checked count
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
     m = np.kron(np.eye(n_modes), omega)
     m.setflags(write=False)
@@ -62,13 +68,24 @@ def _number(v, what: str) -> float:
 
 def _real(v, what: str) -> float:
     """v as a float, +-inf for an int past the float range, if a real number other than a
-    bool; else the ValueError "<what> must be a real number, got <v!r>"."""
+    bool; else the ValueError "<what> must be a real number, got <v!r>".  The library's real
+    arguments are read by this rule, or by :func:`_finite`, before math, numpy or a comparison
+    sees them (a numpy scalar is a real number, np.True_ a bool)."""
     if type(v) is bool or not isinstance(v, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {v!r}")
     try:
         return float(v)
     except OverflowError:  # which the caller's range check then refuses
         return math.inf if v > 0 else -math.inf
+
+
+def _finite(v, what: str) -> float:
+    """:func:`_real` of v if finite, else the ValueError "<what> must be finite, got <float>":
+    the rule of an argument with no range of its own but the floats."""
+    x = _real(v, what)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x}")
+    return x
 
 
 def _number_text(text: str, what: str, kind: type = float):
@@ -118,7 +135,8 @@ def _by_value(array: str, hashable: bool = True):
 
 def _integer(v, what: str, name: str) -> int:
     """v as an int if an integer other than a bool (operator.index: 2.0 is not one), else the
-    ValueError "<what>: <name> must be an integer": the test of every mode count and index."""
+    ValueError "<what>: <name> must be an integer, got <v!r>": the test of every mode count
+    and index, sample count and seed."""
     with contextlib.suppress(TypeError):
         if not isinstance(v, bool):
             return operator.index(v)
@@ -267,7 +285,7 @@ class SymplecticTransform:
     def __post_init__(self):
         n_modes = _mode_count(self.n_modes, "SymplecticTransform")
         m = _as_checked_matrix(self.matrix, n_modes, "SymplecticTransform")
-        omega = symplectic_form(n_modes)
+        omega = _symplectic_form(n_modes)
         if np.max(np.abs(m @ omega @ m.T - omega)) > SYMPLECTIC_ATOL:
             raise ValueError("SymplecticTransform: S Omega S^T != Omega")
         m.setflags(write=False)
@@ -279,7 +297,8 @@ class LossChannel:
     """Vacuum admixture with efficiency eta plus additive excess noise.
 
     excess_noise is an additive variance on the affected mode's diagonal
-    block, e.g. homodyne detector dark noise in vacuum units.  apply_loss checks mode_index.
+    block, e.g. homodyne detector dark noise in vacuum units.  efficiency and excess_noise
+    are read by :func:`_real` and stored as floats; apply_loss checks mode_index.
     """
 
     mode_index: int
@@ -287,11 +306,13 @@ class LossChannel:
     excess_noise: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError(f"LossChannel: efficiency must be in [0, 1], got {self.efficiency}")
-        if not 0.0 <= self.excess_noise < math.inf:
-            raise ValueError(
-                f"LossChannel: excess_noise must be finite, >= 0, got {self.excess_noise}")
+        efficiency = _real(self.efficiency, "LossChannel: efficiency")
+        excess_noise = _real(self.excess_noise, "LossChannel: excess_noise")
+        if not 0.0 <= efficiency <= 1.0:
+            raise ValueError(f"LossChannel: efficiency must be in [0, 1], got {efficiency}")
+        if not 0.0 <= excess_noise < math.inf:
+            raise ValueError(f"LossChannel: excess_noise must be finite, >= 0, got {excess_noise}")
+        self.__dict__.update(efficiency=efficiency, excess_noise=excess_noise)  # frozen
 
 
 def vacuum_state(n_modes: int) -> CovarianceMatrix:
@@ -303,10 +324,12 @@ def vacuum_state(n_modes: int) -> CovarianceMatrix:
 def squeezer(r: float, mode: int, n_modes: int) -> SymplecticTransform:
     """Single-mode squeezer: X -> exp(-r) X, P -> exp(+r) P on `mode`.
 
-    r > 0 squeezes the amplitude quadrature X (variance exp(-2r) on vacuum).
+    r > 0 squeezes the amplitude quadrature X (variance exp(-2r) on vacuum); r is finite,
+    with exp(|r|) finite.
     """
-    if not math.isfinite(r):
-        raise ValueError(f"squeezer: r must be finite, got {r}")
+    r = _finite(r, "squeezer: r")
+    if not -_EXP_MAX <= r <= _EXP_MAX:
+        raise ValueError(f"squeezer: r must be in [-{_EXP_MAX:.6g}, {_EXP_MAX:.6g}], got {r}")
     n_modes = _mode_count(n_modes, "squeezer")
     mode = _mode_index(mode, n_modes, "squeezer")
     m = np.eye(2 * n_modes)
@@ -316,7 +339,8 @@ def squeezer(r: float, mode: int, n_modes: int) -> SymplecticTransform:
 
 
 def phase_shift(theta: float, mode: int, n_modes: int) -> SymplecticTransform:
-    """Rotation by theta of the (X, P) plane of `mode`; pi/2 maps (X, P) -> (P, -X)."""
+    """Rotation by a finite theta of the (X, P) plane of `mode`; pi/2 maps (X, P) -> (P, -X)."""
+    theta = _finite(theta, "phase_shift: theta")
     n_modes = _mode_count(n_modes, "phase_shift")
     mode = _mode_index(mode, n_modes, "phase_shift")
     c, s = math.cos(theta), math.sin(theta)
@@ -337,6 +361,7 @@ def beamsplitter(transmittance: float, mode_a: int, mode_b: int,
     The sign on the second output is what makes X_A - X_B and P_A + P_B the
     low-variance combinations in :func:`build_epr_source`.  The modes must be distinct.
     """
+    transmittance = _real(transmittance, "beamsplitter: transmittance")
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError(f"beamsplitter: transmittance must be in [0, 1], got {transmittance}")
     n_modes = _mode_count(n_modes, "beamsplitter")
@@ -399,7 +424,7 @@ def symplectic_eigenvalues(state: CovarianceMatrix) -> np.ndarray:
     Computed from the spectrum of Omega @ gamma, whose eigenvalues come in
     pairs +-i nu; physical states have every nu >= 1.
     """
-    ev = np.linalg.eigvals(symplectic_form(state.n_modes) @ state.entries)
+    ev = np.linalg.eigvals(_symplectic_form(state.n_modes) @ state.entries)
     moduli = np.sort(np.abs(ev))[::-1]
     return moduli[::2].copy()
 
@@ -522,8 +547,8 @@ def _below_gate(state: CovarianceMatrix, atol: float) -> list[float] | None:
 def is_physical(state: CovarianceMatrix, atol: float = PHYSICALITY_ATOL) -> bool:
     """Whether all symplectic eigenvalues satisfy nu >= 1 - atol (vacuum units), decided
     by the closed form for a two-mode state with no X-P cross terms (every reconstruction),
-    by :func:`symplectic_eigenvalues` for every other state."""
-    return _below_gate(state, atol) is None
+    by :func:`symplectic_eigenvalues` for every other state; atol is finite."""
+    return _below_gate(state, _finite(atol, "is_physical: atol")) is None
 
 
 def _unphysical(state: CovarianceMatrix, who: str) -> str | None:
@@ -535,8 +560,10 @@ def _unphysical(state: CovarianceMatrix, who: str) -> str | None:
 
 
 def quadrature_variance(state: CovarianceMatrix, mode: int, angle: float) -> float:
-    """Variance of cos(angle) X_mode + sin(angle) P_mode (generalized homodyne); mode checked."""
+    """Variance of cos(angle) X_mode + sin(angle) P_mode (generalized homodyne) for a finite
+    angle; mode checked."""
     mode = _mode_index(mode, state.n_modes, "quadrature_variance")
+    angle = _finite(angle, "quadrature_variance: angle")
     v = np.zeros(2 * state.n_modes)
     v[2 * mode] = math.cos(angle)
     v[2 * mode + 1] = math.sin(angle)
@@ -598,8 +625,9 @@ def _source_entries(p: SourceParams) -> list[float]:
     """The 16 entries, row by row, of :func:`build_epr_source`, in float arithmetic.
 
     Per source v-/+ = eta_prep e^(-/+2r) + 1 - eta_prep; source 2 is rotated by
-    (cos phi, sin phi), each taken as exactly 0 within the rounding of phi, so that
-    multiples of pi/2 are exact quarter turns with no X-P entries; the beamsplitter
+    (cos phi, sin phi), a quarter turn, (0, +-1) or (+-1, 0), where the smaller of the two is
+    within the rounding of phi, so that multiples of pi/2 are exact quarter turns with no
+    X-P entries and a phi whose rounding exceeds a turn is still a rotation; the beamsplitter
     mixes with T, 1 - T and sqrt(T) sqrt(1 - T); detection scales each arm by its
     efficiency and adds 1 - eta_det + dark_noise on the diagonal.
     """
@@ -607,8 +635,9 @@ def _source_entries(p: SourceParams) -> list[float]:
     a1, b1 = p.eta_prep * math.exp(-2.0 * p.r1) + q, p.eta_prep * math.exp(2.0 * p.r1) + q
     a2, b2 = p.eta_prep * math.exp(-2.0 * p.r2) + q, p.eta_prep * math.exp(2.0 * p.r2) + q
     phi = p.relative_phase
-    tol = math.ulp(1.0) * max(1.0, abs(phi))
-    c, s = (v if abs(v) > tol else 0.0 for v in (math.cos(phi), math.sin(phi)))
+    c, s = math.cos(phi), math.sin(phi)
+    if min(abs(c), abs(s)) <= math.ulp(1.0) * max(1.0, abs(phi)):
+        c, s = (0.0, math.copysign(1.0, s)) if abs(c) < abs(s) else (math.copysign(1.0, c), 0.0)
     x2, p2 = c * c * a2 + s * s * b2, s * s * a2 + c * c * b2
     xp2 = c * s * (b2 - a2) if c and s else 0.0  # no -0.0 at the quarter turns
     t, u = p.transmittance, 1.0 - p.transmittance

@@ -17,8 +17,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .criteria import _joint_variances
-from .gaussian import (CovarianceMatrix, PhysicalityWarning, UnphysicalStateError, _moments_of,
-                       _unphysical, _xp_of, build_epr_source)
+from .gaussian import (CovarianceMatrix, PhysicalityWarning, UnphysicalStateError, _finite,
+                       _moments_of, _real, _unphysical, _xp_of, build_epr_source)
 
 __all__ = [
     "forward_covariance",
@@ -49,7 +49,8 @@ def db_to_variance(db: float) -> float:
 
 
 def variance_to_db(variance: float) -> float:
-    """Decibels below vacuum of a variance; positive for squeezing."""
+    """Decibels below vacuum of a finite, positive variance; positive for squeezing."""
+    variance = _finite(variance, "variance_to_db: variance")
     if variance <= 0.0:
         raise ValueError(f"variance_to_db: variance must be positive, got {variance}")
     return -10.0 * math.log10(variance)
@@ -246,7 +247,10 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
 
 
 def efficiency_decomposition(xi: float, eta_prep: float) -> float:
-    """Detection efficiency implied by overall and preparation efficiencies."""
+    """Detection efficiency implied by overall and preparation efficiencies, real numbers
+    (gaussian._real)."""
+    xi = _real(xi, "efficiency_decomposition: xi")
+    eta_prep = _real(eta_prep, "efficiency_decomposition: eta_prep")
     if not 0.0 < eta_prep <= 1.0:
         raise ValueError(f"efficiency_decomposition: eta_prep must be in (0, 1], got {eta_prep}")
     if not 0.0 < xi:
@@ -264,8 +268,13 @@ def budget_prep_efficiency(internal_loss: float, propagation_loss: float,
     """Preparation efficiency from the loss budget.
 
     eta = (1 - internal_loss)(1 - propagation_loss) V^2; the fringe
-    visibility enters squared (mode-mismatch loss 1 - V^2).
+    visibility enters squared (mode-mismatch loss 1 - V^2).  Each is a real number
+    (gaussian._real).
     """
+    internal_loss, propagation_loss, visibility = (
+        _real(v, f"budget_prep_efficiency: {name}") for name, v in
+        (("internal_loss", internal_loss), ("propagation_loss", propagation_loss),
+         ("visibility", visibility)))
     for name, v in (("internal_loss", internal_loss), ("propagation_loss", propagation_loss)):
         if not 0.0 <= v < 1.0:
             raise ValueError(f"budget_prep_efficiency: {name} must be in [0, 1), got {v}")

@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .criteria import _joint_variances
-from .gaussian import (CovarianceMatrix, PhysicalityWarning, _from_moments, _json_object,
-                       _moments, _number, _number_text, _real, _unphysical)
+from .gaussian import (CovarianceMatrix, PhysicalityWarning, _finite, _from_moments,
+                       _json_object, _moments, _number, _number_text, _real, _unphysical)
 
 CSV_FIELDS = ("var_xa", "var_pa", "var_xb", "var_pb", "var_x_diff", "var_p_sum")
 _FRESH = object()  # MeasurementSet's default metadata: a new {} per set
@@ -142,11 +142,10 @@ def covariance_from_sum(var_sum: float, var_1: float, var_2: float) -> float:
 
     Stated for sums; for a measured difference Var(O1 - O2) this returns
     Cov(O1, -O2), i.e. minus the wanted covariance.  :func:`reconstruct`
-    owns that sign flip.
+    owns that sign flip.  Each variance is a finite real number (gaussian._finite).
     """
-    for name, v in (("var_sum", var_sum), ("var_1", var_1), ("var_2", var_2)):
-        if not math.isfinite(v):
-            raise ValueError(f"covariance_from_sum: {name} must be finite")
+    var_sum, var_1, var_2 = (_finite(v, f"covariance_from_sum: {name}") for name, v in
+                             (("var_sum", var_sum), ("var_1", var_1), ("var_2", var_2)))
     if var_1 <= 0.0 or var_2 <= 0.0:
         raise ValueError("covariance_from_sum: var_1 and var_2 must be positive")
     return _covariance(var_sum, var_1, var_2)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .criteria import _conditional, _terms, criteria_report, optimal_gain
-from .gaussian import CovarianceMatrix, _from_moments
+from .gaussian import CovarianceMatrix, _from_moments, _integer
 from .loss_model import (
     budget_prep_efficiency,
     db_to_variance,
@@ -86,8 +86,11 @@ def perturbation_study(ms: MeasurementSet, relative_error: float | None = None,
     fixed gains the product factors are linear in the inputs, making the
     spread an unbiased first-order error band.  An explicit relative_error
     is checked as MeasurementSet checks its own: it must lie in [0, 1); the
-    seed must be >= 0, and n_trials >= 2 for the spread.
+    seed must be an integer >= 0, and n_trials an integer >= 2 for the spread
+    (gaussian._integer).
     """
+    n_trials = _integer(n_trials, "perturbation_study", "n_trials")
+    seed = _integer(seed, "perturbation_study", "seed")
     if n_trials < 2:
         raise ValueError(f"perturbation_study: n_trials must be >= 2, got {n_trials}")
     if relative_error is not None:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import CovarianceMatrix, UnphysicalStateError, _by_value, _mode_index, _unphysical
+from .gaussian import (CovarianceMatrix, UnphysicalStateError, _by_value, _finite, _integer,
+                       _mode_index, _real, _unphysical)
 from .reconstruction import MeasurementSet
 
 # Rows drawn per campaign chunk: small enough that the draw buffers stay in
@@ -33,7 +34,8 @@ class MeasurementSetting:
 
     A single quadrature of mode 0 or 1 has coefficients (1, 0) or (0, 1); a
     joint setting is the passively subtracted (or summed) output of both
-    detectors.  The default is X_A.
+    detectors.  The default is X_A.  The angles and the pair of coefficients (c_a, c_b)
+    are finite real numbers (gaussian._finite), stored as floats.
     """
 
     angle_a: float = 0.0
@@ -41,18 +43,16 @@ class MeasurementSetting:
     coefficients: tuple = (1.0, 0.0)
 
     def __post_init__(self):
-        try:
-            c_a, c_b = map(float, self.coefficients)
-            finite = all(map(math.isfinite, (c_a, c_b, self.angle_a, self.angle_b)))
-        except (TypeError, ValueError):
-            finite = False
-        if not finite:
-            raise ValueError("MeasurementSetting: need two finite coefficients and finite angles, "
-                             f"got coefficients {self.coefficients!r}, "
-                             f"angles ({self.angle_a!r}, {self.angle_b!r})")
+        angle_a = _finite(self.angle_a, "MeasurementSetting: angle_a")
+        angle_b = _finite(self.angle_b, "MeasurementSetting: angle_b")
+        pair = self.coefficients
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+            raise ValueError(f"MeasurementSetting: coefficients must be a tuple or list of two, "
+                             f"got {pair!r}")
+        c_a, c_b = (_finite(c, f"MeasurementSetting: c_{m}") for m, c in zip("ab", pair))
         if c_a == 0.0 and c_b == 0.0:
             raise ValueError("MeasurementSetting: coefficients must not both be zero")
-        object.__setattr__(self, "coefficients", (c_a, c_b))
+        self.__dict__.update(angle_a=angle_a, angle_b=angle_b, coefficients=(c_a, c_b))  # frozen
 
     @classmethod
     def single(cls, mode: int, angle: float = 0.0) -> "MeasurementSetting":
@@ -104,8 +104,9 @@ _CANONICAL = {
 @_by_value("values", hashable=False)
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Finite sample set drawn for one setting, with its seed for replay.  Equal by value;
-    unhashable, as its values are writeable."""
+    """Finite sample set drawn for one setting, with its seed for replay.  seed and n are
+    integers (gaussian._integer), stored as ints.  Equal by value; unhashable, as its values
+    are writeable."""
 
     setting: MeasurementSetting
     values: np.ndarray
@@ -113,10 +114,11 @@ class SampleBatch:
     n: int
 
     def __post_init__(self):
+        seed, n = _integer(self.seed, "SampleBatch", "seed"), _integer(self.n, "SampleBatch", "n")
         vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if self.n != len(vals) or self.n < 2:
-            raise ValueError(f"SampleBatch: need n == len(values) >= 2, got n={self.n}")
+        if n != len(vals) or n < 2:
+            raise ValueError(f"SampleBatch: need n == len(values) >= 2, got n={n}")
+        self.__dict__.update(values=vals, seed=seed, n=n)  # frozen: no __setattr__
 
 
 def canonical_settings() -> list[MeasurementSetting]:
@@ -144,8 +146,12 @@ def sample_quadratures(state: CovarianceMatrix, setting: MeasurementSetting,
     sample-by-sample with the same combination of the single-quadrature
     batches at that seed (up to float rounding).  Dark noise adds variance
     dark_noise per involved detector, drawn from the stream seeded
-    (seed, 1), the campaign's X_A dark stream.
+    (seed, 1), the campaign's X_A dark stream.  n and seed are read by gaussian._integer,
+    dark_noise by gaussian._real.
     """
+    n = _integer(n, "sample_quadratures", "n")
+    seed = _integer(seed, "sample_quadratures", "seed")
+    dark_noise = _real(dark_noise, "sample_quadratures: dark_noise")
     if n < 2:
         raise ValueError(f"sample_quadratures: n must be >= 2, got {n}")
     values = _samples(state, [setting], n, seed, dark_noise)[0]
@@ -172,7 +178,8 @@ def _campaign_projection(state: CovarianceMatrix, settings: list[MeasurementSett
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
-    """The random stream seeded (seed, *key); seed must be >= 0."""
+    """The random stream seeded (seed, *key), for a seed its caller has read by
+    gaussian._integer; seed must be >= 0."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(np.random.SeedSequence([seed, *key]))
@@ -213,10 +220,14 @@ def measure_campaign(state: CovarianceMatrix, n_per_setting: int, seed: int,
     sqrt(2 / n_per_setting), the relative one-sigma of a Gaussian variance
     estimate, is below 1.  Seed and counts are recorded in the metadata.
     Variances that overflow raise ValueError, naming the largest state entry
-    and the dark-noise variance.
+    and the dark-noise variance.  n_per_setting and seed are read by gaussian._integer,
+    dark_noise by gaussian._real, and recorded as they were read.
     Deterministic for fixed inputs; the estimates equal the sample variances
     of :func:`campaign_batches` up to float rounding.
     """
+    n_per_setting = _integer(n_per_setting, "measure_campaign", "n_per_setting")
+    seed = _integer(seed, "measure_campaign", "seed")
+    dark_noise = _real(dark_noise, "measure_campaign: dark_noise")
     if n_per_setting < 3:
         raise ValueError(f"measure_campaign: n_per_setting must be >= 3, got n={n_per_setting}")
     weights, dark_scale = _campaign_projection(state, canonical_settings(), dark_noise)
@@ -252,8 +263,12 @@ def campaign_batches(state: CovarianceMatrix, n_per_setting: int, seed: int,
     """The raw per-setting samples behind :func:`measure_campaign`.
 
     Materializes the samples from the same draws the campaign reduces, so
-    exported samples reproduce its variance estimates up to float rounding.
+    exported samples reproduce its variance estimates up to float rounding.  Its arguments
+    are read as :func:`measure_campaign` reads them.
     """
+    n_per_setting = _integer(n_per_setting, "campaign_batches", "n_per_setting")
+    seed = _integer(seed, "campaign_batches", "seed")
+    dark_noise = _real(dark_noise, "campaign_batches: dark_noise")
     if n_per_setting < 2:
         raise ValueError(f"campaign_batches: n_per_setting must be >= 2, got {n_per_setting}")
     data = _samples(state, canonical_settings(), n_per_setting, seed, dark_noise)

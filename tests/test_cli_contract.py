@@ -164,6 +164,9 @@ ROWS = [
     Row("simulate-s", "simulate --r1 1.2 --r2 1.1 --eta-prep 0.9 --out {tmp}/s.json",
         written={"s.json": S}),
     Row("simulate-s1", "simulate --r1 1 --r2 1", out=XP_ZERO),
+    # a phase whose rounding spans a turn is still a rotation, here a quarter turn
+    Row("simulate-phase-4e15", "simulate --r1 1 --r2 1 --relative-phase 4e15",
+        out=source(r1=1.0, r2=1.0, relative_phase=4e15)),
     Row("simulate-cap", "simulate --r1 10.05 --r2 9.5 --eta-prep 0.999999 --out {tmp}/cap.json",
         written={"cap.json": CAP}),
     *(Row(f"simulate-string-{v}", "simulate --in {tmp}/p.json --out {tmp}/o.json", 2,

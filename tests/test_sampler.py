@@ -48,10 +48,6 @@ class TestSettings:
         assert X_DIFF.dark_factor() == 2.0
         assert MeasurementSetting.joint(0.5, -0.5).dark_factor() == 0.5
 
-    def test_joint_needs_a_nonzero_coefficient(self):
-        with pytest.raises(ValueError):
-            MeasurementSetting.joint(0.0, 0.0)
-
     def test_default_is_x_a(self):
         assert MeasurementSetting() == MeasurementSetting.single(0, 0.0)
         assert MeasurementSetting().label() == "x_a"
@@ -83,23 +79,6 @@ class TestSettings:
         setting = MeasurementSetting(coefficients=[1, -1])
         assert setting.coefficients == (1.0, -1.0)
         assert setting.label() == "x_a-x_b"
-
-    @pytest.mark.parametrize("c_a, c_b, angle", [
-        (math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0), (1.0, -math.inf, 0.0), (1.0, 1.0, math.inf),
-        (1.0, 1.0, math.nan),
-    ])
-    def test_non_finite_forms_rejected(self, c_a, c_b, angle):
-        with pytest.raises(ValueError, match="finite coefficients and finite angles"):
-            MeasurementSetting.joint(c_a, c_b, angle)
-
-    def test_non_finite_single_angle_rejected(self):
-        with pytest.raises(ValueError, match="finite coefficients and finite angles"):
-            MeasurementSetting.single(0, math.inf)
-
-    @pytest.mark.parametrize("coefficients", [(1.0,), (1.0, 2.0, 3.0), None, ("a", 1.0)])
-    def test_malformed_coefficients_rejected(self, coefficients):
-        with pytest.raises(ValueError, match="two finite coefficients"):
-            MeasurementSetting(coefficients=coefficients)
 
     @pytest.mark.parametrize("mode", [-1, 2, 1.0, True])
     def test_single_mode_checked_when_built(self, mode):
@@ -148,10 +127,6 @@ class TestSampleQuadratures:
         with pytest.raises(ValueError, match="unphysical"):
             sample_quadratures(bad, X_DIFF, 100, seed=0)
 
-    def test_needs_two_samples(self, ref_state):
-        with pytest.raises(ValueError):
-            sample_quadratures(ref_state, X_DIFF, 1, seed=0)
-
     @pytest.mark.parametrize("n_modes", [1, 3])
     def test_needs_a_two_mode_state(self, n_modes):
         with pytest.raises(ValueError, match="exactly 2 modes"):
@@ -192,21 +167,6 @@ class TestSampleQuadratures:
                                    atol=1e-13 * np.max(np.abs(campaign)))
 
 
-_SAMPLERS = {
-    "sample_quadratures": lambda state, dark: sample_quadratures(
-        state, X_DIFF, 100, seed=0, dark_noise=dark),
-    "measure_campaign": lambda state, dark: measure_campaign(state, 100, seed=0, dark_noise=dark),
-    "campaign_batches": lambda state, dark: campaign_batches(state, 100, seed=0, dark_noise=dark),
-}
-
-
-@pytest.mark.parametrize("dark", [math.nan, -1.0, math.inf])
-@pytest.mark.parametrize("sampler", sorted(_SAMPLERS))
-def test_bad_dark_noise_rejected(ref_state, sampler, dark):
-    with pytest.raises(ValueError, match=f"dark_noise must be >= 0, got {dark}"):
-        _SAMPLERS[sampler](ref_state, dark)
-
-
 @pytest.mark.parametrize("diagonal, dark, entry", [
     ([1.7e308, 1.0, 1.0, 1.0], 0.0, "1.7e+308"),
     ([1.0, 1.0, 1.0, 1.0], 1e307, "1"),
@@ -227,12 +187,6 @@ class TestSampleVariance:
     def test_two_point_batch(self):
         b = SampleBatch(MeasurementSetting.single(0), np.array([-1.0, 1.0]), 0, 2)
         assert sample_variance(b) == pytest.approx(2.0, abs=1e-15)
-
-    def test_batch_validation(self):
-        with pytest.raises(ValueError):
-            SampleBatch(MeasurementSetting.single(0), np.array([1.0]), 0, 1)
-        with pytest.raises(ValueError):
-            SampleBatch(MeasurementSetting.single(0), np.array([1.0, 2.0]), 0, 3)
 
     def test_estimator_consistency_over_seeds(self, ref_state):
         n = 10 ** 4
@@ -340,11 +294,6 @@ class TestMeasureCampaign:
 
 
 class TestCampaignBatches:
-    @pytest.mark.parametrize("n", [1, 0])
-    def test_needs_two_samples(self, ref_state, n):
-        with pytest.raises(ValueError, match=f"n_per_setting must be >= 2, got {n}"):
-            campaign_batches(ref_state, n, seed=0)
-
     def test_batch_variances_match_campaign(self, ref_state):
         n = 20000
         ms = measure_campaign(ref_state, n, seed=8, dark_noise=0.005)
