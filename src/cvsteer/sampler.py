@@ -147,11 +147,10 @@ def sample_quadratures(state: CovarianceMatrix, setting: MeasurementSetting,
     batches at that seed (up to float rounding).  Dark noise adds variance
     dark_noise per involved detector, drawn from the stream seeded
     (seed, 1), the campaign's X_A dark stream.  n and seed are read by gaussian._integer,
-    dark_noise by gaussian._real.
+    dark_noise by gaussian._real (as "sampler: dark_noise").
     """
     n = _integer(n, "sample_quadratures", "n")
     seed = _integer(seed, "sample_quadratures", "seed")
-    dark_noise = _real(dark_noise, "sample_quadratures: dark_noise")
     if n < 2:
         raise ValueError(f"sample_quadratures: n must be >= 2, got {n}")
     values = _samples(state, [setting], n, seed, dark_noise)[0]
@@ -165,7 +164,9 @@ def sample_variance(batch: SampleBatch) -> float:
 
 def _campaign_projection(state: CovarianceMatrix, settings: list[MeasurementSetting],
                          dark_noise: float):
-    """Weights W (4 x k) and dark scales a (k,): setting i samples z @ W[:, i] + a[i] * d[i]."""
+    """Weights W (4 x k), dark scales a (k,) and the dark-noise variance read by gaussian._real:
+    setting i samples z @ W[:, i] + a[i] * d[i]."""
+    dark_noise = _real(dark_noise, "sampler: dark_noise")
     if state.n_modes != 2:
         raise ValueError("sampler: state must have exactly 2 modes")
     if message := _unphysical(state, "sampler"):
@@ -174,7 +175,8 @@ def _campaign_projection(state: CovarianceMatrix, settings: list[MeasurementSett
         raise ValueError(f"sampler: dark_noise must be >= 0, got {dark_noise} (finite values only)")
     sq = _sqrt_factor(state)
     weights = np.stack([sq @ s.projection_vector() for s in settings], axis=1)
-    return weights, np.array([math.sqrt(dark_noise * s.dark_factor()) for s in settings])
+    dark_scale = np.array([math.sqrt(dark_noise * s.dark_factor()) for s in settings])
+    return weights, dark_scale, dark_noise
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -207,7 +209,7 @@ def _campaign_draws(n: int, seed: int, dark_scale: np.ndarray):
 def _samples(state: CovarianceMatrix, settings: list[MeasurementSetting], n: int, seed: int,
              dark_noise: float) -> np.ndarray:
     """The k x n samples of the settings, built chunk by chunk from the campaign draws."""
-    weights, dark_scale = _campaign_projection(state, settings, dark_noise)
+    weights, dark_scale, _ = _campaign_projection(state, settings, dark_noise)
     return np.concatenate([(z @ weights).T if d is None else (z @ weights).T + dark_scale[:, None] * d
                            for z, d in _campaign_draws(n, seed, dark_scale)], axis=1)
 
@@ -221,16 +223,15 @@ def measure_campaign(state: CovarianceMatrix, n_per_setting: int, seed: int,
     estimate, is below 1.  Seed and counts are recorded in the metadata.
     Variances that overflow raise ValueError, naming the largest state entry
     and the dark-noise variance.  n_per_setting and seed are read by gaussian._integer,
-    dark_noise by gaussian._real, and recorded as they were read.
+    dark_noise by gaussian._real (as "sampler: dark_noise"), and recorded as they were read.
     Deterministic for fixed inputs; the estimates equal the sample variances
     of :func:`campaign_batches` up to float rounding.
     """
     n_per_setting = _integer(n_per_setting, "measure_campaign", "n_per_setting")
     seed = _integer(seed, "measure_campaign", "seed")
-    dark_noise = _real(dark_noise, "measure_campaign: dark_noise")
     if n_per_setting < 3:
         raise ValueError(f"measure_campaign: n_per_setting must be >= 3, got n={n_per_setting}")
-    weights, dark_scale = _campaign_projection(state, canonical_settings(), dark_noise)
+    weights, dark_scale, dark_noise = _campaign_projection(state, canonical_settings(), dark_noise)
     gram, z_sum = np.zeros((4, 4)), np.zeros(4)
     dz, d_sum, dd = np.zeros((6, 4)), np.zeros(6), np.zeros(6)
     ones = np.ones(min(n_per_setting, _CHUNK))
@@ -268,7 +269,6 @@ def campaign_batches(state: CovarianceMatrix, n_per_setting: int, seed: int,
     """
     n_per_setting = _integer(n_per_setting, "campaign_batches", "n_per_setting")
     seed = _integer(seed, "campaign_batches", "seed")
-    dark_noise = _real(dark_noise, "campaign_batches: dark_noise")
     if n_per_setting < 2:
         raise ValueError(f"campaign_batches: n_per_setting must be >= 2, got {n_per_setting}")
     data = _samples(state, canonical_settings(), n_per_setting, seed, dark_noise)

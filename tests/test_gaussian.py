@@ -703,7 +703,7 @@ def sampler_sites(name, call, n_name, least, too_few):
              tuple((v, too_few.format(v)) for v in range(least - 1, -1, -1))),
         Site(f"{name}.seed", lambda v: call(least, v, 0.0), f"{name}: seed", COUNT, 1,
              NEGATIVE_SEED),
-        Site(f"{name}.dark_noise", lambda v: call(least, 0, v), f"{name}: dark_noise", REAL, 0.01,
+        Site(f"{name}.dark_noise", lambda v: call(least, 0, v), "sampler: dark_noise", REAL, 0.01,
              tuple((v, DARK.format(read(v))) for v in (BIG, math.nan, math.inf, -1.0))),
     ]
 
@@ -760,6 +760,9 @@ SITES = [
          FINITE, 0.3),
     Site("SampleBatch.n", lambda v: SampleBatch(X_A, [1.0, 2.0], 0, v), "SampleBatch: n", COUNT,
          2, tuple((v, f"SampleBatch: need n == len(values) >= 2, got n={v}") for v in (1, 3))),
+    # n == len(values) < 2: the batch's own count refusal, not its length check
+    Site("SampleBatch.n.one_value", lambda v: SampleBatch(X_A, [1.0], 0, v), "SampleBatch: n",
+         None, None, ((1, "SampleBatch: need n == len(values) >= 2, got n=1"),)),
     Site("SampleBatch.seed", lambda v: SampleBatch(X_A, [1.0, 2.0], v, 2), "SampleBatch: seed",
          COUNT, 7),
     *sampler_sites("sample_quadratures",
@@ -1274,6 +1277,14 @@ class TestBuildEprSource:
                                               eta_det_a=0.8, dark_noise=0.01))
         e = state.entries.tolist()
         assert [repr(e[i][j]) for i, j in XP_ENTRIES] == ["0.0"] * 4  # not -0.0 either
+
+    def test_a_turn_within_the_rounding_of_a_large_phase_is_exact(self):
+        # sin = -1.56e-8 is within the rounding of phi (2.2e-7): phi is a whole turn, cos = 1
+        # exactly, so the state is the phi = 0 state bit for bit
+        params = dict(r1=1.3, r2=0.7, transmittance=0.5, eta_prep=0.9, eta_det_a=0.8)
+        state = build_epr_source(SourceParams(relative_phase=999999999.4226046, **params))
+        turn = build_epr_source(SourceParams(relative_phase=0.0, **params))
+        assert state.entries.tolist() == turn.entries.tolist()
 
     def test_builds_one_checked_matrix(self, monkeypatch):
         calls = []
