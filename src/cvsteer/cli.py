@@ -24,7 +24,7 @@ import warnings
 
 from .criteria import GainPair, criteria_report, reid_product
 from .gaussian import (CovarianceMatrix, PhysicalityWarning, SourceParams, UnphysicalStateError,
-                       _number_text, _unphysical, build_epr_source)
+                       _moments, _number_text, _unphysical, build_epr_source)
 from .loss_model import db_to_variance, fit_efficiency
 from .reconstruction import InconsistentDataError, MeasurementSet, propagate_errors, reconstruct
 from .sampler import campaign_batches, measure_campaign, samples_to_csv
@@ -112,6 +112,7 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     gains = None if args.gains is None else _parse_gains(args.gains)
     state = CovarianceMatrix.from_dict(_load_json(args.in_path))
+    _moments(state, "analyze")  # a state of other than two modes is refused before any warning
     if message := _unphysical(state, "analyze"):  # here, not in criteria_report: a batch hot path
         warnings.warn(PhysicalityWarning(message))
     try:  # every refusal of the criteria, decided before anything is written

@@ -4,7 +4,8 @@ The steering product multiplies the two conditional variances
 min_g Var(O_target - g O_steering) for O in {X, P}; a product below 1
 certifies steering of the target party by the steering party.  The
 inseparability sum Var(X_A - X_B) + Var(P_A + P_B) certifies entanglement
-below 4 in vacuum units.
+below 4 in vacuum units.  Each function reads its state by gaussian._moments, which
+refuses anything but a two-mode CovarianceMatrix in the function's name.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def conditional_variance(state: CovarianceMatrix, quad: str, direction: str,
     """Var(O_target - gain * O_steering) from the covariance entries.  A gain that is not
     a finite real number is refused (gaussian._finite), as by GainPair, and so is a variance
     that is not finite."""
-    terms = _terms(_moments(state), quad, direction)
+    terms = _terms(_moments(state, "conditional_variance"), quad, direction)
     gain = _finite(gain, "conditional_variance: gain")
     value = float(_conditional(*terms, gain)[1])
     if not math.isfinite(value):
@@ -111,7 +112,7 @@ def conditional_variance(state: CovarianceMatrix, quad: str, direction: str,
 
 def optimal_gain(state: CovarianceMatrix, quad: str, direction: str) -> float:
     """Gain minimizing the conditional variance: Cov(O_A, O_B) / Var(O_steering), if finite."""
-    return _optimal_factor(_moments(state), quad, direction, "optimal_gain")[0]
+    return _optimal_factor(_moments(state, "optimal_gain"), quad, direction, "optimal_gain")[0]
 
 
 def reid_product(state: CovarianceMatrix, direction: str,
@@ -122,13 +123,14 @@ def reid_product(state: CovarianceMatrix, direction: str,
     the closed form Var(O_B) - Cov(O_A, O_B)^2 / Var(O_A) entrywise.  An overflowed
     optimal gain, or a product at explicit gains that is not finite, is refused.
     """
-    m = _moments(state)
-    if gains == "optimal":
+    m = _moments(state, "reid_product")
+    if not isinstance(gains, GainPair):
+        if not (isinstance(gains, str) and gains == "optimal"):
+            raise ValueError(f"reid_product: gains must be a GainPair or 'optimal', "
+                             f"got {type(gains).__name__}")
         (_, v_x), (_, v_p) = (_optimal_factor(m, quad, direction, "reid_product") for quad in "xp")
         return float(v_x * v_p)
     x, p = _terms(m, "x", direction), _terms(m, "p", direction)
-    if not isinstance(gains, GainPair):
-        raise ValueError(f"gains must be a GainPair or 'optimal', got {gains!r}")
     value = float(_conditional(*x, gains.g_x)[1] * _conditional(*p, gains.g_p)[1])
     if not math.isfinite(value):
         raise ValueError(f"reid_product: the {str(direction).upper()} product at {gains!r} is "
@@ -138,7 +140,7 @@ def reid_product(state: CovarianceMatrix, direction: str,
 
 def duan_sum(state: CovarianceMatrix) -> float:
     """Var(X_A - X_B) + Var(P_A + P_B); below 4 the state is inseparable."""
-    return sum(_joint_variances(*_moments(state)))
+    return sum(_joint_variances(*_moments(state, "duan_sum")))
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,7 @@ def criteria_report(state: CovarianceMatrix) -> CriteriaReport:
     the factors at UNIT_GAINS (b + a == a + b and x - (-y) == x + y exactly).  An
     optimal gain Cov/Var that overflows is refused with a ValueError naming it.
     """
-    m = xa, pa, xb, pb, cx, cp = _moments(state)
+    m = xa, pa, xb, pb, cx, cp = _moments(state, "criteria_report")
     xba, pba = _conditional(xb, xa, cx), _conditional(pb, pa, cp)
     xab, pab = _conditional(xa, xb, cx), _conditional(pa, pb, cp)
     if not (math.isfinite(xba[0]) and math.isfinite(pba[0])

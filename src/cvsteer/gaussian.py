@@ -3,7 +3,9 @@
 States are 2n x 2n real symmetric second-moment matrices over the quadratures
 (X1, P1, X2, P2, ...), normalized so the vacuum has unit variance in every
 quadrature.  Lossless optics act as symplectic matrices (S @ gamma @ S.T),
-loss as a vacuum admixture channel.
+loss as a vacuum admixture channel.  Every state and record argument of a public function
+is tested by :func:`_instance`, and every two-mode state read by :func:`_moments`, before
+any of its attributes is read.
 """
 
 from __future__ import annotations
@@ -141,6 +143,15 @@ def _integer(v, what: str, name: str) -> int:
         if not isinstance(v, bool):
             return operator.index(v)
     raise ValueError(f"{what}: {name} must be an integer, got {v!r}")
+
+
+def _instance(v, cls: type, who: str, name: str):
+    """v if an instance of the record class cls, else the ValueError "<who>: <name> must be a
+    <cls>, got <type name>": the test of every state and record argument, before any of its
+    attributes is read.  A hot path tests isinstance itself and calls this only to refuse."""
+    if not isinstance(v, cls):
+        raise ValueError(f"{who}: {name} must be a {cls.__name__}, got {type(v).__name__}")
+    return v
 
 
 def _mode_count(n_modes, what: str) -> int:
@@ -384,6 +395,8 @@ def compose(*transforms: SymplecticTransform) -> SymplecticTransform:
     """Matrix product of transforms; compose(S2, S1) applies S1 first, then S2."""
     if not transforms:
         raise ValueError("compose: need at least one transform")
+    for i, s in enumerate(transforms):
+        _instance(s, SymplecticTransform, "compose", f"transforms[{i}]")
     n = transforms[0].n_modes
     m = np.eye(2 * n)
     for s in transforms:
@@ -395,6 +408,8 @@ def compose(*transforms: SymplecticTransform) -> SymplecticTransform:
 
 def apply_symplectic(state: CovarianceMatrix, s: SymplecticTransform) -> CovarianceMatrix:
     """Evolve the state through a lossless element: gamma -> S gamma S^T."""
+    _instance(state, CovarianceMatrix, "apply_symplectic", "state")
+    _instance(s, SymplecticTransform, "apply_symplectic", "s")
     if state.n_modes != s.n_modes:
         raise ValueError(
             f"apply_symplectic: state has {state.n_modes} modes, transform {s.n_modes}"
@@ -408,6 +423,8 @@ def apply_loss(state: CovarianceMatrix, channel: LossChannel) -> CovarianceMatri
 
     Cross terms with the other modes scale by sqrt(eta); mode_index is checked here.
     """
+    _instance(state, CovarianceMatrix, "apply_loss", "state")
+    _instance(channel, LossChannel, "apply_loss", "channel")
     mode = _mode_index(channel.mode_index, state.n_modes, "apply_loss")
     scale = np.ones(2 * state.n_modes)
     sl = slice(2 * mode, 2 * mode + 2)
@@ -424,16 +441,21 @@ def symplectic_eigenvalues(state: CovarianceMatrix) -> np.ndarray:
     Computed from the spectrum of Omega @ gamma, whose eigenvalues come in
     pairs +-i nu; physical states have every nu >= 1.
     """
+    _instance(state, CovarianceMatrix, "symplectic_eigenvalues", "state")
     ev = np.linalg.eigvals(_symplectic_form(state.n_modes) @ state.entries)
     moduli = np.sort(np.abs(ev))[::-1]
     return moduli[::2].copy()
 
 
-def _moments(state: CovarianceMatrix) -> tuple[float, ...]:
+def _moments(state: CovarianceMatrix, who: str) -> tuple[float, ...]:
     """The six second moments (Var X_A, Var P_A, Var X_B, Var P_B, Cov X, Cov P), as floats:
-    those recorded at construction, else read from the entries."""
+    those recorded at construction, else read from the entries.  The one test of a two-mode
+    state, naming `who`: anything but a CovarianceMatrix is refused by :func:`_instance`, a
+    state of other than two modes with "<who>: expected a two-mode state, got <n> modes"."""
+    if not isinstance(state, CovarianceMatrix):
+        _instance(state, CovarianceMatrix, who, "state")
     if state.n_modes != 2:
-        raise ValueError(f"expected a two-mode state, got {state.n_modes} modes")
+        raise ValueError(f"{who}: expected a two-mode state, got {state.n_modes} modes")
     return _moments_of(state.entries.ravel().tolist()) if state._six is None else state._six
 
 
@@ -519,8 +541,7 @@ def symplectic_eigenvalues_two_mode(state: CovarianceMatrix) -> np.ndarray:
     decides them by and :func:`_unphysical` words them by, an independent cross-check
     of :func:`symplectic_eigenvalues`; every other two-mode state takes that route.
     """
-    if state.n_modes != 2:
-        raise ValueError("symplectic_eigenvalues_two_mode: state must have exactly 2 modes")
+    _moments(state, "symplectic_eigenvalues_two_mode")
     nu2 = _decoupled_nu_squared(state)
     return symplectic_eigenvalues(state) if nu2 is None else np.sqrt(nu2)
 
@@ -548,6 +569,7 @@ def is_physical(state: CovarianceMatrix, atol: float = PHYSICALITY_ATOL) -> bool
     """Whether all symplectic eigenvalues satisfy nu >= 1 - atol (vacuum units), decided
     by the closed form for a two-mode state with no X-P cross terms (every reconstruction),
     by :func:`symplectic_eigenvalues` for every other state; atol is finite."""
+    _instance(state, CovarianceMatrix, "is_physical", "state")
     return _below_gate(state, _finite(atol, "is_physical: atol")) is None
 
 
@@ -562,6 +584,7 @@ def _unphysical(state: CovarianceMatrix, who: str) -> str | None:
 def quadrature_variance(state: CovarianceMatrix, mode: int, angle: float) -> float:
     """Variance of cos(angle) X_mode + sin(angle) P_mode (generalized homodyne) for a finite
     angle; mode checked."""
+    _instance(state, CovarianceMatrix, "quadrature_variance", "state")
     mode = _mode_index(mode, state.n_modes, "quadrature_variance")
     angle = _finite(angle, "quadrature_variance: angle")
     v = np.zeros(2 * state.n_modes)
@@ -670,4 +693,6 @@ def build_epr_source(params: SourceParams) -> CovarianceMatrix:
     math.pi / 2, is an exact quarter turn, so the state has exactly zero X-P
     entries.  Only the result is checked.
     """
+    if not isinstance(params, SourceParams):
+        _instance(params, SourceParams, "build_epr_source", "params")
     return CovarianceMatrix(n_modes=2, entries=np.array(_source_entries(params)).reshape(4, 4))

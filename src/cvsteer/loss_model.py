@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 
 from .criteria import _joint_variances
 from .gaussian import (CovarianceMatrix, PhysicalityWarning, UnphysicalStateError, _finite,
-                       _moments_of, _real, _unphysical, _xp_of, build_epr_source)
+                       _integer, _moments, _real, _record, _unphysical, _xp_of, build_epr_source)
 
 __all__ = [
     "forward_covariance",
@@ -41,7 +41,9 @@ _ENTRY_MAX = math.sqrt(sys.float_info.max) / 8.0  # sums of squared entries stay
 
 
 def db_to_variance(db: float) -> float:
-    """Variance relative to vacuum for a level `db` decibels below it; inf past the float range."""
+    """Variance relative to vacuum for a level `db` decibels below it, a real number
+    (gaussian._real, which passes +-inf and nan on); inf past the float range."""
+    db = _real(db, "db_to_variance: db")
     try:
         return 10.0 ** (-db / 10.0)
     except OverflowError:
@@ -57,7 +59,9 @@ def variance_to_db(variance: float) -> float:
 
 
 def detected_variance(r: float, xi: float, antisqueezed: bool = False) -> float:
-    """Detected variance of a squeezed input after uniform efficiency xi."""
+    """Detected variance of a squeezed input after uniform efficiency xi, real numbers
+    (gaussian._real)."""
+    r, xi = _real(r, "detected_variance: r"), _real(xi, "detected_variance: xi")
     sign = 2.0 if antisqueezed else -2.0
     return xi * math.exp(sign * r) + (1.0 - xi)
 
@@ -68,7 +72,9 @@ forward_covariance = build_epr_source
 
 @dataclass(frozen=True)
 class LossFit:
-    """Result of fitting (r1, r2, uniform xi) to a measured covariance matrix."""
+    """Result of fitting (r1, r2, uniform xi) to a measured covariance matrix.  xi, r1, r2
+    and residual are real numbers (gaussian._real), stored as floats, and iterations an
+    integer (gaussian._integer), stored as an int."""
 
     xi: float
     r1: float
@@ -78,10 +84,15 @@ class LossFit:
     converged: bool
 
     def __post_init__(self):
-        if not 0.0 < self.xi <= 1.0:
-            raise ValueError(f"LossFit: xi must be in (0, 1], got {self.xi}")
-        if self.residual < 0.0:
-            raise ValueError(f"LossFit: residual must be >= 0, got {self.residual}")
+        xi, r1, r2, residual = (_real(getattr(self, name), f"LossFit: {name}")
+                                for name in ("xi", "r1", "r2", "residual"))
+        iterations = _integer(self.iterations, "LossFit", "iterations")
+        if not 0.0 < xi <= 1.0:
+            raise ValueError(f"LossFit: xi must be in (0, 1], got {xi}")
+        if residual < 0.0:
+            raise ValueError(f"LossFit: residual must be >= 0, got {residual}")
+        self.__dict__.update(xi=xi, r1=r1, r2=r2, residual=residual,  # frozen: no __setattr__
+                             iterations=iterations)
 
     def detected_squeezing_db(self) -> tuple[float, float]:
         """Fitted detected squeezing levels of the two sources, in dB."""
@@ -167,8 +178,8 @@ def _scan(v_minus, v_plus):
 def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     """Fit the three-parameter loss model to a reconstructed covariance matrix.
 
-    Expects a two-mode matrix with zero X-P cross terms (the reconstruction
-    output shape); one below the physicality gate is fitted with a
+    Expects a two-mode matrix (gaussian._moments) with zero X-P cross terms (the
+    reconstruction output shape); one below the physicality gate is fitted with a
     PhysicalityWarning, as reconstruct returns it.  Minimizes the sum of
     squared differences over the eight nonzero entries.  In the symmetric
     model those entries are an orthonormal linear map of the four effective
@@ -186,14 +197,12 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     the best objective.  A minimum on a scan bound whose slope points outward
     (or is 0), such as xi = 1, is a valid fit.
     """
-    if gamma_measured.n_modes != 2:
-        raise ValueError("fit_efficiency: state must have exactly 2 modes")
+    xa, pa, xb, pb, cov_x, cov_p = _moments(gamma_measured, "fit_efficiency")
     e = gamma_measured.entries.ravel().tolist()
     largest = max(map(abs, e))
     if largest > _ENTRY_MAX:
         raise ValueError(f"fit_efficiency: entries up to {largest:.3g} are too large; "
                          f"the fit squares them (at most {_ENTRY_MAX:.3g})")
-    xa, pa, xb, pb, cov_x, cov_p = _moments_of(e)
     cross = max(map(abs, _xp_of(e)))
     if cross > 1e-9 * max(1.0, xa, pa, xb, pb):
         raise ValueError("fit_efficiency: expected zero X-P cross terms "
@@ -236,7 +245,8 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
                      for i, p in enumerate(scan) if abs(i - k) > 1)
 
     r1, r2 = (0.5 * math.log(x) for x in a)
-    return LossFit(
+    return _record(  # the floats and int of the fit, which LossFit's checks would pass
+        LossFit,
         xi=xi,
         r1=r1,
         r2=r2,

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .criteria import _joint_variances
-from .gaussian import (CovarianceMatrix, PhysicalityWarning, _finite, _from_moments,
+from .gaussian import (CovarianceMatrix, PhysicalityWarning, _finite, _from_moments, _instance,
                        _json_object, _moments, _number, _number_text, _real, _unphysical)
 
 CSV_FIELDS = ("var_xa", "var_pa", "var_xb", "var_pb", "var_x_diff", "var_p_sum")
@@ -185,8 +185,11 @@ def reconstruct(ms: MeasurementSet) -> CovarianceMatrix:
     InconsistentDataError naming the more strongly correlated covariance
     (|Cov| / bound, X on a tie).  Matrices that are merely below the
     symplectic physicality boundary emit a PhysicalityWarning but are returned.
-    The result depends on ms.values() alone: relative_error is not read.
+    The result depends on ms.values() alone: relative_error is not read.  ms is a
+    MeasurementSet (gaussian._instance).
     """
+    if not isinstance(ms, MeasurementSet):
+        _instance(ms, MeasurementSet, "reconstruct", "ms")
     xa, pa, xb, pb, x_diff, p_sum = ms.values()
     cov_x, cov_p = _covariances(xa, pa, xb, pb, x_diff, p_sum)
     try:
@@ -210,8 +213,10 @@ def propagate_errors(ms: MeasurementSet) -> np.ndarray:
     Diagonal entries inherit relative_error * value; each covariance combines
     the three inputs of the reconstruction identity in quadrature (errors
     treated as independent).  Entries fixed to zero by convention carry zero
-    uncertainty.
+    uncertainty.  ms is a MeasurementSet (gaussian._instance).
     """
+    if not isinstance(ms, MeasurementSet):
+        _instance(ms, MeasurementSet, "propagate_errors", "ms")
     rel = ms.relative_error
     return _from_moments(rel * ms.var_xa, rel * ms.var_pa, rel * ms.var_xb, rel * ms.var_pb,
                          _covariance_sigma(rel, ms.var_xa, ms.var_xb, ms.var_x_diff),
@@ -220,7 +225,8 @@ def propagate_errors(ms: MeasurementSet) -> np.ndarray:
 
 def expected_measurements(state: CovarianceMatrix, relative_error: float = 0.0,
                           metadata: dict | None = None) -> MeasurementSet:
-    """Noise-free campaign values read directly off a two-mode covariance matrix."""
-    m = _moments(state)
+    """Noise-free campaign values read directly off a two-mode covariance matrix, read by
+    gaussian._moments."""
+    m = _moments(state, "expected_measurements")
     return MeasurementSet(*m[:4], *_joint_variances(*m), relative_error=relative_error,
                           metadata=metadata or {})

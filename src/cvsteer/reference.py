@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .criteria import _conditional, _terms, criteria_report, optimal_gain
-from .gaussian import CovarianceMatrix, _from_moments, _integer
+from .gaussian import CovarianceMatrix, _from_moments, _instance, _integer
 from .loss_model import (
     budget_prep_efficiency,
     db_to_variance,
@@ -87,8 +87,9 @@ def perturbation_study(ms: MeasurementSet, relative_error: float | None = None,
     spread an unbiased first-order error band.  An explicit relative_error
     is checked as MeasurementSet checks its own: it must lie in [0, 1); the
     seed must be an integer >= 0, and n_trials an integer >= 2 for the spread
-    (gaussian._integer).
+    (gaussian._integer); ms is a MeasurementSet (gaussian._instance).
     """
+    _instance(ms, MeasurementSet, "perturbation_study", "ms")
     n_trials = _integer(n_trials, "perturbation_study", "n_trials")
     seed = _integer(seed, "perturbation_study", "seed")
     if n_trials < 2:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import (CovarianceMatrix, UnphysicalStateError, _by_value, _finite, _integer,
-                       _mode_index, _real, _unphysical)
+from .gaussian import (CovarianceMatrix, UnphysicalStateError, _by_value, _finite, _instance,
+                       _integer, _mode_index, _moments, _real, _unphysical)
 from .reconstruction import MeasurementSet
 
 # Rows drawn per campaign chunk: small enough that the draw buffers stay in
@@ -104,9 +104,9 @@ _CANONICAL = {
 @_by_value("values", hashable=False)
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Finite sample set drawn for one setting, with its seed for replay.  seed and n are
-    integers (gaussian._integer), stored as ints.  Equal by value; unhashable, as its values
-    are writeable."""
+    """Finite sample set drawn for one setting, with its seed for replay.  setting is a
+    MeasurementSetting (gaussian._instance); seed and n are integers (gaussian._integer), stored
+    as ints.  Equal by value; unhashable, as its values are writeable."""
 
     setting: MeasurementSetting
     values: np.ndarray
@@ -114,6 +114,7 @@ class SampleBatch:
     n: int
 
     def __post_init__(self):
+        _instance(self.setting, MeasurementSetting, "SampleBatch", "setting")
         seed, n = _integer(self.seed, "SampleBatch", "seed"), _integer(self.n, "SampleBatch", "n")
         vals = np.asarray(self.values, dtype=float)
         if n != len(vals) or n < 2:
@@ -146,9 +147,11 @@ def sample_quadratures(state: CovarianceMatrix, setting: MeasurementSetting,
     sample-by-sample with the same combination of the single-quadrature
     batches at that seed (up to float rounding).  Dark noise adds variance
     dark_noise per involved detector, drawn from the stream seeded
-    (seed, 1), the campaign's X_A dark stream.  n and seed are read by gaussian._integer,
-    dark_noise by gaussian._real (as "sampler: dark_noise").
+    (seed, 1), the campaign's X_A dark stream.  setting is a MeasurementSetting
+    (gaussian._instance), n and seed are read by gaussian._integer, dark_noise by gaussian._real
+    and the state by gaussian._moments (both as "sampler").
     """
+    _instance(setting, MeasurementSetting, "sample_quadratures", "setting")
     n = _integer(n, "sample_quadratures", "n")
     seed = _integer(seed, "sample_quadratures", "seed")
     if n < 2:
@@ -159,16 +162,17 @@ def sample_quadratures(state: CovarianceMatrix, setting: MeasurementSetting,
 
 def sample_variance(batch: SampleBatch) -> float:
     """Unbiased estimator sum((x - mean)^2) / (n - 1)."""
+    _instance(batch, SampleBatch, "sample_variance", "batch")
     return float(np.var(batch.values, ddof=1))
 
 
 def _campaign_projection(state: CovarianceMatrix, settings: list[MeasurementSetting],
                          dark_noise: float):
     """Weights W (4 x k), dark scales a (k,) and the dark-noise variance read by gaussian._real:
-    setting i samples z @ W[:, i] + a[i] * d[i]."""
+    setting i samples z @ W[:, i] + a[i] * d[i].  The state is read by gaussian._moments, as
+    "sampler"."""
     dark_noise = _real(dark_noise, "sampler: dark_noise")
-    if state.n_modes != 2:
-        raise ValueError("sampler: state must have exactly 2 modes")
+    _moments(state, "sampler")
     if message := _unphysical(state, "sampler"):
         raise UnphysicalStateError(message)
     if not 0.0 <= dark_noise < math.inf:
@@ -277,9 +281,13 @@ def campaign_batches(state: CovarianceMatrix, n_per_setting: int, seed: int,
 
 
 def samples_to_csv(batches: list[SampleBatch]) -> str:
-    """Raw sample export: one `setting,value` row per sample."""
+    """Raw sample export: one `setting,value` row per sample, of a list or tuple of SampleBatch
+    (gaussian._instance)."""
+    if not isinstance(batches, (list, tuple)):
+        raise ValueError(f"samples_to_csv: batches must be a list of SampleBatch, "
+                         f"got {type(batches).__name__}")
     lines = ["setting,value"]
-    for b in batches:
-        lab = b.setting.label()
+    for i, b in enumerate(batches):
+        lab = _instance(b, SampleBatch, "samples_to_csv", f"batches[{i}]").setting.label()
         lines.extend(f"{lab},{v!r}" for v in b.values.tolist())
     return "\n".join(lines) + "\n"

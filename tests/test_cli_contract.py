@@ -118,6 +118,8 @@ GAIN_OVERFLOW = matrix([[5e-324, 0, 1e-12, 0], [0, 1, 0, 0], [1e-12, 0, 1e300, 0
 # a passive mix of vacuum whose Duan sum rounds to 3.9999999999999996
 MIXED_VACUUM = json.dumps(apply_symplectic(vacuum_state(2), beamsplitter(0.005, 0, 1, 2)).to_dict())
 NESTED = '{"x": ' + "[" * 100_000 + "]" * 100_000 + "}"  # past the decoder's recursion limit
+THREE = json.dumps({"n_modes": 3, "entries": np.eye(6).tolist()})
+THREE_BELOW = json.dumps({"n_modes": 3, "entries": np.diag([0.5, 0.5, 1, 1, 1, 1]).tolist()})
 PAST_BOUND = dict(zip(CSV_FIELDS, [1.0, 1.0, 1.2, 1.0, 0.001, 2.0]))
 EYE = np.eye(4).tolist()
 
@@ -291,10 +293,22 @@ ROWS = [
                                  ("1e200,1", "GainPair(g_x=1e+200, g_p=1.0)", "inf")]
       for out in OUTS),
     *(Row(f"analyze-three-modes{gains.replace(' --gains ', '-')}",
-          f"analyze --in {{tmp}}/three.json{gains}", 2,
-          files={"three.json": json.dumps({"n_modes": 3, "entries": np.eye(6).tolist()})},
+          f"analyze --in {{tmp}}/three.json{gains}", 2, files={"three.json": THREE},
           err=error("analyze: expected a two-mode state, got 3 modes"))
       for gains in ("", " --gains optimal", " --gains 1,-1")),
+    # a state of other than two modes is refused by one error line, with no warning if it is
+    # also below the physicality gate
+    Row("analyze-three-modes-unphysical", "analyze --in {tmp}/three.json", 2,
+        files={"three.json": THREE_BELOW},
+        err=error("analyze: expected a two-mode state, got 3 modes")),
+    *(Row(f"{label}-three-modes{name}", f"{command} --in {{tmp}}/three.json", 2,
+          files={"three.json": text}, err=error(line))
+      for label, command, line in [
+          ("fit", "fit", "fit_efficiency: expected a two-mode state, got 3 modes"),
+          ("sample-json", "sample --n 10", "sampler: expected a two-mode state, got 3 modes"),
+          ("sample-csv", "sample --n 10 --format csv",
+           "sampler: expected a two-mode state, got 3 modes")]
+      for name, text in [("", THREE), ("-unphysical", THREE_BELOW)]),
     *(Row(f"analyze-{name}", "analyze --in {tmp}/cov.json", 2, files={"cov.json": text},
           err=error(line))
       for name, text, line in [

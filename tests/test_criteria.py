@@ -628,3 +628,50 @@ class TestLossThresholdOfPureStates:
         state = build_epr_source(SourceParams(r1=r, r2=r))
         for eta in np.linspace(0.01, 1.0, 100).tolist():
             assert reid_product(apply_loss(state, LossChannel(1, eta)), "b|a") < 1.0, eta
+
+
+def wjd_lambda_min(entries, steered: int) -> float:
+    """The least eigenvalue of Γ + i(Ω on the steered mode, 0 on the other): negative exactly
+    when the other mode steers the steered one by Gaussian measurements (Wiseman, Jones and
+    Doherty, PRL 98, 140402, 2007)."""
+    omega = np.zeros((4, 4))
+    omega[2 * steered:2 * steered + 2, 2 * steered:2 * steered + 2] = [[0.0, 1.0], [-1.0, 0.0]]
+    return float(np.linalg.eigvalsh(np.asarray(entries) + 1j * omega)[0])
+
+
+# Fixed before the run: products this close to 1 are left out, where the sign of the least
+# eigenvalue is within the eigensolver's rounding.
+WJD_MARGIN = 1e-9
+
+
+class TestWisemanJonesDohertyEquivalence:
+    """For a decoupled state the Schur complement of Γ + i(0_A ⊕ Ω_B) is the conditional
+    covariance diag(Var X_B|X_A, Var P_B|P_A) + iΩ_B, positive semidefinite exactly when its
+    determinant, the optimal Reid product B|A, is at least 1: so Reid B|A < 1 exactly when
+    A steers B by Gaussian measurements, and A|B likewise with Ω_A."""
+
+    def test_reid_below_1_exactly_when_the_wjd_matrix_is_not_positive(self):
+        verdicts = {"b|a": set(), "a|b": set()}
+
+        # forward states at a quarter turn, so decoupled, with losses and dark noise mild
+        # enough that both verdicts are drawn
+        @settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+        @given(r=st.tuples(st.floats(0.0, 2.3), st.floats(0.0, 2.3)),
+               transmittance=st.floats(0.05, 0.95),
+               eta=st.tuples(st.floats(0.5, 1.0), st.floats(0.5, 1.0), st.floats(0.5, 1.0)),
+               dark_noise=st.floats(0.0, 0.1))
+        def check(r, transmittance, eta, dark_noise):
+            state = build_epr_source(SourceParams(
+                r1=r[0], r2=r[1], transmittance=transmittance, eta_prep=eta[0],
+                eta_det_a=eta[1], eta_det_b=eta[2], dark_noise=dark_noise))
+            assert state._six is not None  # decoupled
+            for direction, steered in (("b|a", 1), ("a|b", 0)):
+                product = reid_product(state, direction)
+                if abs(product - 1.0) <= WJD_MARGIN:
+                    continue
+                steers = product < 1.0
+                assert steers == (wjd_lambda_min(state.entries, steered) < 0.0), (direction, state)
+                verdicts[direction].add(steers)
+
+        check()
+        assert verdicts == {"b|a": {True, False}, "a|b": {True, False}}

@@ -17,6 +17,7 @@ from cvsteer import (
     CovarianceMatrix,
     GainPair,
     LossChannel,
+    LossFit,
     MeasurementSet,
     MeasurementSetting,
     PhysicalityWarning,
@@ -34,15 +35,24 @@ from cvsteer import (
     conditional_variance,
     covariance_from_sum,
     criteria_report,
+    db_to_variance,
+    detected_variance,
+    duan_sum,
     efficiency_decomposition,
     expected_measurements,
     fit_efficiency,
+    forward_covariance,
     is_physical,
     measure_campaign,
+    optimal_gain,
     phase_shift,
+    propagate_errors,
     quadrature_variance,
     reconstruct,
+    reid_product,
     sample_quadratures,
+    sample_variance,
+    samples_to_csv,
     squeezer,
     symplectic_eigenvalues,
     symplectic_eigenvalues_two_mode,
@@ -828,6 +838,22 @@ SITES = [
     Site("variance_to_db.variance", lambda v: variance_to_db(v), "variance_to_db: variance",
          FINITE, 0.5, ((0.0, "variance_to_db: variance must be positive, got 0.0"),
                        (-1.0, "variance_to_db: variance must be positive, got -1.0"))),
+    # db_to_variance and detected_variance pass +-inf and nan on: the CLI's --dark-noise-db
+    # hands -inf to the sampler's own refusal
+    Site("db_to_variance.db", lambda v: db_to_variance(v), "db_to_variance: db", REAL, 3.0),
+    Site("detected_variance.r", lambda v: detected_variance(v, 0.9), "detected_variance: r", REAL,
+         1.0),
+    Site("detected_variance.xi", lambda v: detected_variance(1.0, v), "detected_variance: xi",
+         REAL, 0.9),
+    Site("LossFit.xi", lambda v: LossFit(v, 1.0, 1.0, 0.1, 3, True), "LossFit: xi", REAL, 0.9,
+         in_range("LossFit: xi", "(0, 1]", BIG, math.nan, 0.0, 1.5)),
+    Site("LossFit.r1", lambda v: LossFit(0.9, v, 1.0, 0.1, 3, True), "LossFit: r1", REAL, 1.0),
+    Site("LossFit.r2", lambda v: LossFit(0.9, 1.0, v, 0.1, 3, True), "LossFit: r2", REAL, 1.0),
+    Site("LossFit.residual", lambda v: LossFit(0.9, 1.0, 1.0, v, 3, True), "LossFit: residual",
+         REAL, 0.1, tuple((v, f"LossFit: residual must be >= 0, got {read(v)}")
+                          for v in (-0.1, -math.inf))),
+    Site("LossFit.iterations", lambda v: LossFit(0.9, 1.0, 1.0, 0.1, v, True),
+         "LossFit: iterations", COUNT, 3),
 ]
 RULE_ROWS = [(site, value, message) for site in SITES for value, message in site.rows()]
 
@@ -838,35 +864,30 @@ EXEMPT = {
     **{f"CriteriaReport.{f.name}": "an output record, built by criteria_report from the floats "
                                    "it computed"
        for f in dataclasses.fields(cvsteer.CriteriaReport) if f.type == "float"},
-    **{f"LossFit.{name}": "the output record of fit_efficiency, a hot path; it checks xi and "
-                          "residual on the floats the fit computed"
-       for name in ("xi", "r1", "r2", "residual", "iterations")},
     **{f"InconsistentDataError.{name}": "raised by reconstruct with the floats it computed"
        for name in ("value", "bound")},
-    "db_to_variance.db": "maps every float to a variance, +-inf and nan included: the CLI's "
-                         "--dark-noise-db passes -inf on to the sampler's own refusal",
-    "detected_variance.r": "the loss model's formula, on the floats of a LossFit",
-    "detected_variance.xi": "the loss model's formula, on the floats of a LossFit",
 }
 
 
-def annotated_numbers() -> set:
-    """Every parameter and record field annotated float or int (alone or in a union) among
-    cvsteer's public names, as "<owner>.<name>": a function's parameters, a class's fields
-    and __init__ parameters, and "<class>.<method>.<name>" for its public methods."""
-    def numeric(annotation):
+def annotated(types: set) -> set:
+    """Every parameter and record field annotated with one of the type names (alone, in a
+    union or in a list[...]) among cvsteer's public names, as "<owner>.<name>": a function's
+    parameters, a class's fields and __init__ parameters, and "<class>.<method>.<name>" for
+    its public methods."""
+    def marked(annotation):
         text = annotation if isinstance(annotation, str) else getattr(annotation, "__name__", "")
-        return bool({"float", "int"} & {part.strip() for part in text.split("|")})
+        parts = {part.strip() for part in text.split("|")}
+        return bool(types & {re.sub(r"^list\[(.*)\]$", r"\1", part) for part in parts})
 
     def parameters(fn):
-        return [p.name for p in inspect.signature(fn).parameters.values() if numeric(p.annotation)]
+        return [p.name for p in inspect.signature(fn).parameters.values() if marked(p.annotation)]
 
     keys = set()
     for name in cvsteer.__all__:
         obj = getattr(cvsteer, name)
         if inspect.isclass(obj):
             fields = getattr(obj, "__dataclass_fields__", {}).values()
-            keys.update(f"{name}.{f.name}" for f in fields if numeric(f.type))
+            keys.update(f"{name}.{f.name}" for f in fields if marked(f.type))
             if "__init__" in vars(obj):
                 keys.update(f"{name}.{p}" for p in parameters(obj.__init__))
             for attr in vars(obj):
@@ -926,11 +947,11 @@ class TestNumberRule:
         assert spelled(site.call(numpy(site.valid))) == spelled(site.call(python(site.valid)))
 
     def test_every_number_argument_is_ruled(self):
-        annotated = annotated_numbers()
+        numbers = annotated({"float", "int"})
         ruled = ({site.key for site in SITES} | {f"{name}.n_modes" for name in MODE_COUNT_BUILDS}
                  | {key for key, _, _ in MODE_ROWS})
-        assert sorted(annotated - ruled - set(EXEMPT)) == []
-        assert sorted(set(EXEMPT) - annotated) == []  # no stale exemption
+        assert sorted(numbers - ruled - set(EXEMPT)) == []
+        assert sorted(set(EXEMPT) - numbers) == []  # no stale exemption
         assert sorted(set(EXEMPT) & ruled) == []
 
     @settings(max_examples=600, deadline=None, database=None, derandomize=True)
@@ -966,6 +987,138 @@ class TestNumberRule:
                                               *setting.coefficients))
         assert type(setting.coefficients) is tuple
         assert rebuilt(setting) == setting and hash(rebuilt(setting)) == hash(setting)
+
+
+NOT_RECORDS = (np.eye(4), "x_a", None)  # an ndarray, a str and None
+S2, BATCH = squeezer(0.3, 0, 2), SampleBatch(X_A, [1.0, 2.0], 0, 2)
+RECORDS = {"CovarianceMatrix", "SymplecticTransform", "LossChannel", "MeasurementSetting",
+           "MeasurementSet", "SampleBatch", "GainPair", "SourceParams"}
+
+
+@dataclasses.dataclass(frozen=True)
+class RecordSite:
+    """One state or record argument: `key` "<owner>.<name>" as the meta-test lists it, `call`
+    the site with v in that argument and every other argument valid, `what` the "<who>:
+    <name>" its refusals name, `must` what it must be, `two_mode` whether it reads a two-mode
+    state by gaussian._moments, and `refusals` its own (value, message) refusals."""
+
+    key: str
+    call: Callable
+    what: str
+    must: str
+    two_mode: bool = False
+    refusals: tuple = ()
+
+    def rows(self):
+        """(value, message) of every refusal: the rule's, a two-mode reader's, the site's."""
+        rule = [(v, f"{self.what} must be {self.must}, got {type(v).__name__}")
+                for v in NOT_RECORDS]
+        if self.two_mode:
+            who = self.what.split(":")[0]
+            rule += [(vacuum_state(n), f"{who}: expected a two-mode state, got {n} modes")
+                     for n in (1, 3)]
+        return [*rule, *self.refusals]
+
+
+def state_site(owner, call, who=None, two_mode=False):
+    """The site of the state argument of `owner`, refused as `who` (default: owner)."""
+    return RecordSite(f"{owner}.state", call, f"{who or owner}: state", "a CovarianceMatrix",
+                      two_mode)
+
+
+RECORD_SITES = [
+    # gaussian
+    state_site("apply_symplectic", lambda v: apply_symplectic(v, S2)),
+    RecordSite("apply_symplectic.s", lambda v: apply_symplectic(REFERENCE, v),
+               "apply_symplectic: s", "a SymplecticTransform"),
+    state_site("apply_loss", lambda v: apply_loss(v, LossChannel(0, 0.5))),
+    RecordSite("apply_loss.channel", lambda v: apply_loss(REFERENCE, v), "apply_loss: channel",
+               "a LossChannel"),
+    state_site("symplectic_eigenvalues", symplectic_eigenvalues),
+    state_site("symplectic_eigenvalues_two_mode", symplectic_eigenvalues_two_mode, two_mode=True),
+    state_site("is_physical", is_physical),
+    state_site("quadrature_variance", lambda v: quadrature_variance(v, 0, 0.3)),
+    RecordSite("compose.transforms", lambda v: compose(v), "compose: transforms[0]",
+               "a SymplecticTransform"),
+    RecordSite("compose.transforms.second", lambda v: compose(S2, v), "compose: transforms[1]",
+               "a SymplecticTransform"),
+    *(RecordSite(f"{name}.params", call, "build_epr_source: params", "a SourceParams")
+      for name, call in (("build_epr_source", build_epr_source),
+                         ("forward_covariance", forward_covariance))),
+    # criteria
+    state_site("conditional_variance", lambda v: conditional_variance(v, "x", "b|a", 0.9),
+               two_mode=True),
+    state_site("optimal_gain", lambda v: optimal_gain(v, "x", "b|a"), two_mode=True),
+    state_site("reid_product", lambda v: reid_product(v, "b|a"), two_mode=True),
+    RecordSite("reid_product.gains", lambda v: reid_product(REFERENCE, "b|a", v),
+               "reid_product: gains", "a GainPair or 'optimal'"),
+    state_site("duan_sum", duan_sum, two_mode=True),
+    state_site("criteria_report", criteria_report, two_mode=True),
+    # reconstruction
+    RecordSite("reconstruct.ms", reconstruct, "reconstruct: ms", "a MeasurementSet"),
+    RecordSite("propagate_errors.ms", propagate_errors, "propagate_errors: ms",
+               "a MeasurementSet"),
+    state_site("expected_measurements", expected_measurements, two_mode=True),
+    # sampler: the samplers read the state as "sampler"
+    state_site("sample_quadratures", lambda v: sample_quadratures(v, X_A, 2, 0), "sampler", True),
+    RecordSite("sample_quadratures.setting", lambda v: sample_quadratures(REFERENCE, v, 2, 0),
+               "sample_quadratures: setting", "a MeasurementSetting"),
+    state_site("measure_campaign", lambda v: measure_campaign(v, 3, 0), "sampler", True),
+    state_site("campaign_batches", lambda v: campaign_batches(v, 2, 0), "sampler", True),
+    RecordSite("SampleBatch.setting", lambda v: SampleBatch(v, [1.0, 2.0], 0, 2),
+               "SampleBatch: setting", "a MeasurementSetting"),
+    RecordSite("sample_variance.batch", sample_variance, "sample_variance: batch",
+               "a SampleBatch"),
+    RecordSite("samples_to_csv.batches", samples_to_csv, "samples_to_csv: batches",
+               "a list of SampleBatch",
+               refusals=(([BATCH, "x_a"], "samples_to_csv: batches[1] must be a SampleBatch, "
+                                          "got str"),
+                         ((None,), "samples_to_csv: batches[0] must be a SampleBatch, "
+                                   "got NoneType"))),
+    # reference
+    RecordSite("perturbation_study.ms", lambda v: perturbation_study(v, 0.05, n_trials=2),
+               "perturbation_study: ms", "a MeasurementSet"),
+    # loss_model
+    RecordSite("fit_efficiency.gamma_measured", fit_efficiency, "fit_efficiency: state",
+               "a CovarianceMatrix", two_mode=True),
+]
+RECORD_ROWS = [(site, value, message) for site in RECORD_SITES for value, message in site.rows()]
+
+# Arguments annotated with a record class that no row rules, each with the reason.
+RECORD_EXEMPT = {
+    f"CriteriaReport.optimal_gains_{direction}": "an output record, built by criteria_report "
+                                                 "from the GainPairs it computed"
+    for direction in ("b_given_a", "a_given_b")
+}
+
+
+def shown(v) -> str:
+    """A row value in a test id: a state by its mode count, else its type name or repr."""
+    if isinstance(v, CovarianceMatrix):
+        return f"vacuum_state({v.n_modes})"
+    return type(v).__name__ if isinstance(v, np.ndarray) else repr(v)
+
+
+class TestRecordRule:
+    """Every state and record argument of a public function is tested by gaussian._instance,
+    and every two-mode reader reads its state by gaussian._moments, before any attribute is
+    read: anything else is refused with "<who>: <name> must be a <Class>, got <type name>",
+    a state of other than two modes with "<who>: expected a two-mode state, got <n> modes",
+    each a ValueError, never an AttributeError or a TypeError."""
+
+    @pytest.mark.parametrize("site, value, message", RECORD_ROWS,
+                             ids=[f"{site.key}={shown(value)}" for site, value, _ in RECORD_ROWS])
+    def test_every_refusal_is_worded(self, site, value, message):
+        with pytest.raises(ValueError) as exc:
+            site.call(value)
+        assert type(exc.value) is ValueError and str(exc.value) == message
+
+    def test_every_record_argument_is_ruled(self):
+        records = annotated(RECORDS)
+        ruled = {site.key for site in RECORD_SITES}
+        assert sorted(records - ruled - set(RECORD_EXEMPT)) == []
+        assert sorted(set(RECORD_EXEMPT) - records) == []  # no stale exemption
+        assert sorted(set(RECORD_EXEMPT) & ruled) == []
 
 
 def cholesky_accepts(m) -> bool:
@@ -1149,12 +1302,12 @@ class TestStateOfMoments:
         for state in (ref_state, build_epr_source(SourceParams(r1=1.2, r2=1.1, eta_prep=0.9)),
                       CovarianceMatrix._of_moments(18.41, 35.49, 17.98, 34.61, 18.09, -34.95)):
             assert state._six == gaussian._moments_of(state.entries.ravel().tolist())
-            assert gaussian._moments(state) is state._six
+            assert gaussian._moments(state, "reader") is state._six
 
     def test_coupled_and_other_mode_counts_record_none(self, ref_state):
         coupled = apply_symplectic(ref_state, phase_shift(0.3, 1, 2))
         assert coupled._six is None and gaussian._decoupled_nu_squared(coupled) is None
-        assert gaussian._moments(coupled) == gaussian._moments_of(coupled.entries.ravel().tolist())
+        assert gaussian._moments(coupled, "reader") == gaussian._moments_of(coupled.entries.ravel().tolist())
         assert vacuum_state(1)._six is None and vacuum_state(3)._six is None
 
     def test_near_symmetric_decoupled_matrix_takes_the_closed_form(self, monkeypatch, ref_state):
@@ -1187,7 +1340,7 @@ class TestStateOfMoments:
         object.__setattr__(bare, "n_modes", 2)
         object.__setattr__(bare, "entries", np.diag([0.5, 1.0, 1.0, 1.0]))
         assert bare._six is None and gaussian._decoupled_nu_squared(bare) is None
-        assert gaussian._moments(bare) == (0.5, 1.0, 1.0, 1.0, 0.0, 0.0)
+        assert gaussian._moments(bare, "reader") == (0.5, 1.0, 1.0, 1.0, 0.0, 0.0)
         assert not is_physical(bare)
 
 

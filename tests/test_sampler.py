@@ -129,7 +129,8 @@ class TestSampleQuadratures:
 
     @pytest.mark.parametrize("n_modes", [1, 3])
     def test_needs_a_two_mode_state(self, n_modes):
-        with pytest.raises(ValueError, match="exactly 2 modes"):
+        with pytest.raises(ValueError,
+                           match=f"^sampler: expected a two-mode state, got {n_modes} modes$"):
             sample_quadratures(vacuum_state(n_modes), X_DIFF, 10, seed=0)
 
     def test_joint_equals_combined_marginals_at_same_seed(self, ref_state):
