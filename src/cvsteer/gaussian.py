@@ -447,13 +447,14 @@ def symplectic_eigenvalues(state: CovarianceMatrix) -> np.ndarray:
     return moduli[::2].copy()
 
 
-def _moments(state: CovarianceMatrix, who: str) -> tuple[float, ...]:
+def _moments(state: CovarianceMatrix, who: str, name: str = "state") -> tuple[float, ...]:
     """The six second moments (Var X_A, Var P_A, Var X_B, Var P_B, Cov X, Cov P), as floats:
     those recorded at construction, else read from the entries.  The one test of a two-mode
-    state, naming `who`: anything but a CovarianceMatrix is refused by :func:`_instance`, a
-    state of other than two modes with "<who>: expected a two-mode state, got <n> modes"."""
+    state, the argument `name` of `who`: anything but a CovarianceMatrix is refused by
+    :func:`_instance`, a state of other than two modes with
+    "<who>: expected a two-mode state, got <n> modes"."""
     if not isinstance(state, CovarianceMatrix):
-        _instance(state, CovarianceMatrix, who, "state")
+        _instance(state, CovarianceMatrix, who, name)
     if state.n_modes != 2:
         raise ValueError(f"{who}: expected a two-mode state, got {state.n_modes} modes")
     return _moments_of(state.entries.ravel().tolist()) if state._six is None else state._six

@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 
 from .criteria import _joint_variances
 from .gaussian import (CovarianceMatrix, PhysicalityWarning, UnphysicalStateError, _finite,
-                       _integer, _moments, _real, _record, _unphysical, _xp_of, build_epr_source)
+                       _integer, _moments, _real, _unphysical, _xp_of, build_epr_source)
 
 __all__ = [
     "forward_covariance",
@@ -197,7 +197,7 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
     the best objective.  A minimum on a scan bound whose slope points outward
     (or is 0), such as xi = 1, is a valid fit.
     """
-    xa, pa, xb, pb, cov_x, cov_p = _moments(gamma_measured, "fit_efficiency")
+    xa, pa, xb, pb, cov_x, cov_p = _moments(gamma_measured, "fit_efficiency", "gamma_measured")
     e = gamma_measured.entries.ravel().tolist()
     largest = max(map(abs, e))
     if largest > _ENTRY_MAX:
@@ -245,8 +245,7 @@ def fit_efficiency(gamma_measured: CovarianceMatrix) -> LossFit:
                      for i, p in enumerate(scan) if abs(i - k) > 1)
 
     r1, r2 = (0.5 * math.log(x) for x in a)
-    return _record(  # the floats and int of the fit, which LossFit's checks would pass
-        LossFit,
+    return LossFit(
         xi=xi,
         r1=r1,
         r2=r2,

@@ -281,11 +281,13 @@ def campaign_batches(state: CovarianceMatrix, n_per_setting: int, seed: int,
 
 
 def samples_to_csv(batches: list[SampleBatch]) -> str:
-    """Raw sample export: one `setting,value` row per sample, of a list or tuple of SampleBatch
-    (gaussian._instance)."""
-    if not isinstance(batches, (list, tuple)):
-        raise ValueError(f"samples_to_csv: batches must be a list of SampleBatch, "
-                         f"got {type(batches).__name__}")
+    """Raw sample export: one `setting,value` row per sample, of any iterable of SampleBatch,
+    each tested by gaussian._instance as it is reached."""
+    try:
+        batches = iter(batches)
+    except TypeError:
+        raise ValueError(f"samples_to_csv: batches must be an iterable of SampleBatch, "
+                         f"got {type(batches).__name__}") from None
     lines = ["setting,value"]
     for i, b in enumerate(batches):
         lab = _instance(b, SampleBatch, "samples_to_csv", f"batches[{i}]").setting.label()

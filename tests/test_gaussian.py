@@ -999,20 +999,21 @@ RECORDS = {"CovarianceMatrix", "SymplecticTransform", "LossChannel", "Measuremen
 class RecordSite:
     """One state or record argument: `key` "<owner>.<name>" as the meta-test lists it, `call`
     the site with v in that argument and every other argument valid, `what` the "<who>:
-    <name>" its refusals name, `must` what it must be, `two_mode` whether it reads a two-mode
-    state by gaussian._moments, and `refusals` its own (value, message) refusals."""
+    <name>" its refusals name, `must` what it must be (None: its own refusals only),
+    `two_mode` whether it reads a two-mode state by gaussian._moments, and `refusals` its
+    own (value, message) refusals."""
 
     key: str
     call: Callable
     what: str
-    must: str
+    must: str | None
     two_mode: bool = False
     refusals: tuple = ()
 
     def rows(self):
         """(value, message) of every refusal: the rule's, a two-mode reader's, the site's."""
         rule = [(v, f"{self.what} must be {self.must}, got {type(v).__name__}")
-                for v in NOT_RECORDS]
+                for v in NOT_RECORDS if self.must]
         if self.two_mode:
             who = self.what.split(":")[0]
             rule += [(vacuum_state(n), f"{who}: expected a two-mode state, got {n} modes")
@@ -1069,17 +1070,21 @@ RECORD_SITES = [
                "SampleBatch: setting", "a MeasurementSetting"),
     RecordSite("sample_variance.batch", sample_variance, "sample_variance: batch",
                "a SampleBatch"),
-    RecordSite("samples_to_csv.batches", samples_to_csv, "samples_to_csv: batches",
-               "a list of SampleBatch",
-               refusals=(([BATCH, "x_a"], "samples_to_csv: batches[1] must be a SampleBatch, "
-                                          "got str"),
-                         ((None,), "samples_to_csv: batches[0] must be a SampleBatch, "
-                                   "got NoneType"))),
+    # samples_to_csv reads any iterable, each batch as it is reached: here a generator
+    RecordSite("samples_to_csv.batches[1]", lambda v: samples_to_csv(b for b in (BATCH, v)),
+               "samples_to_csv: batches[1]", "a SampleBatch"),
+    RecordSite("samples_to_csv.batches", samples_to_csv, "samples_to_csv: batches", None,
+               refusals=((None, "samples_to_csv: batches must be an iterable of SampleBatch, "
+                                "got NoneType"),
+                         (3, "samples_to_csv: batches must be an iterable of SampleBatch, got int"),
+                         (np.eye(4), "samples_to_csv: batches[0] must be a SampleBatch, "
+                                     "got ndarray"),
+                         ("x_a", "samples_to_csv: batches[0] must be a SampleBatch, got str"))),
     # reference
     RecordSite("perturbation_study.ms", lambda v: perturbation_study(v, 0.05, n_trials=2),
                "perturbation_study: ms", "a MeasurementSet"),
     # loss_model
-    RecordSite("fit_efficiency.gamma_measured", fit_efficiency, "fit_efficiency: state",
+    RecordSite("fit_efficiency.gamma_measured", fit_efficiency, "fit_efficiency: gamma_measured",
                "a CovarianceMatrix", two_mode=True),
 ]
 RECORD_ROWS = [(site, value, message) for site in RECORD_SITES for value, message in site.rows()]

@@ -311,3 +311,7 @@ class TestCampaignBatches:
         assert lines[1].startswith("x_a,")
         value = float(lines[1].split(",")[1])
         assert math.isfinite(value)
+        # any iterable of batches is read alike
+        by_label = {b.setting.label(): b for b in batches}
+        for it in (tuple(batches), (b for b in batches), by_label.values()):
+            assert samples_to_csv(it) == text
