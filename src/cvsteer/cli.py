@@ -79,6 +79,8 @@ def _load_json(path: str, text: str | None = None):
         return json.loads(text)
     except RecursionError:  # the decoder's, for arrays or objects nested past its limit
         raise ValueError(f"{path}: JSON nested too deeply") from None
+    except json.JSONDecodeError as exc:  # e.g. an empty or truncated file
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
 
 
 def _load_measurements(path: str) -> MeasurementSet:

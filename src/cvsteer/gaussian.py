@@ -5,7 +5,8 @@ States are 2n x 2n real symmetric second-moment matrices over the quadratures
 quadrature.  Lossless optics act as symplectic matrices (S @ gamma @ S.T),
 loss as a vacuum admixture channel.  Every state and record argument of a public function
 is tested by :func:`_instance`, and every two-mode state read by :func:`_moments`, before
-any of its attributes is read.
+any of its attributes is read; every array argument is read by :func:`_real_array`, and
+every mapping by :func:`_json_mapping`, before numpy or json sees it.
 """
 
 from __future__ import annotations
@@ -79,6 +80,70 @@ def _real(v, what: str) -> float:
         return float(v)
     except OverflowError:  # which the caller's range check then refuses
         return math.inf if v > 0 else -math.inf
+
+
+def _real_array(v, who: str, name: str, copy: bool = True) -> np.ndarray:
+    """v as a float array, a new one unless copy is False, if an array of real numbers: a
+    float or integer ndarray, or a list or tuple, nested or not, of real numbers as
+    :func:`_real` reads them (a bool refused, an int past the float range read as +-inf) and
+    of such arrays.  Else the ValueError "<who>: <name> must be an array of real numbers, got
+    <the type name, the dtype, 'a ragged sequence', 'a sequence nested too deeply' or the repr
+    of the first element that is not one>": the test of every array argument, before numpy
+    converts it."""
+    if isinstance(v, np.ndarray):
+        if v.dtype.kind in "fiu":
+            return np.array(v, dtype=float) if copy else np.asarray(v, dtype=float)
+        got = v.dtype
+    elif isinstance(v, (list, tuple)):
+        try:
+            return np.array(_floats(v, name), dtype=float)
+        except TypeError as exc:  # _floats describes the element
+            got = exc.args[0]
+        except ValueError:  # numpy's, for rows of unequal length or depth
+            got = "a ragged sequence"
+        except RecursionError:  # the walk's, past numpy's 64 dimensions as well
+            got = "a sequence nested too deeply"
+    else:
+        got = type(v).__name__
+    raise ValueError(f"{who}: {name} must be an array of real numbers, got {got}")
+
+
+def _floats(seq, name: str) -> list:
+    """The list or tuple seq, nested or not, with each real number read by :func:`_real`; a
+    TypeError describes the first element that is neither a real number, nor a float or integer
+    ndarray, nor such a list or tuple: an ndarray by its dtype, any other by its repr."""
+    out = []
+    for x in seq:
+        if type(x) is float:
+            out.append(x)
+        elif isinstance(x, (list, tuple)):
+            out.append(_floats(x, name))
+        elif isinstance(x, np.ndarray):
+            if x.dtype.kind not in "fiu":
+                raise TypeError(str(x.dtype))
+            out.append(x)
+        elif type(x) is bool or not isinstance(x, numbers.Real):
+            raise TypeError(repr(x))
+        else:
+            out.append(_real(x, name))
+    return out
+
+
+def _json_mapping(v, who: str, name: str) -> dict:
+    """v if a dict with str keys that json writes, so that it reads back from its JSON as its
+    keys were given; else a ValueError: "<who>: <name> must be a dict, got <type name>" by
+    :func:`_instance`, "<who>: <name> keys must be str, got <repr>", or "<who>: <name> must be
+    writable as JSON (<json's reason>)".  The test of every mapping argument."""
+    _instance(v, dict, who, name)
+    if v:  # an empty dict writes as {}
+        for key in v:
+            if type(key) is not str:
+                raise ValueError(f"{who}: {name} keys must be str, got {key!r}")
+        try:
+            json.dumps(v)
+        except (TypeError, ValueError) as exc:  # a value json cannot write, or a cycle
+            raise ValueError(f"{who}: {name} must be writable as JSON ({exc})") from None
+    return v
 
 
 def _finite(v, what: str) -> float:
@@ -170,20 +235,19 @@ def _mode_index(mode, n_modes: int, what: str) -> int:
     return i
 
 
-def _as_checked_matrix(entries, n_modes: int, what: str) -> np.ndarray:
-    m = np.array(entries, dtype=float)
+def _check_square(m: np.ndarray, n_modes: int, what: str) -> None:
+    """Refuse a float array, read by :func:`_real_array`, that is not a finite (2n, 2n) matrix."""
     if m.shape != (2 * n_modes, 2 * n_modes):
         raise ValueError(
             f"{what}: expected shape {(2 * n_modes, 2 * n_modes)}, got {m.shape}"
         )
     if not np.isfinite(m).all():
         raise ValueError(f"{what}: entries must be finite")
-    return m
 
 
-def _checked_covariance(entries, n_modes: int) -> np.ndarray:
-    """The entries as a checked, symmetrised float array, by numpy."""
-    m = _as_checked_matrix(entries, n_modes, "CovarianceMatrix")
+def _checked_covariance(m: np.ndarray, n_modes: int) -> np.ndarray:
+    """The float array m, read by :func:`_real_array`, checked and symmetrised, by numpy."""
+    _check_square(m, n_modes, "CovarianceMatrix")
     # an exactly symmetric matrix, (0.0, -0.0) pairs included, is kept as given
     if not (m == m.T).all():
         asym = np.abs(m - m.T)
@@ -230,7 +294,7 @@ class CovarianceMatrix:
 
     def __post_init__(self):
         n_modes = _mode_count(self.n_modes, "CovarianceMatrix")
-        m = np.array(self.entries, dtype=float)
+        m = _real_array(self.entries, "CovarianceMatrix", "entries")
         six = _decoupled_moments(m) if n_modes == 2 else None
         if six is None:
             m = _checked_covariance(m, n_modes)
@@ -295,7 +359,8 @@ class SymplecticTransform:
 
     def __post_init__(self):
         n_modes = _mode_count(self.n_modes, "SymplecticTransform")
-        m = _as_checked_matrix(self.matrix, n_modes, "SymplecticTransform")
+        m = _real_array(self.matrix, "SymplecticTransform", "matrix")
+        _check_square(m, n_modes, "SymplecticTransform")
         omega = _symplectic_form(n_modes)
         if np.max(np.abs(m @ omega @ m.T - omega)) > SYMPLECTIC_ATOL:
             raise ValueError("SymplecticTransform: S Omega S^T != Omega")

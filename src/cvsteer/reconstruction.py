@@ -19,7 +19,8 @@ import numpy as np
 
 from .criteria import _joint_variances
 from .gaussian import (CovarianceMatrix, PhysicalityWarning, _finite, _from_moments, _instance,
-                       _json_object, _moments, _number, _number_text, _real, _unphysical)
+                       _json_mapping, _json_object, _moments, _number, _number_text, _real,
+                       _unphysical)
 
 CSV_FIELDS = ("var_xa", "var_pa", "var_xb", "var_pb", "var_x_diff", "var_p_sum")
 _FRESH = object()  # MeasurementSet's default metadata: a new {} per set
@@ -53,7 +54,8 @@ class MeasurementSet:
     values; it feeds propagate_errors and perturbation_study and nothing else
     (reconstruct reads the six values alone).  metadata carries acquisition
     labels (e.g. fourier_frequency_hz, rbw_hz, vbw_hz) that do not enter any
-    computation.
+    computation: a dict with str keys that json writes (gaussian._json_mapping),
+    so that the set reads back from its own JSON.
 
     The constructor is written out, not generated: it checks its arguments, then
     stores the eight fields in one update, the seven numbers as floats (a bool, or
@@ -89,10 +91,11 @@ class MeasurementSet:
             raise ValueError(
                 f"MeasurementSet: relative_error must be in [0, 1), got {relative_error}"
             )
+        metadata = {} if metadata is _FRESH else _json_mapping(metadata, "MeasurementSet",
+                                                               "metadata")
         self.__dict__.update(  # frozen: no __setattr__
             var_xa=var_xa, var_pa=var_pa, var_xb=var_xb, var_pb=var_pb, var_x_diff=var_x_diff,
-            var_p_sum=var_p_sum, relative_error=relative_error,
-            metadata={} if metadata is _FRESH else metadata)
+            var_p_sum=var_p_sum, relative_error=relative_error, metadata=metadata)
 
     def values(self) -> tuple[float, ...]:
         """The six variances in CSV_FIELDS order."""
@@ -226,7 +229,7 @@ def propagate_errors(ms: MeasurementSet) -> np.ndarray:
 def expected_measurements(state: CovarianceMatrix, relative_error: float = 0.0,
                           metadata: dict | None = None) -> MeasurementSet:
     """Noise-free campaign values read directly off a two-mode covariance matrix, read by
-    gaussian._moments."""
+    gaussian._moments; metadata, None for {}, is read as MeasurementSet reads it."""
     m = _moments(state, "expected_measurements")
     return MeasurementSet(*m[:4], *_joint_variances(*m), relative_error=relative_error,
-                          metadata=metadata or {})
+                          metadata={} if metadata is None else metadata)

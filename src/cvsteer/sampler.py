@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import (CovarianceMatrix, UnphysicalStateError, _by_value, _finite, _instance,
-                       _integer, _mode_index, _moments, _real, _unphysical)
+                       _integer, _mode_index, _moments, _real, _real_array, _unphysical)
 from .reconstruction import MeasurementSet
 
 # Rows drawn per campaign chunk: small enough that the draw buffers stay in
@@ -105,8 +105,10 @@ _CANONICAL = {
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
     """Finite sample set drawn for one setting, with its seed for replay.  setting is a
-    MeasurementSetting (gaussian._instance); seed and n are integers (gaussian._integer), stored
-    as ints.  Equal by value; unhashable, as its values are writeable."""
+    MeasurementSetting (gaussian._instance); values a one-dimensional array of real numbers
+    (gaussian._real_array, a float ndarray kept as given), non-finite samples included; seed
+    and n are integers (gaussian._integer), stored as ints.  Equal by value; unhashable, as
+    its values are writeable."""
 
     setting: MeasurementSetting
     values: np.ndarray
@@ -116,7 +118,9 @@ class SampleBatch:
     def __post_init__(self):
         _instance(self.setting, MeasurementSetting, "SampleBatch", "setting")
         seed, n = _integer(self.seed, "SampleBatch", "seed"), _integer(self.n, "SampleBatch", "n")
-        vals = np.asarray(self.values, dtype=float)
+        vals = _real_array(self.values, "SampleBatch", "values", copy=False)
+        if vals.ndim != 1:
+            raise ValueError(f"SampleBatch: values must be one-dimensional, got shape {vals.shape}")
         if n != len(vals) or n < 2:
             raise ValueError(f"SampleBatch: need n == len(values) >= 2, got n={n}")
         self.__dict__.update(values=vals, seed=seed, n=n)  # frozen: no __setattr__

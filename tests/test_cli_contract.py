@@ -336,6 +336,16 @@ ROWS = [
           files={"nested.json": NESTED}, err=error("{tmp}/nested.json: JSON nested too deeply"))
       for command, n in [("analyze", ""), ("fit", ""), ("sample", " --n 10"), ("simulate", ""),
                          ("reconstruct", "")]),
+    # an empty or a truncated file, named; reconstruct reads an empty file as CSV
+    *(Row(f"{command}-{name}", f"{command} --in {{tmp}}/bad.json{n}", 2, files={"bad.json": text},
+          err=error(f"{{tmp}}/bad.json: not valid JSON ({reason})"))
+      for command, n in [("analyze", ""), ("fit", ""), ("sample", " --n 10"), ("simulate", ""),
+                         ("reconstruct", "")]
+      for name, text, reason in [
+          ("empty", "", "Expecting value: line 1 column 1 (char 0)"),
+          ("truncated", '{"n_modes": 2,',
+           "Expecting property name enclosed in double quotes: line 1 column 15 (char 14)")]
+      if (command, name) != ("reconstruct", "empty")),
     # int() and float() read 1_0 as 10; no number flag does, written either way
     *(Row(f"{command.split()[0]}{flag}{sep.strip() or '-'}1_0", f"{command} {flag}{sep}1_0", 2,
           files=REFERENCE,

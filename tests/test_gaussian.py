@@ -1,10 +1,12 @@
 import copy
 import dataclasses
+import functools
 import inspect
 import json
 import math
 import pickle
 import re
+import reprlib
 from typing import Callable
 
 import numpy as np
@@ -1124,6 +1126,178 @@ class TestRecordRule:
         assert sorted(records - ruled - set(RECORD_EXEMPT)) == []
         assert sorted(set(RECORD_EXEMPT) - records) == []  # no stale exemption
         assert sorted(set(RECORD_EXEMPT) & ruled) == []
+
+
+# (value, how gaussian._real_array describes it): every kind of value the array rule refuses
+NOT_ARRAYS = (
+    ("abc", "str"), ({"a": 1}, "dict"), (None, "NoneType"), (1.0, "float"),
+    (np.float64(1.0), "float64"), (np.eye(4, dtype=bool), "bool"),
+    (np.eye(4, dtype=complex), "complex128"), (np.array([1.0, None], dtype=object), "object"),
+    (np.array(["1.0"]), "<U3"), ([[1, 0], [0]], "a ragged sequence"),
+    ([[1.0, 0.0], 0.0], "a ragged sequence"), ([[1.0, 0.0], np.zeros(3)], "a ragged sequence"),
+    ([1.0, True], "True"), ([[1.0], [np.True_]], "np.True_"), ([1.0, "1.0"], "'1.0'"),
+    ((1.0, None), "None"), ([1.0, 1j], "1j"), ([np.zeros(2), np.ones(2, dtype=bool)], "bool"),
+    (functools.reduce(lambda v, _: [v], range(5000), [1.0]), "a sequence nested too deeply"),
+)
+_CYCLE = {}
+_CYCLE["self"] = _CYCLE
+# (value, what gaussian._json_mapping says of it): every kind of value the mapping rule refuses
+NOT_MAPPINGS = (
+    (5, "must be a dict, got int"), ({1, 2}, "must be a dict, got set"),
+    ([], "must be a dict, got list"), ("k", "must be a dict, got str"),
+    ({1: "a"}, "keys must be str, got 1"), ({"a": 1, (1, 2): 2}, "keys must be str, got (1, 2)"),
+    ({"a": {1, 2}}, "must be writable as JSON (Object of type set is not JSON serializable)"),
+    ({"n": np.int64(3)}, "must be writable as JSON (Object of type int64 is not JSON "
+                         "serializable)"),
+    (_CYCLE, "must be writable as JSON (Circular reference detected)"),
+)
+ARRAY, MAPPING = "_real_array", "_json_mapping"  # the gaussian rule that reads a site
+NAN_EYE = np.diag([math.nan, 1.0, 1.0, 1.0])
+BIG_EYE = [[BIG, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]  # BIG read as inf
+MS_JSON = REFERENCE_MEASUREMENTS.to_dict()
+
+
+@dataclasses.dataclass(frozen=True)
+class ArraySite:
+    """One array or mapping argument: `key` "<owner>.<name>" as the meta-test lists it, `call`
+    the site with v in that argument and every other argument valid, `what` the "<who>:
+    <name>" its refusals name, `kind` the rule that reads it (None: its own refusals only),
+    and `refusals` its own (value, message) refusals."""
+
+    key: str
+    call: Callable
+    what: str
+    kind: str | None
+    refusals: tuple = ()
+
+    def rows(self):
+        """(value, message) of every refusal: the rule's, then the site's own."""
+        if self.kind == ARRAY:
+            rule = [(v, f"{self.what} must be an array of real numbers, got {got}")
+                    for v, got in NOT_ARRAYS]
+        else:
+            rule = [(v, f"{self.what} {says}") for v, says in NOT_MAPPINGS if self.kind]
+        return [*rule, *self.refusals]
+
+
+def square_refusals(who):
+    """The shape and finiteness refusals of a two-mode matrix argument of `who`."""
+    return ((np.eye(3), f"{who}: expected shape (4, 4), got (3, 3)"),
+            ([], f"{who}: expected shape (4, 4), got (0,)"),
+            (np.array(1.0), f"{who}: expected shape (4, 4), got ()"),
+            (NAN_EYE, f"{who}: entries must be finite"), (BIG_EYE, f"{who}: entries must be finite"))
+
+
+def json_refusals(what):
+    """from_dict's refusals of a d that is not a JSON object."""
+    return tuple((v, f"{what} JSON: expected an object, got {type(v).__name__}")
+                 for v in ([MS_JSON], "{}", None, np.eye(4)))
+
+
+ARRAY_SITES = [
+    # gaussian
+    ArraySite("CovarianceMatrix.entries", lambda v: CovarianceMatrix(2, v),
+              "CovarianceMatrix: entries", ARRAY, square_refusals("CovarianceMatrix")),
+    ArraySite("SymplecticTransform.matrix", lambda v: SymplecticTransform(2, v),
+              "SymplecticTransform: matrix", ARRAY, square_refusals("SymplecticTransform")),
+    ArraySite("CovarianceMatrix.from_dict.d", CovarianceMatrix.from_dict, "CovarianceMatrix JSON",
+              None, (*json_refusals("CovarianceMatrix"),
+                     ({"n_modes": 2, "entries": [[1, 0], [0]]},
+                      "CovarianceMatrix JSON: ragged entries, not a matrix"),
+                     ({"n_modes": 2, "entries": "abc"},
+                      'CovarianceMatrix JSON: non-numeric field ("abc" is not a number)'),
+                     ({"n_modes": 2, "entries": {"a": 1}},
+                      "CovarianceMatrix JSON: non-numeric field (an object is not a number)"),
+                     ({"n_modes": 2, "entries": [[True] * 4] * 4},
+                      "CovarianceMatrix JSON: non-numeric field (true is not a number)"))),
+    ArraySite("SourceParams.from_dict.d", SourceParams.from_dict, "SourceParams JSON", None,
+              (*json_refusals("SourceParams"),
+               ({"r3": 1.0}, "SourceParams JSON: unknown field(s) ['r3']"))),
+    # sampler
+    ArraySite("SampleBatch.values", lambda v: SampleBatch(X_A, v, 0, 2), "SampleBatch: values",
+              ARRAY, (([[1.0, 2.0], [3.0, 4.0]],
+                       "SampleBatch: values must be one-dimensional, got shape (2, 2)"),
+                      (np.array(1.0), "SampleBatch: values must be one-dimensional, got shape ()"),
+                      ([1.0, 2.0, 3.0], "SampleBatch: need n == len(values) >= 2, got n=2"))),
+    # reconstruction
+    ArraySite("MeasurementSet.metadata",
+              lambda v: MeasurementSet(*REFERENCE_MEASUREMENTS.values(), metadata=v),
+              "MeasurementSet: metadata", MAPPING,
+              ((None, "MeasurementSet: metadata must be a dict, got NoneType"),)),
+    # None is expected_measurements' default, an empty {}
+    ArraySite("expected_measurements.metadata",
+              lambda v: expected_measurements(REFERENCE, metadata=v), "MeasurementSet: metadata",
+              MAPPING),
+    ArraySite("MeasurementSet.from_dict.d", MeasurementSet.from_dict, "MeasurementSet JSON", None,
+              (*json_refusals("MeasurementSet"),
+               *(({**MS_JSON, "metadata": v},
+                  f"MeasurementSet JSON: metadata must be an object, got {type(v).__name__}")
+                 for v in (5, [1], None, "k")))),
+]
+ARRAY_ROWS = [(site, value, message) for site in ARRAY_SITES for value, message in site.rows()]
+
+# Arguments annotated np.ndarray or dict that no row rules, each with the reason.
+ARRAY_EXEMPT = {
+    "CriteriaReport.conditional_variances": "an output record, built by criteria_report from "
+                                            "the floats it computed",
+}
+
+
+def shown_array(v) -> str:
+    """A row value in a test id: an ndarray by its dtype and shape, else its repr, cut short."""
+    return f"ndarray[{v.dtype}]{list(v.shape)}" if isinstance(v, np.ndarray) else reprlib.repr(v)
+
+
+class TestArrayRule:
+    """Every array argument of a public record is read by gaussian._real_array before numpy
+    converts it, and every mapping by gaussian._json_mapping: anything else is refused with
+    "<who>: <name> must be an array of real numbers, got <type name, dtype, 'a ragged
+    sequence' or the first element's repr>", or in the mapping rule's words, each a
+    ValueError, never a TypeError or numpy's own; a valid array is read as its floats
+    whatever its form."""
+
+    @pytest.mark.parametrize("site, value, message", ARRAY_ROWS,
+                             ids=[f"{site.key}={shown_array(value)}"
+                                  for site, value, _ in ARRAY_ROWS])
+    def test_every_refusal_is_worded(self, site, value, message):
+        with pytest.raises(ValueError) as exc:
+            site.call(value)
+        assert type(exc.value) is ValueError and str(exc.value) == message
+
+    @pytest.mark.parametrize("build, m", [
+        (lambda v: CovarianceMatrix(2, v),
+         np.array([[3, 0, 2, 0], [0, 3, 0, -2], [2, 0, 3, 0], [0, -2, 0, 3]])),
+        (lambda v: SymplecticTransform(2, v), np.array([[1, 0, 0, 0], [0, 1, 0, 0],
+                                                        [0, 0, 0, 1], [0, 0, -1, 0]])),
+        (lambda v: SampleBatch(X_A, v, 0, 2), np.array([1, 2]))],
+        ids=["CovarianceMatrix.entries", "SymplecticTransform.matrix", "SampleBatch.values"])
+    def test_every_form_of_an_array_reads_as_its_floats(self, build, m):
+        def scalars(a, kind):  # a as nested lists of numpy scalars
+            return [scalars(row, kind) for row in a] if a.ndim > 1 else [kind(x) for x in a]
+
+        floats = m.astype(float)
+        forms = [m, m.astype(np.int32), floats.astype(np.float32), m.tolist(), floats.tolist(),
+                 tuple(m.tolist()), list(floats), scalars(m, np.int64), scalars(m, np.float64)]
+        expected = spelled(build(floats))
+        assert all(spelled(build(form)) == expected for form in forms)
+
+    def test_sample_values_are_kept_as_given_and_may_be_non_finite(self):
+        values = np.array([math.nan, -math.inf])
+        assert SampleBatch(X_A, values, 0, 2).values is values
+        assert SampleBatch(X_A, [BIG, 1.0], 0, 2).values.tolist() == [math.inf, 1.0]
+
+    def test_metadata_of_json_values_is_kept_as_given(self):
+        labels = {"labels": {"rbw_hz": [3.0e5, None, True, "x"]}}
+        assert MeasurementSet(*REFERENCE_MEASUREMENTS.values(), metadata=labels).metadata is labels
+        assert expected_measurements(REFERENCE, metadata=None).metadata == {}
+        assert expected_measurements(REFERENCE, metadata=labels).metadata is labels
+
+    def test_every_array_and_mapping_argument_is_ruled(self):
+        arrays = annotated({"np.ndarray", "dict"})
+        ruled = {site.key for site in ARRAY_SITES}
+        assert sorted(arrays - ruled - set(ARRAY_EXEMPT)) == []
+        assert sorted(set(ARRAY_EXEMPT) - arrays) == []  # no stale exemption
+        assert sorted(set(ARRAY_EXEMPT) & ruled) == []
 
 
 def cholesky_accepts(m) -> bool:

@@ -350,15 +350,26 @@ class TestMeasurementSetIO:
                         st.integers(0, 2 ** 63 - 1).map(np.int64), st.integers(2 ** 1024, 2 ** 1100),
                         st.booleans(), st.none(), st.text(max_size=2))
 
+    # JSON values: null, bools, ints within +-2**53, finite floats, short str, and lists and
+    # str-keyed objects of these
+    _JSON = st.recursive(
+        st.none() | st.booleans() | st.integers(-2 ** 53, 2 ** 53)
+        | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                     max_size=3),
+        max_leaves=8)
+
     @settings(max_examples=1000, deadline=None, database=None, derandomize=True)
-    @given(values=st.lists(_NUMBER, min_size=7, max_size=7))
-    @example(values=[True, 1, 1, 1, 1, 1, 0.05])
-    @example(values=[1, 1, 1, 1, 2, 2, False])
-    def test_sets_read_back_what_they_write(self, values):
+    @given(values=st.lists(_NUMBER, min_size=7, max_size=7),
+           metadata=st.dictionaries(st.text(max_size=3), _JSON, max_size=3))
+    @example(values=[True, 1, 1, 1, 1, 1, 0.05], metadata={})
+    @example(values=[1, 1, 1, 1, 2, 2, False], metadata={})
+    @example(values=[1, 1, 1, 1, 2, 2, 0.05], metadata={"labels": {"rbw_hz": [3e5, None, -0.0]}})
+    def test_sets_read_back_what_they_write(self, values, metadata):
         # every MeasurementSet the constructor accepts stores floats and is read back
-        # equal from its JSON
+        # equal from its JSON, its metadata included
         try:
-            ms = MeasurementSet(*values)
+            ms = MeasurementSet(*values, metadata=metadata)
         except ValueError:
             return
         assert all(type(v) is float for v in (*ms.values(), ms.relative_error))
@@ -473,7 +484,9 @@ class TestMeasurementSetConstructor:
         a, b = MeasurementSet(*VACUUM_SET.values()), MeasurementSet(*VACUUM_SET.values())
         assert a.relative_error == 0.05
         assert a.metadata == b.metadata == {} and a.metadata is not b.metadata
-        assert MeasurementSet(*VACUUM_SET.values(), metadata=None).metadata is None
+        with pytest.raises(ValueError, match="^MeasurementSet: metadata must be a dict, got "
+                                             "NoneType$"):  # whose JSON null from_dict refuses
+            MeasurementSet(*VACUUM_SET.values(), metadata=None)
         labels = {"rbw_hz": 300.0e3}
         assert MeasurementSet(*VACUUM_SET.values(), metadata=labels).metadata is labels
 
