@@ -106,7 +106,7 @@ def cmd_simulate(args) -> int:
     flags = {name: getattr(args, name) for name in _SIMULATE_FLAGS if getattr(args, name) is not None}
     if args.dark_noise_db is not None:
         flags["dark_noise"] = db_to_variance(args.dark_noise_db)
-    state = build_epr_source(SourceParams.from_dict({**params.to_dict(), **flags}))
+    state = build_epr_source(dataclasses.replace(params, **flags))
     _write_json(state.to_dict(), args.out_path)
     return 0
 

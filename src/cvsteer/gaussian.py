@@ -6,7 +6,8 @@ quadrature.  Lossless optics act as symplectic matrices (S @ gamma @ S.T),
 loss as a vacuum admixture channel.  Every state and record argument of a public function
 is tested by :func:`_instance`, and every two-mode state read by :func:`_moments`, before
 any of its attributes is read; every array argument is read by :func:`_real_array`, and
-every mapping by :func:`_json_mapping`, before numpy or json sees it.
+every mapping by :func:`_json_mapping`, before numpy or json sees it.  A record's from_dict
+checks its JSON shape by :func:`_json_object` and hands every value to the constructor.
 """
 
 from __future__ import annotations
@@ -47,26 +48,17 @@ def _symplectic_form(n_modes: int) -> np.ndarray:  # symplectic_form of a checke
     return m
 
 
-def _json_object(d, what: str, fields=None):
-    """Check that d is a JSON object with no field outside `fields` (None: any)."""
+def _json_object(d, what: str, fields=None, required=()) -> None:
+    """Check the JSON shape of a record: d is a JSON object with no field outside `fields`
+    (None: any) and every field in `required`.  Its values are the constructor's to read."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} JSON: expected an object, got {type(d).__name__}")
     unknown = set(d) - set(d if fields is None else fields)
     if unknown:
-        raise ValueError(f"{what} JSON: unknown field(s) {sorted(unknown)}")
-
-
-def _number(v, what: str) -> float:
-    """v as a float if a real number other than a bool (float() reads true as 1), else the
-    ValueError of a non-numeric field: a JSON scalar shown as JSON, an array or object named."""
-    if isinstance(v, numbers.Real) and not isinstance(v, bool):
-        try:
-            return float(v)
-        except OverflowError as exc:  # an int past the float range
-            raise ValueError(f"{what} JSON: non-numeric field ({exc})") from None
-    shown = ("an array" if isinstance(v, list) else "an object" if isinstance(v, dict)
-             else json.dumps(v) if v is None or isinstance(v, (bool, str)) else repr(v))
-    raise ValueError(f"{what} JSON: non-numeric field ({shown} is not a number)")
+        raise ValueError(f"{what} JSON: unknown field(s) {sorted(unknown, key=str)}")
+    missing = [name for name in required if name not in d]
+    if missing:
+        raise ValueError(f"{what} JSON: missing field(s) {missing}")
 
 
 def _real(v, what: str) -> float:
@@ -130,20 +122,25 @@ def _floats(seq, name: str) -> list:
 
 
 def _json_mapping(v, who: str, name: str) -> dict:
-    """v if a dict with str keys that json writes, so that it reads back from its JSON as its
-    keys were given; else a ValueError: "<who>: <name> must be a dict, got <type name>" by
-    :func:`_instance`, "<who>: <name> keys must be str, got <repr>", or "<who>: <name> must be
-    writable as JSON (<json's reason>)".  The test of every mapping argument."""
+    """The JSON image of v, json.loads(json.dumps(v)): a new dict equal to v, if v is a dict
+    that reads back equal from its JSON.  Else a ValueError: "<who>: <name> must be a dict, got
+    <type name>" by :func:`_instance`, "<who>: <name> must be writable as JSON (<json's reason,
+    or 'nested too deeply'>)", or "<who>: <name> must read back equal from its JSON (...)" for
+    a tuple or a key that is no str, at any depth.  The test of every mapping argument."""
     _instance(v, dict, who, name)
-    if v:  # an empty dict writes as {}
-        for key in v:
-            if type(key) is not str:
-                raise ValueError(f"{who}: {name} keys must be str, got {key!r}")
-        try:
-            json.dumps(v)
-        except (TypeError, ValueError) as exc:  # a value json cannot write, or a cycle
-            raise ValueError(f"{who}: {name} must be writable as JSON ({exc})") from None
-    return v
+    if not v:  # an empty dict writes as {}
+        return {}
+    try:
+        image = json.loads(json.dumps(v, allow_nan=False))
+        same = image == v
+    except (TypeError, ValueError) as exc:  # a value json cannot write, nan or inf, or a cycle
+        raise ValueError(f"{who}: {name} must be writable as JSON ({exc})") from None
+    except RecursionError:  # json's, or the comparison's, past the recursion limit
+        raise ValueError(f"{who}: {name} must be writable as JSON (nested too deeply)") from None
+    if not same:
+        raise ValueError(f"{who}: {name} must read back equal from its JSON (a tuple reads back "
+                         "as a list, a key that is no str as a str)")
+    return image
 
 
 def _finite(v, what: str) -> float:
@@ -331,21 +328,14 @@ class CovarianceMatrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CovarianceMatrix":
-        _json_object(d, "CovarianceMatrix")
+        _json_object(d, "CovarianceMatrix", None, ("n_modes", "entries"))
         ordering = d.get("ordering", "x1p1x2p2")
         if ordering != "x1p1x2p2":
             raise ValueError(f"CovarianceMatrix JSON: unsupported ordering {ordering!r}")
-        try:
-            n_modes, entries = d["n_modes"], d["entries"]
-        except KeyError as exc:
-            raise ValueError(f"CovarianceMatrix JSON: missing field {exc}") from None
-        n = _number(n_modes, "CovarianceMatrix")  # a JSON 2.0 is 2
-        n_modes = _mode_count(int(n) if n.is_integer() else n, "CovarianceMatrix JSON")
-        # a scalar in place of the rows is a non-numeric field or, if a number, no matrix
-        rows = entries if isinstance(entries, list) else [_number(entries, "CovarianceMatrix")]
-        if not all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows):
-            raise ValueError("CovarianceMatrix JSON: ragged entries, not a matrix")
-        return cls(n_modes, [[_number(v, "CovarianceMatrix") for v in row] for row in rows])
+        n_modes = d["n_modes"]
+        if isinstance(n_modes, float) and n_modes.is_integer():  # a JSON 2.0 is 2
+            n_modes = int(n_modes)
+        return cls(n_modes, d["entries"])
 
 
 @_by_value("matrix")
@@ -707,7 +697,7 @@ class SourceParams:
     @classmethod
     def from_dict(cls, d: dict) -> "SourceParams":
         _json_object(d, "SourceParams", cls.__dataclass_fields__)
-        return cls(**{k: _number(v, "SourceParams") for k, v in d.items()})
+        return cls(**d)
 
 
 def _source_entries(p: SourceParams) -> list[float]:

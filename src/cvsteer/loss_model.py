@@ -73,8 +73,9 @@ forward_covariance = build_epr_source
 @dataclass(frozen=True)
 class LossFit:
     """Result of fitting (r1, r2, uniform xi) to a measured covariance matrix.  xi, r1, r2
-    and residual are real numbers (gaussian._real), stored as floats, and iterations an
-    integer (gaussian._integer), stored as an int."""
+    and residual are real numbers (gaussian._real), stored as floats, iterations an integer
+    >= 0 (gaussian._integer), stored as an int, and converged a bool, which JSON writes as
+    true or false."""
 
     xi: float
     r1: float
@@ -89,8 +90,12 @@ class LossFit:
         iterations = _integer(self.iterations, "LossFit", "iterations")
         if not 0.0 < xi <= 1.0:
             raise ValueError(f"LossFit: xi must be in (0, 1], got {xi}")
-        if residual < 0.0:
+        if not residual >= 0.0:  # nan too
             raise ValueError(f"LossFit: residual must be >= 0, got {residual}")
+        if iterations < 0:
+            raise ValueError(f"LossFit: iterations must be >= 0, got {iterations}")
+        if type(self.converged) is not bool:
+            raise ValueError(f"LossFit: converged must be a bool, got {self.converged!r}")
         self.__dict__.update(xi=xi, r1=r1, r2=r2, residual=residual,  # frozen: no __setattr__
                              iterations=iterations)
 

@@ -19,8 +19,7 @@ import numpy as np
 
 from .criteria import _joint_variances
 from .gaussian import (CovarianceMatrix, PhysicalityWarning, _finite, _from_moments, _instance,
-                       _json_mapping, _json_object, _moments, _number, _number_text, _real,
-                       _unphysical)
+                       _json_mapping, _json_object, _moments, _number_text, _real, _unphysical)
 
 CSV_FIELDS = ("var_xa", "var_pa", "var_xb", "var_pb", "var_x_diff", "var_p_sum")
 _FRESH = object()  # MeasurementSet's default metadata: a new {} per set
@@ -54,8 +53,8 @@ class MeasurementSet:
     values; it feeds propagate_errors and perturbation_study and nothing else
     (reconstruct reads the six values alone).  metadata carries acquisition
     labels (e.g. fourier_frequency_hz, rbw_hz, vbw_hz) that do not enter any
-    computation: a dict with str keys that json writes (gaussian._json_mapping),
-    so that the set reads back from its own JSON.
+    computation: a dict that reads back equal from its JSON, of which the set stores
+    the JSON image, no reference to the caller's dict (gaussian._json_mapping).
 
     The constructor is written out, not generated: it checks its arguments, then
     stores the eight fields in one update, the seven numbers as floats (a bool, or
@@ -106,17 +105,8 @@ class MeasurementSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MeasurementSet":
-        _json_object(d, "MeasurementSet", cls.__dataclass_fields__)
-        missing = [name for name in CSV_FIELDS if name not in d]
-        if missing:
-            raise ValueError(f"MeasurementSet JSON: missing field(s) {missing}")
-        metadata = d.get("metadata", {})
-        if not isinstance(metadata, dict):
-            raise ValueError("MeasurementSet JSON: metadata must be an object, "
-                             f"got {type(metadata).__name__}")
-        values = {name: _number(d[name], "MeasurementSet") for name in CSV_FIELDS}
-        relative_error = _number(d.get("relative_error", 0.05), "MeasurementSet")
-        return cls(**values, relative_error=relative_error, metadata=dict(metadata))
+        _json_object(d, "MeasurementSet", cls.__dataclass_fields__, CSV_FIELDS)
+        return cls(**d)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

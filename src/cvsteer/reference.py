@@ -22,7 +22,7 @@ from .loss_model import (
     fit_efficiency,
 )
 from .reconstruction import MeasurementSet, _covariances, reconstruct
-from .sampler import _stream, measure_campaign
+from .sampler import _seed, _stream, measure_campaign
 
 REFERENCE_MEASUREMENTS = MeasurementSet(
     var_xa=18.41,
@@ -86,12 +86,12 @@ def perturbation_study(ms: MeasurementSet, relative_error: float | None = None,
     fixed gains the product factors are linear in the inputs, making the
     spread an unbiased first-order error band.  An explicit relative_error
     is checked as MeasurementSet checks its own: it must lie in [0, 1); the
-    seed must be an integer >= 0, and n_trials an integer >= 2 for the spread
-    (gaussian._integer); ms is a MeasurementSet (gaussian._instance).
+    seed must be an integer >= 0 (sampler._seed), and n_trials an integer >= 2 for the
+    spread (gaussian._integer); ms is a MeasurementSet (gaussian._instance).
     """
     _instance(ms, MeasurementSet, "perturbation_study", "ms")
     n_trials = _integer(n_trials, "perturbation_study", "n_trials")
-    seed = _integer(seed, "perturbation_study", "seed")
+    seed = _seed(seed, "perturbation_study")
     if n_trials < 2:
         raise ValueError(f"perturbation_study: n_trials must be >= 2, got {n_trials}")
     if relative_error is not None:

@@ -152,12 +152,12 @@ def sample_quadratures(state: CovarianceMatrix, setting: MeasurementSetting,
     batches at that seed (up to float rounding).  Dark noise adds variance
     dark_noise per involved detector, drawn from the stream seeded
     (seed, 1), the campaign's X_A dark stream.  setting is a MeasurementSetting
-    (gaussian._instance), n and seed are read by gaussian._integer, dark_noise by gaussian._real
-    and the state by gaussian._moments (both as "sampler").
+    (gaussian._instance), n is read by gaussian._integer, seed by :func:`_seed`, dark_noise by
+    gaussian._real and the state by gaussian._moments (both as "sampler").
     """
     _instance(setting, MeasurementSetting, "sample_quadratures", "setting")
     n = _integer(n, "sample_quadratures", "n")
-    seed = _integer(seed, "sample_quadratures", "seed")
+    seed = _seed(seed, "sample_quadratures")
     if n < 2:
         raise ValueError(f"sample_quadratures: n must be >= 2, got {n}")
     values = _samples(state, [setting], n, seed, dark_noise)[0]
@@ -187,11 +187,16 @@ def _campaign_projection(state: CovarianceMatrix, settings: list[MeasurementSett
     return weights, dark_scale, dark_noise
 
 
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    """The random stream seeded (seed, *key), for a seed its caller has read by
-    gaussian._integer; seed must be >= 0."""
+def _seed(seed, who: str) -> int:
+    """seed as an int if an integer (gaussian._integer) >= 0, else a ValueError naming who."""
+    seed = _integer(seed, who, "seed")
     if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+        raise ValueError(f"{who}: seed must be >= 0, got {seed}")
+    return seed
+
+
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The random stream seeded (seed, *key), for a seed read by :func:`_seed`."""
     return np.random.default_rng(np.random.SeedSequence([seed, *key]))
 
 
@@ -230,13 +235,14 @@ def measure_campaign(state: CovarianceMatrix, n_per_setting: int, seed: int,
     sqrt(2 / n_per_setting), the relative one-sigma of a Gaussian variance
     estimate, is below 1.  Seed and counts are recorded in the metadata.
     Variances that overflow raise ValueError, naming the largest state entry
-    and the dark-noise variance.  n_per_setting and seed are read by gaussian._integer,
-    dark_noise by gaussian._real (as "sampler: dark_noise"), and recorded as they were read.
+    and the dark-noise variance.  n_per_setting is read by gaussian._integer, seed by
+    :func:`_seed`, dark_noise by gaussian._real (as "sampler: dark_noise"), and each is
+    recorded as it was read.
     Deterministic for fixed inputs; the estimates equal the sample variances
     of :func:`campaign_batches` up to float rounding.
     """
     n_per_setting = _integer(n_per_setting, "measure_campaign", "n_per_setting")
-    seed = _integer(seed, "measure_campaign", "seed")
+    seed = _seed(seed, "measure_campaign")
     if n_per_setting < 3:
         raise ValueError(f"measure_campaign: n_per_setting must be >= 3, got n={n_per_setting}")
     weights, dark_scale, dark_noise = _campaign_projection(state, canonical_settings(), dark_noise)
@@ -276,7 +282,7 @@ def campaign_batches(state: CovarianceMatrix, n_per_setting: int, seed: int,
     are read as :func:`measure_campaign` reads them.
     """
     n_per_setting = _integer(n_per_setting, "campaign_batches", "n_per_setting")
-    seed = _integer(seed, "campaign_batches", "seed")
+    seed = _seed(seed, "campaign_batches")
     if n_per_setting < 2:
         raise ValueError(f"campaign_batches: n_per_setting must be >= 2, got {n_per_setting}")
     data = _samples(state, canonical_settings(), n_per_setting, seed, dark_noise)

@@ -148,6 +148,7 @@ OVERFLOW_REPORT = ("analyze: reid_b_given_a, reid_a_given_b, unit_gain_product, 
 UNCERTAINTIES = "reconstruct: uncertainties overflow the float range; JSON cannot hold them"
 GAINS = "--gains expects two finite numbers 'gx,gp' or 'optimal', got {!r}"
 DARK_INF = "sampler: dark_noise must be >= 0, got inf (finite values only)"
+ENTRIES = "CovarianceMatrix: entries must be an array of real numbers, got "
 COV = "--in {tmp}/cov.json"
 
 # every number flag: (command and the arguments it needs, flag, the kind argparse names)
@@ -173,7 +174,7 @@ ROWS = [
         written={"cap.json": CAP}),
     *(Row(f"simulate-string-{v}", "simulate --in {tmp}/p.json --out {tmp}/o.json", 2,
           files={"p.json": json.dumps({"r1": v})}, absent=("o.json",),
-          err=error(f'SourceParams JSON: non-numeric field ("{v}" is not a number)'))
+          err=error(f"SourceParams: r1 must be a real number, got {v!r}"))
       for v in ("1", "abc")),
     *(Row(f"simulate-list{flags}", f"simulate --in {{tmp}}/p.json {flags}", 2,
           files={"p.json": "[0.5, 0.5]"},
@@ -245,7 +246,7 @@ ROWS = [
         err=error("MeasurementSet CSV: non-numeric field var_xa ('18_41' is not a number)")),
     Row("reconstruct-metadata", "reconstruct --in {tmp}/ms.json", 2,
         files={"ms.json": json.dumps({**REFERENCE_MEASUREMENTS.to_dict(), "metadata": 5})},
-        err=error("MeasurementSet JSON: metadata must be an object, got int")),
+        err=error("MeasurementSet: metadata must be a dict, got int")),
     # sample: the sampler alone refuses a state below the gate, an analysis outcome
     *(Row(f"sample-{name}-{fmt}", f"sample --in {{tmp}}/{name}.json --n 10 --format {fmt}", 1,
           files={f"{name}.json": text}, err=error(said("sampler", state_of(text))))
@@ -317,18 +318,13 @@ ROWS = [
           ("asymmetric", matrix([[1, 0, 0.5, 0]] + EYE[1:]),
            "CovarianceMatrix: not symmetric at (0,2): 0.5 vs 0.0"),
           ("list", json.dumps(EYE), "CovarianceMatrix JSON: expected an object, got list"),
-          ("null", matrix([[None, 0, 0, 0]] + EYE[1:]),
-           "CovarianceMatrix JSON: non-numeric field (null is not a number)"),
-          ("string", matrix([["1", 0, 0, 0]] + EYE[1:]),
-           'CovarianceMatrix JSON: non-numeric field ("1" is not a number)'),
-          ("ragged", matrix([[1, 0, 0]] + EYE[1:]),
-           "CovarianceMatrix JSON: ragged entries, not a matrix"),
-          # JSON n_modes is read as every other number is, then by the one mode-count rule
-          *((f"n_modes-{v}", json.dumps({"n_modes": v, "entries": EYE}), line) for v, line in [
-              (True, "CovarianceMatrix JSON: non-numeric field (true is not a number)"),
-              ("2", 'CovarianceMatrix JSON: non-numeric field ("2" is not a number)'),
-              (2.5, "CovarianceMatrix JSON: n_modes must be an integer, got 2.5"),
-              (2.7, "CovarianceMatrix JSON: n_modes must be an integer, got 2.7")])]),
+          ("null", matrix([[None, 0, 0, 0]] + EYE[1:]), f"{ENTRIES}None"),
+          ("string", matrix([["1", 0, 0, 0]] + EYE[1:]), f"{ENTRIES}'1'"),
+          ("ragged", matrix([[1, 0, 0]] + EYE[1:]), f"{ENTRIES}a ragged sequence"),
+          # JSON n_modes is read by the constructor's mode-count rule, a 2.0 as 2
+          *((f"n_modes-{v}", json.dumps({"n_modes": v, "entries": EYE}),
+             f"CovarianceMatrix: n_modes must be an integer, got {v!r}")
+            for v in (True, "2", 2.5, 2.7))]),
     Row("analyze-nested-3000", "analyze --in {tmp}/nested.json", 2,
         files={"nested.json": "[" * 3000}, err=error("{tmp}/nested.json: JSON nested too deeply")),
     # every command that reads JSON, and every number flag
@@ -362,9 +358,10 @@ ROWS = [
           ("repro", "repro --n 10", DARK_INF)]
       for db in ("-inf", "-4000")),
     *(Row(f"{label}-seed-1", f"{command} --seed=-1", 2, files=REFERENCE,
-          err=error("seed must be >= 0, got -1"))
-      for label, command in [("sample", f"sample {COV} --n 10"), ("repro-sampled", "repro --n 10"),
-                             ("repro-perturb", "repro --perturb 0.05")]),
+          err=error(f"{who}: seed must be >= 0, got -1"))
+      for label, command, who in [("sample", f"sample {COV} --n 10", "measure_campaign"),
+                                  ("repro-sampled", "repro --n 10", "measure_campaign"),
+                                  ("repro-perturb", "repro --perturb 0.05", "perturbation_study")]),
     # repro
     *(Row(f"repro-perturb{rel}", f"repro --perturb={rel}", 2,
           err=error(f"MeasurementSet: relative_error must be in [0, 1), got {shown}"))

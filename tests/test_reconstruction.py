@@ -390,15 +390,16 @@ class TestMeasurementSetIO:
             MeasurementSet.from_dict([ref_ms.to_dict()])
 
     @pytest.mark.parametrize("field, value, match", [
-        ("metadata", 5, "metadata must be an object"),
-        ("var_xa", [18.41], "non-numeric"),
-        ("relative_error", None, "non-numeric"),
-        pytest.param("var_xa", 10 ** 400, "too large", id="var_xa-10**400-too large"),
-        ("var_xa", True, "non-numeric"),
-        ("relative_error", True, "non-numeric"),
-        ("var_xa", "18.41", 'non-numeric field \\("18.41" is not a number\\)'),
+        ("metadata", 5, "^MeasurementSet: metadata must be a dict, got int$"),
+        ("var_xa", [18.41], "^MeasurementSet: var_xa must be a real number, got \\[18.41\\]$"),
+        ("relative_error", None, "^MeasurementSet: relative_error must be a real number, got None$"),
+        pytest.param("var_xa", 10 ** 400, "^MeasurementSet: var_xa must be positive, got inf$",
+                     id="var_xa-10**400-inf"),
+        ("var_xa", True, "^MeasurementSet: var_xa must be a real number, got True$"),
+        ("relative_error", True, "^MeasurementSet: relative_error must be a real number, got True$"),
+        ("var_xa", "18.41", "^MeasurementSet: var_xa must be a real number, got '18.41'$"),
         ("relative_error", ["0.05"],
-         "^MeasurementSet JSON: non-numeric field \\(an array is not a number\\)$"),
+         "^MeasurementSet: relative_error must be a real number, got \\['0.05'\\]$"),
         ("relative_eror", 0.5, "unknown field\\(s\\) \\['relative_eror'\\]"),
     ])
     def test_json_badly_typed_fields(self, ref_ms, field, value, match):
@@ -488,7 +489,8 @@ class TestMeasurementSetConstructor:
                                              "NoneType$"):  # whose JSON null from_dict refuses
             MeasurementSet(*VACUUM_SET.values(), metadata=None)
         labels = {"rbw_hz": 300.0e3}
-        assert MeasurementSet(*VACUUM_SET.values(), metadata=labels).metadata is labels
+        kept = MeasurementSet(*VACUUM_SET.values(), metadata=labels).metadata
+        assert kept == labels and kept is not labels  # its JSON image
 
     def test_keyword_and_positional_calls(self):
         values = dict(zip(CSV_FIELDS, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)))
